@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 = verified / pass, 1 = violation found, 2 = inconclusive
-(fuel or window exhausted before a verdict), 3 = input error.  All reports
-are deterministic for a fixed seed and independent of --threads.
+(fuel or window exhausted before a verdict), 3 = input error.  Every report
+is deterministic for a fixed seed, and a run exits with its combined status.
 """
 
 from __future__ import annotations
@@ -12,16 +12,22 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 
 from . import families
-from .conditions import (
-    NotPeriodic,
-    ck_for_section,
-    cuntz_krieger_condition,
-    separating_condition,
-)
+from .conditions import ck_for_section, cuntz_krieger_condition, separating_condition
 from .dynamics import check_reduction_necessary, check_reduction_sufficient, classes
-from .gcmap import DomainError, FuelExhausted, GCMap, load_map
+from .gcmap import (  # PASS, VIOLATION and INCONCLUSIVE are also this CLI's exit codes
+    INCONCLUSIVE,
+    PASS,
+    VIOLATION,
+    DomainError,
+    GCMap,
+    Inconclusive,
+    combine,
+    load_map,
+    verdict,
+)
 from .operators import (
     BasisWindow,
     build_section_ops,
@@ -34,10 +40,11 @@ from .operators import (
 
 SCHEMA_VERSION = 1
 
-PASS, VIOLATION, INCONCLUSIVE, INPUT_ERROR = 0, 1, 2, 3
+INPUT_ERROR = 3
 
 
-def _resolve_map(ref: str) -> GCMap:
+def _resolve_map(ref: str, validate: bool = True) -> GCMap:
+    """A preset, or a map file that must pass ``GCMap.validate`` when ``validate`` is set."""
     try:
         return families.preset_map(ref)
     except KeyError:
@@ -45,11 +52,23 @@ def _resolve_map(ref: str) -> GCMap:
     except ValueError as exc:
         raise SystemExit(_fail_input(f"bad preset argument: {exc}"))
     try:
-        return load_map(ref)
+        gcmap = load_map(ref)
     except FileNotFoundError:
         raise SystemExit(_fail_input(f"unknown preset and no such file: {ref!r}"))
     except (ValueError, KeyError) as exc:
         raise SystemExit(_fail_input(f"could not parse map file {ref!r}: {exc}"))
+    failures = gcmap.validate().failures() if validate else []
+    if failures:
+        first = failures[0]
+        raise SystemExit(_fail_input(f"map file {ref!r} fails {first.name}: {first.detail}"))
+    return gcmap
+
+
+def _preset_section(ref: str) -> families.Section | None:
+    try:
+        return families.preset_section(ref)
+    except (KeyError, ValueError):
+        return None
 
 
 def _fail_input(msg: str) -> int:
@@ -79,7 +98,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
         rec = gcmap.orbit(args.start, args.fuel)
     except DomainError as exc:
         return _fail_input(str(exc))
-    exhausted = isinstance(rec.outcome, FuelExhausted)
+    exhausted = isinstance(rec.outcome, Inconclusive)
     payload = {
         "command": "orbit",
         "map": args.map,
@@ -91,7 +110,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     }
     rows = [(i, v) for i, v in enumerate(rec.prefix)]
     _emit(payload, args.format, rows, ("index", "value"))
-    return INCONCLUSIVE if exhausted else PASS
+    return verdict(inconclusive=exhausted)
 
 
 def cmd_classes(args: argparse.Namespace) -> int:
@@ -107,18 +126,22 @@ def cmd_classes(args: argparse.Namespace) -> int:
     }
     rows = [(n, rep.class_of(n)) for n in range(1, args.window + 1)]
     _emit(payload, args.format, rows, ("n", "representative"))
-    return INCONCLUSIVE if rep.flagged else PASS
+    return verdict(inconclusive=bool(rep.flagged))
 
 
 def _suite_bounded(gcmap: GCMap, args) -> tuple[dict, int]:
     rep = gcmap.validate()
-    return rep.to_dict(), PASS if rep.ok else VIOLATION
+    return rep.to_dict(), rep.status
 
 
-def _suite_separating(gcmap: GCMap, args, x: int) -> tuple[dict, int]:
+def _suite_separating(gcmap: GCMap, args) -> tuple[dict, int]:
+    try:
+        x = int(args.suite.split(":", 1)[1])
+    except ValueError:
+        raise ValueError(f"bad separating point in {args.suite!r}") from None
     res = separating_condition(gcmap, x, args.fuel)
-    if isinstance(res, NotPeriodic):
-        return {"x": x, "periodic": False, "fuel": args.fuel}, INCONCLUSIVE
+    if isinstance(res, Inconclusive):
+        return {"x": x, "periodic": False, "fuel": args.fuel}, res.status
     payload = {
         "x": x,
         "periodic": True,
@@ -126,26 +149,15 @@ def _suite_separating(gcmap: GCMap, args, x: int) -> tuple[dict, int]:
         "word": list(res.word),
         "aperiodic": res.aperiodic,
     }
-    return payload, PASS if res.holds else VIOLATION
+    return payload, res.status
 
 
 def _suite_ck(gcmap: GCMap, args) -> tuple[dict, int]:
-    try:
-        section = families.preset_section(args.map)
-    except (KeyError, ValueError):
+    section = _preset_section(args.map)
+    if section is None:
         ok, detail = cuntz_krieger_condition(gcmap)
-        if ok:
-            return {"level": "partition", "passed": True, "matrix": detail.as_lists()}, PASS
-        return (
-            {
-                "level": "partition",
-                "passed": False,
-                "branch": detail.branch,
-                "witness": detail.witness,
-                "reason": detail.reason,
-            },
-            VIOLATION,
-        )
+        found = {"matrix": detail.as_lists()} if ok else asdict(detail)  # branch, witness, reason
+        return {"level": "partition", "passed": ok, **found}, verdict(violation=not ok)
     rep = ck_for_section(
         section.map,
         section.n1,
@@ -155,35 +167,25 @@ def _suite_ck(gcmap: GCMap, args) -> tuple[dict, int]:
         args.fuel,
         removed=section.n2_removed,
     )
-    out = {"level": "section"}
-    out.update(rep.to_dict())
-    return out, PASS if rep.passed else VIOLATION
+    return {"level": "section", **rep.to_dict()}, rep.status
 
 
 def _suite_section(gcmap: GCMap, args) -> tuple[dict, int]:
-    try:
-        section = families.preset_section(args.map)
-    except (KeyError, ValueError) as exc:
-        return {"error": str(exc)}, INPUT_ERROR
+    section = _preset_section(args.map)
+    if section is None:
+        raise ValueError(f"no first-return section preset for {args.map!r}")
     suff = check_reduction_sufficient(gcmap, section.sigma, args.window, args.fuel)
     x0 = section.sigma.min_member()
     nec = check_reduction_necessary(gcmap, section.sigma, x0, args.fuel)
     payload = {"sufficient": suff.to_dict(), "necessaryAt": x0, "necessary": nec.to_dict()}
-    if suff.passed and nec.passed:
-        return payload, PASS
-    if suff.inconclusive and not suff.failures and nec.passed:
-        return payload, INCONCLUSIVE
-    return payload, VIOLATION
+    return payload, combine([suff.status, nec.status])
 
 
 def _suite_relations(gcmap: GCMap, args) -> tuple[dict, int]:
     branch = verify_branch_relations(gcmap, BasisWindow.range(1, args.window))
     payload = {"branch": branch.to_dict()}
-    code = PASS if branch.ok else VIOLATION
-    try:
-        section = families.preset_section(args.map)
-    except (KeyError, ValueError):
-        section = None
+    statuses = [branch.status]
+    section = _preset_section(args.map)
     if section is not None:
         win = BasisWindow.section(section.sigma, args.window)
         ops = build_section_ops(
@@ -192,10 +194,7 @@ def _suite_relations(gcmap: GCMap, args) -> tuple[dict, int]:
         rep = verify_section_relations(ops)
         payload["section"] = rep.to_dict()
         payload["inconclusiveColumns"] = sorted(ops.inconclusive_columns)
-        if not rep.ok:
-            code = VIOLATION
-        elif ops.inconclusive_columns and code == PASS:
-            code = INCONCLUSIVE
+        statuses += [rep.status, verdict(inconclusive=bool(ops.inconclusive_columns))]
     norm = norm_bound_check(gcmap, BasisWindow.range(1, args.window), trials=200, seed=args.seed)
     payload["normBound"] = {
         "trials": norm.trials,
@@ -203,9 +202,7 @@ def _suite_relations(gcmap: GCMap, args) -> tuple[dict, int]:
         "maxRatio": str(norm.max_ratio),
         "violations": norm.violations,
     }
-    if not norm.ok:
-        code = VIOLATION
-    return payload, code
+    return payload, combine(statuses + [norm.status])
 
 
 def _suite_span(gcmap: GCMap, args) -> tuple[dict, int]:
@@ -219,12 +216,12 @@ def _suite_span(gcmap: GCMap, args) -> tuple[dict, int]:
         "failures": bad[:20],
         "boundaryAffected": sum(1 for e in rep.entries if e.boundary_members),
     }
-    return payload, PASS if rep.ok else VIOLATION
+    return payload, rep.status
 
 
 def _suite_descent(gcmap: GCMap, args) -> tuple[dict, int]:
     if args.map != "collatz":
-        return {"error": "descent suite is specific to the collatz preset"}, INPUT_ERROR
+        raise ValueError("descent suite is specific to the collatz preset")
     rep = descent_check(args.window)
     payload = {
         "limit": rep.limit,
@@ -232,7 +229,7 @@ def _suite_descent(gcmap: GCMap, args) -> tuple[dict, int]:
         "counterexamples": list(rep.counterexamples),
         "fixedVector": rep.fixed_vector_ok,
     }
-    return payload, PASS if rep.ok else VIOLATION
+    return payload, rep.status
 
 
 def _suite_modular(gcmap: GCMap, args) -> tuple[dict, int]:
@@ -242,39 +239,34 @@ def _suite_modular(gcmap: GCMap, args) -> tuple[dict, int]:
     elif args.map == "qx1:5":
         rep = families.verify_q5_group()
     else:
-        return {"error": "modular suite needs mersenne:<k> or qx1:5"}, INPUT_ERROR
-    return rep.to_dict(), PASS if rep.ok else VIOLATION
+        raise ValueError("modular suite needs mersenne:<k> or qx1:5")
+    return rep.to_dict(), rep.status
+
+
+# Each suite returns its JSON payload and the combined status of its reports;
+# a ValueError it raises is an input error.
+SUITES = {
+    "bounded": _suite_bounded,
+    "separating": _suite_separating,  # spelled separating:<x>
+    "ck": _suite_ck,
+    "section": _suite_section,
+    "relations": _suite_relations,
+    "span": _suite_span,
+    "descent": _suite_descent,
+    "modular": _suite_modular,
+}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    gcmap = _resolve_map(args.map)
-    suite = args.suite
-    if suite == "bounded":
-        payload, code = _suite_bounded(gcmap, args)
-    elif suite.startswith("separating:"):
-        try:
-            x = int(suite.split(":", 1)[1])
-        except ValueError:
-            return _fail_input(f"bad separating point in {suite!r}")
-        payload, code = _suite_separating(gcmap, args, x)
-    elif suite == "ck":
-        payload, code = _suite_ck(gcmap, args)
-    elif suite == "section":
-        payload, code = _suite_section(gcmap, args)
-    elif suite == "relations":
-        payload, code = _suite_relations(gcmap, args)
-    elif suite == "span":
-        payload, code = _suite_span(gcmap, args)
-    elif suite == "descent":
-        payload, code = _suite_descent(gcmap, args)
-    elif suite == "modular":
-        payload, code = _suite_modular(gcmap, args)
-    else:
-        return _fail_input(f"unknown suite {suite!r}")
-    body = {"command": "verify", "map": args.map, "suite": suite, "exitCode": code}
-    body.update(payload)
-    _emit(body, args.format)
-    return code
+    # the bounded suite exists to list a map file's validation failures
+    gcmap = _resolve_map(args.map, validate=args.suite != "bounded")
+    suite = SUITES.get("separating" if args.suite.startswith("separating:") else args.suite)
+    if suite is None:
+        return _fail_input(f"unknown suite {args.suite!r}")
+    payload, status = suite(gcmap, args)
+    body = {"command": "verify", "map": args.map, "suite": args.suite, "exitCode": status}
+    _emit({**body, **payload}, args.format)
+    return status
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,9 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--window", type=int, default=10_000)
         sp.add_argument("--depth", type=int, default=None)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument(
-            "--threads", type=int, default=1, help="accepted for symmetry; results never depend on it"
-        )
         sp.add_argument("--format", choices=("json", "csv"), default="json")
 
     sp = sub.add_parser("orbit", help="print the orbit of a start value")
@@ -324,8 +313,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on bad usage; report 3 per our contract
         code = exc.code if isinstance(exc.code, int) else INPUT_ERROR
         return PASS if code == 0 else INPUT_ERROR
-    if args.fuel < 1 or args.window < 1 or args.threads < 1:
-        return _fail_input("fuel, window, and threads must be positive")
+    if args.fuel < 1 or args.window < 1:
+        return _fail_input("fuel and window must be positive")
     try:
         return args.func(args)
     except SystemExit as exc:

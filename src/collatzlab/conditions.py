@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 
 from .dynamics import FirstReturnMap, first_return_map
-from .gcmap import DomainError, GCMap, ResidueSet, _check_positive, plain_or_punctured
+from .gcmap import INCONCLUSIVE, PASS, VIOLATION, Inconclusive, Report, verdict
+from .gcmap import GCMap, ResidueSet, _check_positive, plain_or_punctured
 
 
 @dataclass(frozen=True)
@@ -53,26 +54,19 @@ def is_aperiodic(word: Itinerary | tuple[int, ...]) -> bool:
 
 
 @dataclass(frozen=True)
-class SeparatingResult:
+class SeparatingResult(Report):
     period: int
     word: Itinerary
     aperiodic: bool
 
     @property
-    def holds(self) -> bool:
-        return self.aperiodic
+    def status(self) -> int:
+        return verdict(violation=not self.aperiodic)
+
+    holds = Report.ok
 
 
-@dataclass(frozen=True)
-class NotPeriodic:
-    fuel: int
-
-    @property
-    def holds(self) -> bool:
-        return False
-
-
-def separating_condition(gcmap: GCMap, x: int, fuel: int) -> SeparatingResult | NotPeriodic:
+def separating_condition(gcmap: GCMap, x: int, fuel: int) -> SeparatingResult | Inconclusive:
     """Find the minimal period n <= fuel of x and test its itinerary for aperiodicity."""
     _check_positive(x)
     v = x
@@ -81,7 +75,7 @@ def separating_condition(gcmap: GCMap, x: int, fuel: int) -> SeparatingResult | 
         if v == x:
             word = itinerary(gcmap, x, n)
             return SeparatingResult(n, word, is_aperiodic(word))
-    return NotPeriodic(fuel)
+    return Inconclusive(fuel)
 
 
 # --- exact residue-level images ----------------------------------------------
@@ -275,11 +269,13 @@ class WitnessTable:
 
 
 @dataclass(frozen=True)
-class SectionCKReport:
-    passed: bool
+class SectionCKReport(Report):
+    status: int
     matrix: CKMatrix | None
     verdict_kind: str  # "witnessed" on success: symbolic + witness + empirical evidence
     detail: str = ""
+
+    passed = Report.ok
 
     def to_dict(self) -> dict:
         return {
@@ -316,12 +312,15 @@ def ck_for_section(
     (c) empirical injectivity of P|N2 and membership of P values on the window.
     The verdict is labeled "witnessed", not symbolically proved: P has no
     uniform return time, so (b)+(c) stand in for a closed-form argument.
+    A first return or doubling search that runs out of fuel makes the
+    verdict inconclusive, unless a violation is found elsewhere.
 
     ``removed`` lists the punctures of N2 when it is a shifted set (classes
     minus finitely many small values); each affected witness endpoint gets an
     individual replacement verification.
     """
-    fail = lambda msg: SectionCKReport(False, None, "failed", msg)
+    fail = lambda msg: SectionCKReport(VIOLATION, None, "failed", msg)
+    undecided: list[int] = []  # values whose first return ran out of fuel
 
     # (a) symbolic: one application of f sends N1 exactly onto N2 (with punctures)
     try:
@@ -380,11 +379,11 @@ def ck_for_section(
                 for _ in range(fuel):
                     v *= 2
                     if v in sigma_set:
+                        if v not in n2_set:
+                            return fail(f"punctured witness {n}: doubling re-enters via {v} outside N2")
                         break
                 else:
-                    return fail(f"punctured witness {n}: no doubling lands in the section")
-                if v not in n2_set:
-                    return fail(f"punctured witness {n}: doubling re-enters via {v} outside N2")
+                    undecided.append(e)
             j += 1
             if (1 << j) > e:
                 break
@@ -394,26 +393,32 @@ def ck_for_section(
     seen_n2: dict[int, int] = {}
     for n in sigma_set.members(1, window):
         v = P.apply(n, fuel)
-        if isinstance(v, int):
-            if n in n1:
-                if v not in n2_set:
-                    return fail(f"P({n}) = {v} with {n} in N1 but value outside N2")
-            else:
-                if v not in sigma_set:
-                    return fail(f"P({n}) = {v} outside the section")
-                if v in seen_n2:
-                    return fail(f"P|N2 collision: P({seen_n2[v]}) = P({n}) = {v}")
-                seen_n2[v] = n
+        if isinstance(v, Inconclusive):
+            undecided.append(n)
+        elif n in n1:
+            if v not in n2_set:
+                return fail(f"P({n}) = {v} with {n} in N1 but value outside N2")
+        else:
+            if v not in sigma_set:
+                return fail(f"P({n}) = {v} outside the section")
+            if v in seen_n2:
+                return fail(f"P|N2 collision: P({seen_n2[v]}) = P({n}) = {v}")
+            seen_n2[v] = n
     # empirical surjectivity through the witnesses, within the window
     for s in sigma_set.members(1, window):
         kappa = witnesses.exponents[s % mw]
         m = s * pow(2, kappa)
         if m <= window and m in sigma_set:
             v = P.apply(m, fuel)
-            if v != s:
+            if isinstance(v, Inconclusive):
+                undecided.append(m)
+            elif v != s:
                 return fail(f"witness failure: P({m}) = {v}, expected {s}")
 
-    return SectionCKReport(True, CKMatrix(((0, 1), (1, 1))), "witnessed")
+    if undecided:
+        detail = f"{len(undecided)} first returns undecided within fuel {fuel}, from {undecided[0]}"
+        return SectionCKReport(INCONCLUSIVE, None, "inconclusive", detail)
+    return SectionCKReport(PASS, CKMatrix(((0, 1), (1, 1))), "witnessed")
 
 
 def derive_witnesses(n1: ResidueSet, n2: ResidueSet, max_exponent: int = 512) -> WitnessTable:

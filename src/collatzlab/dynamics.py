@@ -1,8 +1,8 @@
 """Orbit equivalence, window partitioning, and first-return (Poincare) maps.
 
 Everything here is three-valued by design: fuel exhaustion is a normal
-outcome (``Inconclusive``), never an error, because termination of these
-orbits is exactly the open conjecture.
+outcome (:class:`~collatzlab.gcmap.Inconclusive`), never an error, because
+termination of these orbits is exactly the open conjecture.
 """
 
 from __future__ import annotations
@@ -14,10 +14,12 @@ from .gcmap import (
     DomainError,
     EnteredCycle,
     GCMap,
+    Inconclusive,
     OrbitRecord,
-    FuelExhausted,
+    Report,
     ResidueSet,
     _check_positive,
+    verdict,
 )
 
 SectionLike = ResidueSet | frozenset | set
@@ -45,11 +47,6 @@ class Unrelated:
 
     cycle_x: tuple[int, ...]
     cycle_y: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Inconclusive:
-    fuel_spent: int
 
 
 EquivalenceVerdict = Related | Unrelated | Inconclusive
@@ -198,9 +195,7 @@ class FirstReturnMap:
 
     def apply(self, x: int, fuel: int) -> int | Inconclusive:
         r = return_time(self.map, self.sigma, x, fuel)
-        if isinstance(r, Inconclusive):
-            return r
-        return r.value
+        return r if isinstance(r, Inconclusive) else r.value
 
     def orbit(self, x: int, fuel: int) -> OrbitRecord:
         """Orbit under P; fuel bounds the total number of raw f-steps."""
@@ -216,26 +211,11 @@ class FirstReturnMap:
                 return OrbitRecord(x, tuple(prefix), EnteredCycle(i, tuple(prefix[i:])))
             seen[v] = len(prefix)
             prefix.append(v)
-            if budget <= 0:
-                return OrbitRecord(x, tuple(prefix), FuelExhausted(fuel))
             r = return_time(self.map, self.sigma, v, budget)
             if isinstance(r, Inconclusive):
-                return OrbitRecord(x, tuple(prefix), FuelExhausted(fuel))
+                return OrbitRecord(x, tuple(prefix), Inconclusive(fuel))
             budget -= r.tau
             v = r.value
-
-    def equivalent(self, x: int, y: int, fuel: int) -> EquivalenceVerdict:
-        ox = self.orbit(x, fuel)
-        oy = self.orbit(y, fuel)
-        common = set(ox.prefix) & set(oy.prefix)
-        if common:
-            ix = {v: i for i, v in reversed(list(enumerate(ox.prefix)))}
-            iy = {v: i for i, v in reversed(list(enumerate(oy.prefix)))}
-            s, k, meet = min((ix[v] + iy[v], ix[v], v) for v in common)
-            return Related(k, s - k, meet)
-        if ox.entered_cycle and oy.entered_cycle:
-            return Unrelated(ox.cycle(), oy.cycle())
-        return Inconclusive(fuel)
 
 
 def first_return_map(gcmap: GCMap, sigma: SectionLike) -> FirstReturnMap:
@@ -246,12 +226,17 @@ def first_return_map(gcmap: GCMap, sigma: SectionLike) -> FirstReturnMap:
 
 
 @dataclass(frozen=True)
-class ReductionReport:
-    passed: bool
+class ReductionReport(Report):
     checked: int
     failures: tuple[int, ...]
     inconclusive: tuple[int, ...]
     detail: str = ""
+
+    @property
+    def status(self) -> int:
+        return verdict(bool(self.failures), bool(self.inconclusive))
+
+    passed = Report.ok
 
     def to_dict(self) -> dict:
         return {
@@ -270,10 +255,9 @@ def check_reduction_sufficient(
 
     Checks orb(x; f) intersects sigma within fuel for every x <= window.
     """
-    failures: list[int] = []
-    inconclusive: list[int] = []
     if isinstance(sigma, ResidueSet) and sigma.is_empty():
-        return ReductionReport(False, window, tuple(range(1, window + 1)), (), "empty section")
+        return ReductionReport(window, tuple(range(1, window + 1)), (), "empty section")
+    inconclusive: list[int] = []
     for x in range(1, window + 1):
         v = x
         hit = _in_section(sigma, v)
@@ -284,8 +268,7 @@ def check_reduction_sufficient(
             hit = _in_section(sigma, v)
         if not hit:
             inconclusive.append(x)
-    passed = not failures and not inconclusive
-    return ReductionReport(passed, window, tuple(failures), tuple(inconclusive))
+    return ReductionReport(window, (), tuple(inconclusive))
 
 
 def check_reduction_necessary(
@@ -299,16 +282,18 @@ def check_reduction_necessary(
     if not _in_section(sigma, x0):
         raise DomainError(f"{x0} is not in the section")
     orb_f = gcmap.orbit(x0, fuel)
-    if not (orb_f.entered_cycle and orb_f.outcome.entry_index == 0):
-        return ReductionReport(False, 1, (x0,), (), f"{x0} is not periodic under f within fuel")
+    if not orb_f.entered_cycle:
+        return ReductionReport(1, (), (x0,), f"orbit of {x0} does not close within fuel")
+    if orb_f.outcome.entry_index != 0:
+        return ReductionReport(1, (x0,), (), f"{x0} is not periodic under f")
     P = first_return_map(gcmap, sigma)
     orb_p = P.orbit(x0, fuel)
     if not orb_p.entered_cycle:
-        return ReductionReport(False, 1, (), (x0,), "P-orbit inconclusive within fuel")
+        return ReductionReport(1, (), (x0,), "P-orbit inconclusive within fuel")
     lhs = set(orb_p.prefix)
     rhs = {v for v in orb_f.prefix if _in_section(sigma, v)}
     if lhs == rhs:
-        return ReductionReport(True, 1, (), ())
+        return ReductionReport(1, (), ())
     return ReductionReport(
-        False, 1, (x0,), (), f"orb(x0;P)={sorted(lhs)} != orb(x0;f) ∩ sigma={sorted(rhs)}"
+        1, (x0,), (), f"orb(x0;P)={sorted(lhs)} != orb(x0;f) ∩ sigma={sorted(rhs)}"
     )

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .conditions import WitnessTable, derive_witnesses, residue_image_exceptions
 from .gcmap import (
     AffineBranch,
+    CheckReport,
     CheckResult,
     GCMap,
     PuncturedResidueSet,
@@ -191,22 +192,7 @@ def preset_section(ref: str) -> Section:
 # --- modular identities behind the Mersenne sections ------------------------------
 
 
-@dataclass(frozen=True)
-class ModularReport:
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in self.checks],
-        }
-
-
-def verify_mersenne_identities(k: int) -> ModularReport:
+def verify_mersenne_identities(k: int) -> CheckReport:
     """The arithmetic mod 2q^2 (q = 2^k - 1) that organizes the Mersenne section:
 
     - (1+q)^(1+q) ≡ 1+q,
@@ -254,16 +240,16 @@ def verify_mersenne_identities(k: int) -> ModularReport:
             f"failing m: {bad[:5]}" if bad else "",
         )
     )
-    return ModularReport(tuple(checks))
+    return CheckReport(tuple(checks))
 
 
-def verify_q5_group() -> ModularReport:
+def verify_q5_group() -> CheckReport:
     """The group facts behind the q = 5 section: 2 has order 20 mod 25, and its
     powers mod 50 sweep exactly the classes n with gcd(n, 10) = 2."""
     target = {n for n in range(50) if math.gcd(n, 10) == 2}
     powers = {pow(2, kappa, 50) for kappa in range(1, 21)}
     order = next(t for t in range(1, 21) if pow(2, t, 25) == 1)
-    return ModularReport(
+    return CheckReport(
         (
             CheckResult(
                 "{2^kappa mod 50 : 1<=kappa<=20} = {n : gcd(n,10)=2}",

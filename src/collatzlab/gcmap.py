@@ -11,8 +11,42 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from dataclasses import dataclass
+from typing import ClassVar, Iterable, Iterator
+
+#: Every check ends in one of these; the CLI exits with the same number.
+PASS, VIOLATION, INCONCLUSIVE = 0, 1, 2
+
+
+def verdict(violation: bool = False, inconclusive: bool = False) -> int:
+    """The one precedence rule: a witnessed violation beats inconclusive, and
+    inconclusive beats pass."""
+    if violation:
+        return VIOLATION
+    return INCONCLUSIVE if inconclusive else PASS
+
+
+def combine(statuses: Iterable[int]) -> int:
+    """The status of a group of checks, by the precedence of :func:`verdict`."""
+    statuses = set(statuses)
+    return verdict(VIOLATION in statuses, INCONCLUSIVE in statuses)
+
+
+class Report:
+    """Base of the verdict reports: each defines one ``status``, and ``ok``
+    (``passed``, ``holds``) is nothing but ``status == PASS``."""
+
+    @property
+    def ok(self) -> bool:
+        return self.status == PASS
+
+
+@dataclass(frozen=True)
+class Inconclusive:
+    """Fuel ran out before a verdict: never a pass and never a violation."""
+
+    fuel: int
+    status: ClassVar[int] = INCONCLUSIVE
 
 
 class DomainError(ValueError):
@@ -213,14 +247,14 @@ class CheckResult:
 
 
 @dataclass(frozen=True)
-class BoundedConditionReport:
-    """Outcome of :meth:`GCMap.validate`: one entry per structural check."""
+class CheckReport(Report):
+    """A list of pass/fail checks, e.g. the outcome of :meth:`GCMap.validate`."""
 
     checks: tuple[CheckResult, ...]
 
     @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
+    def status(self) -> int:
+        return verdict(violation=not all(self.checks))
 
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
@@ -241,11 +275,6 @@ class EnteredCycle:
 
 
 @dataclass(frozen=True)
-class FuelExhausted:
-    fuel: int
-
-
-@dataclass(frozen=True)
 class OrbitRecord:
     """A computed orbit prefix with its outcome.
 
@@ -256,7 +285,7 @@ class OrbitRecord:
 
     start: int
     prefix: tuple[int, ...]
-    outcome: EnteredCycle | FuelExhausted
+    outcome: EnteredCycle | Inconclusive
 
     @property
     def entered_cycle(self) -> bool:
@@ -352,14 +381,14 @@ class GCMap:
             if len(prefix) > fuel:
                 break
             v = self.apply(v)
-        return OrbitRecord(n, tuple(prefix), FuelExhausted(fuel))
+        return OrbitRecord(n, tuple(prefix), Inconclusive(fuel))
 
     def iterate(self, n: int, steps: int) -> int:
         for _ in range(steps):
             n = self.apply(n)
         return n
 
-    def validate(self) -> BoundedConditionReport:
+    def validate(self) -> CheckReport:
         """Check the partition, divisibility, positivity, and per-branch injectivity."""
         checks: list[CheckResult] = []
 
@@ -427,7 +456,7 @@ class GCMap:
                 )
             )
 
-        return BoundedConditionReport(tuple(checks))
+        return CheckReport(tuple(checks))
 
 
 # --- map definition files -------------------------------------------------
@@ -442,18 +471,29 @@ _MAP_FIELDS = {"modulus", "branches"}
 _BRANCH_FIELDS = {"residues", "a", "b", "c"}
 
 
+def _typed(value, kind: type, what: str):
+    # bool is an int subclass, but true/false is never a valid number here
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{what} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
 def map_from_dict(doc: dict) -> GCMap:
-    unknown = set(doc) - _MAP_FIELDS
+    unknown = set(_typed(doc, dict, "map")) - _MAP_FIELDS
     if unknown:
         raise ValueError(f"unknown map fields: {sorted(unknown)}")
-    modulus = doc["modulus"]
+    modulus = _typed(doc["modulus"], int, "modulus")
+    if modulus < 1:
+        raise ValueError("modulus must be a positive integer")
     branches = []
-    for i, bdoc in enumerate(doc["branches"], start=1):
-        unknown = set(bdoc) - _BRANCH_FIELDS
+    for i, bdoc in enumerate(_typed(doc["branches"], list, "branches"), start=1):
+        unknown = set(_typed(bdoc, dict, f"branch {i}")) - _BRANCH_FIELDS
         if unknown:
             raise ValueError(f"unknown branch fields: {sorted(unknown)}")
-        guard = ResidueSet.of(modulus, bdoc["residues"])
-        branches.append(AffineBranch(i, guard, bdoc["a"], bdoc["b"], bdoc["c"]))
+        residues = _typed(bdoc["residues"], list, f"branch {i} residues")
+        guard = ResidueSet.of(modulus, [_typed(r, int, f"branch {i} residue") for r in residues])
+        a, b, c = (_typed(bdoc[k], int, f"branch {i} field {k}") for k in "abc")
+        branches.append(AffineBranch(i, guard, a, b, c))
     return GCMap(modulus, tuple(branches))
 
 

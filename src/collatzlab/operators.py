@@ -19,8 +19,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .conditions import separating_condition, SeparatingResult
-from .dynamics import ClassesReport, Inconclusive, classes, first_return_map
-from .gcmap import DomainError, GCMap, ResidueSet, plain_or_punctured
+from .dynamics import ClassesReport, classes, first_return_map
+from .gcmap import DomainError, GCMap, Inconclusive, Report, ResidueSet, plain_or_punctured, verdict
 
 
 @dataclass(frozen=True)
@@ -383,35 +383,27 @@ def build_section_ops(
     exact_cols1, exact_cols2 = set(), set()
     inconclusive = set()
     for n in window.elements:
-        in_n1 = n in n1
+        if n in n1:
+            cols, exact, other_exact = cols1, exact_cols1, exact_cols2
+        else:
+            cols, exact, other_exact = cols2, exact_cols2, exact_cols1
+        other_exact.add(n)  # the other branch's column at n is genuinely zero
         v = P.apply(n, fuel)
         if isinstance(v, Inconclusive):
-            inconclusive.add(n)
-            # unknown column: not exact for the branch that owns n
-            if in_n1:
-                exact_cols2.add(n)
-            else:
-                exact_cols1.add(n)
-            continue
-        if in_n1:
-            exact_cols2.add(n)  # T2 column at N1 labels is genuinely zero
-            if v in window:
-                cols1[n] = {v: 1}
-                exact_cols1.add(n)
-        else:
-            exact_cols1.add(n)
-            if v in window:
-                cols2[n] = {v: 1}
-                exact_cols2.add(n)
+            inconclusive.add(n)  # unknown column: not exact for the branch that owns n
+        elif v in window:
+            cols[n] = {v: 1}
+            exact.add(n)
 
     exact_rows1, exact_rows2 = set(), set()
     for r in window.elements:
         pre = search.preimages(r)
         if pre is None:
             continue
-        if all(m in window for m in pre if m in n1):
+        # a preimage whose column is inconclusive is missing from the row
+        if all(m in window and m not in inconclusive for m in pre if m in n1):
             exact_rows1.add(r)
-        if all(m in window for m in pre if m in n2):
+        if all(m in window and m not in inconclusive for m in pre if m in n2):
             exact_rows2.add(r)
 
     t1 = TruncatedOperator(window, cols1, frozenset(exact_cols1), frozenset(exact_rows1))
@@ -433,12 +425,12 @@ class IdentityCheck:
 
 
 @dataclass(frozen=True)
-class RelationReport:
+class RelationReport(Report):
     checks: tuple[IdentityCheck, ...]
 
     @property
-    def ok(self) -> bool:
-        return all(c.holds for c in self.checks)
+    def status(self) -> int:
+        return verdict(violation=not all(c.holds for c in self.checks))
 
     def failures(self) -> list[IdentityCheck]:
         return [c for c in self.checks if not c.holds]
@@ -556,12 +548,12 @@ class SpanClassEntry:
 
 
 @dataclass(frozen=True)
-class SpanClassReport:
+class SpanClassReport(Report):
     entries: tuple[SpanClassEntry, ...]
 
     @property
-    def ok(self) -> bool:
-        return all(e.span_subset_of_class and e.span_equals_certified for e in self.entries)
+    def status(self) -> int:
+        return verdict(not all(e.span_subset_of_class and e.span_equals_certified for e in self.entries))
 
 
 def span_vs_class(
@@ -614,7 +606,7 @@ def span_vs_class(
 
 
 @dataclass(frozen=True)
-class DescentReport:
+class DescentReport(Report):
     """Finitistic core of the projection-descent argument, exhaustively checked.
 
     The infinite-dimensional commutant statement is out of reach; what is
@@ -628,8 +620,8 @@ class DescentReport:
     fixed_vector_ok: bool
 
     @property
-    def ok(self) -> bool:
-        return not self.counterexamples and self.fixed_vector_ok
+    def status(self) -> int:
+        return verdict(bool(self.counterexamples) or not self.fixed_vector_ok)
 
 
 def descent_check(limit: int) -> DescentReport:
@@ -652,7 +644,7 @@ def descent_check(limit: int) -> DescentReport:
 
 
 @dataclass(frozen=True)
-class WordCheckReport:
+class WordCheckReport(Report):
     period: int
     word: tuple[int, ...]
     fixed_vector_ok: bool
@@ -662,8 +654,9 @@ class WordCheckReport:
     sampled: int
 
     @property
-    def ok(self) -> bool:
-        return self.fixed_vector_ok and self.annihilations_ok and not self.contraction_failures
+    def status(self) -> int:
+        violation = self.contraction_failures or not (self.fixed_vector_ok and self.annihilations_ok)
+        return verdict(bool(violation), bool(self.contraction_inconclusive))
 
 
 def _word_step(gcmap: GCMap, word: Sequence[int], y: int) -> int | None:
@@ -733,15 +726,15 @@ def separating_word_check(
 
 
 @dataclass(frozen=True)
-class NormBoundReport:
+class NormBoundReport(Report):
     trials: int
     k: int
     max_ratio: Fraction
     violations: int
 
     @property
-    def ok(self) -> bool:
-        return self.violations == 0 and self.max_ratio <= self.k
+    def status(self) -> int:
+        return verdict(self.violations > 0 or self.max_ratio > self.k)
 
 
 def norm_bound_check(

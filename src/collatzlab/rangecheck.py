@@ -20,14 +20,14 @@ import numpy as np
 
 from .gcmap import GCMap
 
-_INT64_GUARD = 2**62  # 3v+1 stays below 2^63 whenever v is below this
+# 3v+1 <= 2^63 - 1 exactly when v < _INT64_GUARD; at or above it the int64 step wraps
+_INT64_GUARD = (2**63 - 2) // 3 + 1
 
 
 @dataclass(frozen=True)
 class RangeReport:
     limit: int
     verified: bool
-    counterexamples: tuple[int, ...]
     inconclusive: tuple[int, ...]
     seconds: float
     max_steps_to_drop: int
@@ -36,7 +36,6 @@ class RangeReport:
         return {
             "limit": self.limit,
             "verified": self.verified,
-            "counterexamples": list(self.counterexamples),
             "inconclusive": list(self.inconclusive),
             "seconds": round(self.seconds, 3),
             "maxStepsToDrop": self.max_steps_to_drop,
@@ -64,7 +63,6 @@ def verify_range_collatz(
     if limit < 1:
         raise ValueError("limit must be >= 1")
     t0 = time.perf_counter()
-    counterexamples: list[int] = []
     inconclusive: list[int] = []
     max_steps = 0
 
@@ -117,8 +115,7 @@ def verify_range_collatz(
 
     return RangeReport(
         limit,
-        not counterexamples and not inconclusive,
-        tuple(counterexamples),
+        not inconclusive,
         tuple(sorted(set(inconclusive))),
         time.perf_counter() - t0,
         max_steps,
@@ -135,7 +132,6 @@ def verify_range(gcmap: GCMap, limit: int, fuel: int) -> RangeReport:
     return RangeReport(
         limit,
         not inconclusive,
-        (),
         tuple(inconclusive),
         time.perf_counter() - t0,
         0,

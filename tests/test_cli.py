@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from collatzlab.cli import INCONCLUSIVE, INPUT_ERROR, PASS, VIOLATION, main
 
 
@@ -112,6 +114,7 @@ def test_input_errors(capsys):
 
 def test_bad_usage_exits_3(capsys):
     assert main(["orbit"]) == INPUT_ERROR  # missing argument; argparse would exit 2
+    assert main(["orbit", "collatz", "5", "--threads", "2"]) == INPUT_ERROR  # no such option
 
 
 def test_map_file_input(tmp_path, capsys):
@@ -151,3 +154,51 @@ def test_violation_exit_code(capsys, tmp_path):
     )
     code, out = run(capsys, "verify", str(path), "--suite", "bounded")
     assert code == VIOLATION and not json.loads(out)["ok"]
+
+
+def _failed_checks(node):
+    """Every part of a report that claims a violation."""
+    if isinstance(node, dict):
+        failed = node.get("holds") is False or node.get("verdict_kind") == "failed"
+        if failed or node.get("failures") or node.get("violations"):
+            yield node
+        for v in node.values():
+            yield from _failed_checks(v)
+    elif isinstance(node, list):
+        for v in node:
+            yield from _failed_checks(v)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify collatz --suite relations --window 600",
+        "verify qx1:5 --suite section --window 300",
+        "verify collatz --suite ck --window 1000",
+    ],
+)
+def test_fuel_exhaustion_is_inconclusive_not_a_violation(capsys, argv):
+    code, out = run(capsys, *argv.split(), "--fuel", "3")
+    rep = json.loads(out)
+    assert code == INCONCLUSIVE == rep["exitCode"]
+    assert not list(_failed_checks(rep))
+    if "section" in rep:
+        assert rep["section"]["ok"]
+
+
+@pytest.mark.parametrize(
+    "branch",
+    [
+        {"residues": [1], "a": 3, "b": 0, "c": 2},  # 3n/2 is not an integer on the odds
+        {"residues": [1], "a": "3", "b": 1, "c": 1},
+    ],
+)
+@pytest.mark.parametrize(
+    "argv", [("orbit", "{}", "7"), ("verify", "{}", "--suite", "span", "--window", "50")]
+)
+def test_malformed_map_file_exits_3(tmp_path, capsys, branch, argv):
+    halving = {"residues": [0], "a": 1, "b": 0, "c": 2}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"modulus": 2, "branches": [branch, halving]}))
+    code, out = run(capsys, *(arg.format(path) for arg in argv))
+    assert code == INPUT_ERROR and "error" in json.loads(out)

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collatzlab import (
+    INCONCLUSIVE,
     CKMatrix,
     CKViolation,
-    NotPeriodic,
+    Inconclusive,
     NotResidueRepresentable,
     ResidueSet,
     SeparatingResult,
@@ -80,7 +81,7 @@ def test_separating_tuples_match_expected():
 
 def test_separating_not_periodic():
     res = separating_condition(collatz(), 3, 1000)  # 3 is not periodic
-    assert isinstance(res, NotPeriodic) and not res.holds
+    assert isinstance(res, Inconclusive) and res.status == INCONCLUSIVE
 
 
 def test_separating_identity_word_is_trivially_periodic():
@@ -169,6 +170,14 @@ def test_ck_for_section_presets(ref):
     assert rep.passed, rep.detail
     assert rep.matrix.as_lists() == [[0, 1], [1, 1]]
     assert rep.verdict_kind == "witnessed"
+
+
+@pytest.mark.parametrize("ref", ["collatz", "qx1:5", "3xd:5"])
+def test_ck_for_section_out_of_fuel_is_inconclusive(ref):
+    sec = preset_section(ref)
+    rep = ck_for_section(sec.map, sec.n1, sec.n2, sec.witnesses, 1000, 3, removed=sec.n2_removed)
+    assert rep.status == INCONCLUSIVE and rep.verdict_kind == "inconclusive"
+    assert not rep.passed and rep.matrix is None
 
 
 def test_collatz_witnesses_match_derived():

@@ -117,7 +117,7 @@ def test_first_return_orbit_and_equivalence():
     rec = P.orbit(1, 1000)
     assert rec.prefix[:3] == (1, 4, 1)[:2]
     assert rec.entered_cycle
-    v = P.equivalent(5, 7, 10**4)
+    v = equivalent(P, 5, 7, 10**4)
     assert isinstance(v, Related)
 
 

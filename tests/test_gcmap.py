@@ -12,8 +12,8 @@ from collatzlab import (
     AffineBranch,
     DomainError,
     EnteredCycle,
-    FuelExhausted,
     GCMap,
+    Inconclusive,
     PuncturedResidueSet,
     ResidueSet,
     collatz,
@@ -114,7 +114,7 @@ def test_orbit_enters_cycle():
 def test_orbit_fuel_exhaustion_is_an_outcome():
     m = collatz()
     rec = m.orbit(27, 5)
-    assert isinstance(rec.outcome, FuelExhausted)
+    assert isinstance(rec.outcome, Inconclusive)
     assert len(rec.prefix) == 6  # start plus five applications
 
 
@@ -207,3 +207,30 @@ def test_map_file_rejects_unknown_fields():
                 "branches": [{"residues": [1], "a": 3, "b": 1, "c": 1, "junk": 0}],
             }
         )
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("modulus",), "2"),
+        (("modulus",), True),
+        (("modulus",), 0),
+        (("branches", 0, "a"), "3"),
+        (("branches", 0, "b"), 1.0),
+        (("branches", 0, "c"), True),
+        (("branches", 0, "residues"), ["1"]),
+        (("branches", 0, "residues"), [False]),
+    ],
+    ids=[
+        "modulus-str", "modulus-bool", "modulus-zero", "a-str", "b-float", "c-bool",
+        "residue-str", "residue-bool",
+    ],
+)
+def test_map_file_rejects_bad_numbers(path, value):
+    doc = map_to_dict(collatz())
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ValueError):
+        map_from_dict(doc)

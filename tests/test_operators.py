@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collatzlab import (
+    INCONCLUSIVE,
     BasisWindow,
     DomainError,
     TruncatedOperator,
@@ -18,6 +19,7 @@ from collatzlab import (
     build_section_ops,
     collatz,
     descent_check,
+    first_return_map,
     identity_map,
     identity_operator,
     norm_bound_check,
@@ -164,6 +166,21 @@ def test_section_preimage_rows_are_exact():
         assert (r in ops.t2.exact_rows) == (r * 2**kappa <= 2000)
 
 
+def test_section_rows_reached_by_inconclusive_columns_are_not_exact():
+    # at fuel 3 some first returns are unknown; a row one of them lands on is
+    # missing that entry, so certifying it would fake an S1*S1 = I failure
+    sec = preset_section("collatz")
+    win = BasisWindow.section(sec.sigma, 600)
+    ops = build_section_ops(sec.map, sec.n1, sec.n2, win, 3, n2_removed=sec.n2_removed)
+    assert ops.inconclusive_columns
+    P = first_return_map(sec.map, sec.sigma)
+    for m in ops.inconclusive_columns:
+        r = P.apply(m, 10**4)
+        assert r in win
+        assert r not in (ops.t1 if m in sec.n1 else ops.t2).exact_rows
+    assert verify_section_relations(ops).ok
+
+
 # --- spans -------------------------------------------------------------------------
 
 
@@ -204,6 +221,14 @@ def test_separating_word_check_collatz():
     assert rep.ok
     assert rep.word == (1, 2, 2) and rep.fixed_vector_ok and rep.annihilations_ok
     assert not rep.contraction_failures
+
+
+def test_separating_word_check_out_of_fuel_is_inconclusive():
+    # 65 = 1 + 4^3 survives three applications of the word (1, 2, 2), so fuel 3 cannot decide it
+    rep = separating_word_check(collatz(), 1, BasisWindow.range(1, 100), 3, samples=100)
+    assert rep.contraction_inconclusive == (65,) and not rep.contraction_failures
+    assert rep.status == INCONCLUSIVE and not rep.ok
+    assert separating_word_check(collatz(), 1, BasisWindow.range(1, 100), 4, samples=100).ok
 
 
 def test_separating_word_check_rejects_nonperiodic():

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from collatzlab import collatz, verify_range, verify_range_collatz
-from collatzlab.rangecheck import _drops_below_start_exact
+from collatzlab.rangecheck import _INT64_GUARD, _drops_below_start_exact
 
 
 def test_small_range_verified():
@@ -32,3 +34,11 @@ def test_step_cap_reports_inconclusive():
     rep = verify_range_collatz(30, step_cap=3)
     assert not rep.verified
     assert 27 in rep.inconclusive
+
+
+def test_int64_guard_is_the_exact_overflow_bound():
+    # every v below the guard has 3v+1 <= 2^63 - 1; the guard itself (odd) overflows
+    assert 3 * (_INT64_GUARD - 1) + 1 == 2**63 - 1
+    assert _INT64_GUARD % 2 == 1 and 3 * _INT64_GUARD + 1 > 2**63 - 1
+    wrapped = 3 * np.array([_INT64_GUARD - 2, _INT64_GUARD], dtype=np.int64) + 1
+    assert wrapped[0] == 3 * (_INT64_GUARD - 2) + 1 and wrapped[1] < 0
