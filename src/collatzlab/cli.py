@@ -209,13 +209,15 @@ def _suite_span(gcmap: GCMap, args) -> tuple[dict, int]:
     window = BasisWindow.range(1, args.window)
     starts = range(1, min(1000, args.window) + 1)
     rep = span_vs_class(gcmap, window, args.fuel, depth=args.depth, starts=starts)
-    bad = [e.start for e in rep.entries if not (e.span_subset_of_class and e.span_equals_certified)]
+    bad = [e.start for e in rep.entries if e.status == VIOLATION]
     payload = {
         "starts": len(rep.entries),
         "ok": rep.ok,
         "failures": bad[:20],
         "boundaryAffected": sum(1 for e in rep.entries if e.boundary_members),
     }
+    if args.depth is not None:
+        payload["depthCapped"] = sum(1 for e in rep.entries if e.depth_capped)
     return payload, rep.status
 
 

@@ -212,9 +212,6 @@ class AffineBranch:
         if self.c < 1:
             raise ValueError("c must be a positive integer")
 
-    def applies_to(self, n: int) -> bool:
-        return n in self.guard
-
     def image(self, n: int) -> int:
         v = self.a * n + self.b
         if v % self.c != 0:
@@ -326,6 +323,15 @@ class GCMap:
             for br in self.branches
         )
         object.__setattr__(self, "branches", norm)
+        # the branch owning each residue r mod modulus, or None where zero or
+        # several guards hold r (the map is then not a partition there)
+        owners: list[list[AffineBranch]] = [[] for _ in range(self.modulus)]
+        for br in norm:
+            for r in br.guard.residues:
+                owners[r].append(br)
+        object.__setattr__(
+            self, "_branch_at", tuple(o[0] if len(o) == 1 else None for o in owners)
+        )
 
     @classmethod
     def from_branches(cls, branches: Iterable[AffineBranch]) -> "GCMap":
@@ -337,15 +343,28 @@ class GCMap:
     def k(self) -> int:
         return len(self.branches)
 
+    def _not_a_partition(self, n: int) -> ValueError:
+        hits = sum(1 for br in self.branches if n in br.guard)
+        return ValueError(f"guards are not a partition at n={n}: {hits} branches match")
+
     def branch_of(self, n: int) -> AffineBranch:
-        _check_positive(n)
-        hits = [br for br in self.branches if br.applies_to(n)]
-        if len(hits) != 1:
-            raise ValueError(f"guards are not a partition at n={n}: {len(hits)} branches match")
-        return hits[0]
+        if not (type(n) is int and n >= 1):
+            _check_positive(n)
+        br = self._branch_at[n % self.modulus]
+        if br is None:
+            raise self._not_a_partition(n)
+        return br
 
     def apply(self, n: int) -> int:
-        v = self.branch_of(n).image(n)
+        # branch_of inlined: this is the hot scalar path, called millions of times
+        if not (type(n) is int and n >= 1):
+            _check_positive(n)
+        br = self._branch_at[n % self.modulus]
+        if br is None:
+            raise self._not_a_partition(n)
+        v, rem = divmod(br.a * n + br.b, br.c)
+        if rem:
+            br.image(n)  # raises the divisibility error
         if v < 1:
             raise DomainError(f"image of {n} is {v}, outside the positive integers")
         return v

@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .conditions import separating_condition, SeparatingResult
 from .dynamics import ClassesReport, classes, first_return_map
-from .gcmap import DomainError, GCMap, Inconclusive, Report, ResidueSet, plain_or_punctured, verdict
+from .gcmap import INCONCLUSIVE, DomainError, GCMap, Inconclusive, Report, ResidueSet, combine
+from .gcmap import plain_or_punctured, verdict
 
 
 @dataclass(frozen=True)
@@ -196,25 +198,26 @@ def build_T(gcmap: GCMap, window: BasisWindow) -> TruncatedOperator:
 
 def build_branch_ops(gcmap: GCMap, window: BasisWindow) -> list[TruncatedOperator]:
     """T_i e_n = e_{f(n)} for n in X_i, 0 elsewhere; sum over i recovers T entrywise."""
+    labels = frozenset(window.elements)
+    cols: dict[int, dict[int, Column]] = {br.index: {} for br in gcmap.branches}
+    leaves: dict[int, set[int]] = {br.index: set() for br in gcmap.branches}
+    for n in window.elements:
+        i = gcmap.branch_of(n).index
+        v = gcmap.apply(n)
+        if v in window:
+            cols[i][n] = {v: 1}
+        else:
+            leaves[i].add(n)  # the only inexact columns; every zero column is exact
     ops = []
     for br in gcmap.branches:
-        cols: dict[int, Column] = {}
-        exact_cols = set()
         exact_rows = set()
-        for n in window.elements:
-            if br.applies_to(n):
-                v = gcmap.apply(n)
-                if v in window:
-                    cols[n] = {v: 1}
-                    exact_cols.add(n)
-            else:
-                exact_cols.add(n)  # zero column is exact
         for n in window.elements:
             if br.a >= 1:
                 m = br.preimage_of(n)
                 if m is None or m in window:
                     exact_rows.add(n)
-        ops.append(TruncatedOperator(window, cols, frozenset(exact_cols), frozenset(exact_rows)))
+        exact_cols = labels - leaves[br.index]
+        ops.append(TruncatedOperator(window, cols[br.index], exact_cols, frozenset(exact_rows)))
     return ops
 
 
@@ -467,11 +470,14 @@ def verify_branch_relations(gcmap: GCMap, window: BasisWindow) -> RelationReport
     ops = build_branch_ops(gcmap, window)
     t = build_T(gcmap, window)
     eye = identity_operator(window)
+    guard_members: dict[int, list[int]] = {br.index: [] for br in gcmap.branches}
+    for n in window.elements:
+        guard_members[gcmap.branch_of(n).index].append(n)
     checks = []
     total = None
     sum_t = None
     for br, op in zip(gcmap.branches, ops):
-        proj = projection_operator(window, (n for n in window.elements if br.applies_to(n)))
+        proj = projection_operator(window, guard_members[br.index])
         checks.append(compare_certified(f"T{br.index}*T{br.index} = proj(X{br.index})", op.adjoint() @ op, proj))
         total = op.adjoint() @ op if total is None else total + (op.adjoint() @ op)
         sum_t = op if sum_t is None else sum_t + op
@@ -504,24 +510,23 @@ def verify_section_relations(ops: SectionOperators) -> RelationReport:
 # --- reachable spans vs equivalence classes ------------------------------------------
 
 
-def reachable_span(
-    ops: Sequence[TruncatedOperator], start: int, depth: int | None
-) -> frozenset[int]:
-    """Closure of {start} under the operators and their adjoints, up to word length depth.
-
-    On 0/1 functional operators this is a breadth-first walk of the index
-    graph (n -> f(n), n -> each preimage), which agrees with materializing
-    matrix products but is exponentially cheaper.
-    """
-    window = ops[0].window
-    if start not in window:
-        raise DomainError(f"start {start} not in window")
+def _index_graph(ops: Sequence[TruncatedOperator]) -> dict[int, set[int]]:
+    """Labels joined by a nonzero entry of an operator (hence also of its adjoint)."""
     adj: dict[int, set[int]] = {}
     for op in ops:
         for n, col in op.cols.items():
             for r in col:
                 adj.setdefault(n, set()).add(r)
                 adj.setdefault(r, set()).add(n)
+    return adj
+
+
+def _check_depth(depth: int | None) -> None:
+    if depth is not None and depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+
+
+def _walk(adj: dict[int, set[int]], start: int, depth: int | None) -> frozenset[int]:
     seen = {start}
     frontier = [start]
     d = 0
@@ -537,6 +542,21 @@ def reachable_span(
     return frozenset(seen)
 
 
+def reachable_span(
+    ops: Sequence[TruncatedOperator], start: int, depth: int | None
+) -> frozenset[int]:
+    """Closure of {start} under the operators and their adjoints, up to word length depth.
+
+    On 0/1 functional operators this is a breadth-first walk of the index
+    graph (n -> f(n), n -> each preimage), which agrees with materializing
+    matrix products but is exponentially cheaper.
+    """
+    if start not in ops[0].window:
+        raise DomainError(f"start {start} not in window")
+    _check_depth(depth)
+    return _walk(_index_graph(ops), start, depth)
+
+
 @dataclass(frozen=True)
 class SpanClassEntry:
     start: int
@@ -545,6 +565,13 @@ class SpanClassEntry:
     span_subset_of_class: bool
     span_equals_certified: bool
     boundary_members: int  # class members connected only through out-of-window excursions
+    depth_capped: bool  # a finite depth stopped the walk short of the certified class
+
+    @property
+    def status(self) -> int:
+        if self.depth_capped:
+            return INCONCLUSIVE
+        return verdict(not (self.span_subset_of_class and self.span_equals_certified))
 
 
 @dataclass(frozen=True)
@@ -553,7 +580,7 @@ class SpanClassReport(Report):
 
     @property
     def status(self) -> int:
-        return verdict(not all(e.span_subset_of_class and e.span_equals_certified for e in self.entries))
+        return combine(e.status for e in self.entries)
 
 
 def span_vs_class(
@@ -569,36 +596,42 @@ def span_vs_class(
     the class restricted to members whose connecting orbits stay inside the
     window (the certified sub-window).  Members connected only through
     out-of-window excursions are reported as boundary effects, not failures.
+    With a finite ``depth``, a span that stops short of its certified class
+    is inconclusive, not a failure; a span that leaves its class still fails.
     """
+    _check_depth(depth)
     hi = window.elements[-1]
     if window.elements != tuple(range(1, hi + 1)):
         raise ValueError("span_vs_class expects a contiguous window [1, hi]")
     full = classes(gcmap, hi, fuel)
     certified = classes(gcmap, hi, fuel, interior_only=True)
-    t = build_T(gcmap, window)
+    adj = _index_graph([build_T(gcmap, window)])
     if starts is None:
         starts = window.elements
-    span_cache: dict[int, frozenset[int]] = {}
-    cert_classes = certified.classes()
-    full_classes = full.classes()
+    cert_size = Counter(certified.representative.values())
+    full_size = Counter(full.representative.values())
+    # The certified partition refines the full one, so each certified class
+    # lies in one full class and boundary members are the size difference.
+    # Without a depth the span is the whole connected component of the start,
+    # which is its certified class, so one walk serves every start in it.
+    # Membership is read off the representatives: no class is built as a set.
+    done: dict = {}
     entries = []
     for s in starts:
-        rep = certified.class_of(s)
-        if rep not in span_cache:
-            span_cache[rep] = reachable_span([t], s, depth)
-        span = span_cache[rep]
-        cert_set = set(cert_classes[rep])
-        full_set = set(full_classes[full.class_of(s)])
-        entries.append(
-            SpanClassEntry(
-                start=s,
-                span_size=len(span),
-                class_size=len(full_set),
-                span_subset_of_class=span <= full_set,
-                span_equals_certified=span == cert_set,
-                boundary_members=len(full_set - cert_set),
+        rep, full_rep = certified.class_of(s), full.class_of(s)
+        key = (rep, full_rep) if depth is None else (rep, full_rep, s)
+        if key not in done:
+            span = _walk(adj, s, depth)
+            in_cert = all(certified.class_of(n) == rep for n in span)
+            done[key] = (
+                len(span),
+                full_size[full_rep],
+                all(full.class_of(n) == full_rep for n in span),
+                in_cert and len(span) == cert_size[rep],
+                full_size[full_rep] - cert_size[rep],
+                depth is not None and in_cert and len(span) < cert_size[rep],
             )
-        )
+        entries.append(SpanClassEntry(s, *done[key]))
     return SpanClassReport(tuple(entries))
 
 
