@@ -265,6 +265,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     suite = SUITES.get("separating" if args.suite.startswith("separating:") else args.suite)
     if suite is None:
         return _fail_input(f"unknown suite {args.suite!r}")
+    if args.depth is not None and suite is not _suite_span:
+        return _fail_input("--depth applies only to --suite span")
     payload, status = suite(gcmap, args)
     body = {"command": "verify", "map": args.map, "suite": args.suite, "exitCode": status}
     _emit({**body, **payload}, args.format)
@@ -281,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--fuel", type=int, default=10_000)
         sp.add_argument("--window", type=int, default=10_000)
-        sp.add_argument("--depth", type=int, default=None)
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
 
     sp = sub.add_parser("orbit", help="print the orbit of a start value")
@@ -298,6 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="bounded | separating:<x> | ck | section | relations | span | descent | modular",
     )
+    sp.add_argument("--depth", type=int, default=None, help="span only: cap on word length")
+    sp.add_argument("--seed", type=int, default=0, help="relations: norm-bound trial vectors")
     common(sp)
     sp.set_defaults(func=cmd_verify)
 

@@ -333,12 +333,6 @@ class GCMap:
             self, "_branch_at", tuple(o[0] if len(o) == 1 else None for o in owners)
         )
 
-    @classmethod
-    def from_branches(cls, branches: Iterable[AffineBranch]) -> "GCMap":
-        branches = tuple(branches)
-        m = math.lcm(*(br.guard.modulus for br in branches))
-        return cls(m, branches)
-
     @property
     def k(self) -> int:
         return len(self.branches)
@@ -529,10 +523,3 @@ def map_to_dict(gcmap: GCMap) -> dict:
 def load_map(path: str) -> GCMap:
     with open(path) as fh:
         return map_from_dict(json.load(fh))
-
-
-def residue_set_from_dict(doc: dict) -> ResidueSet:
-    unknown = set(doc) - {"modulus", "residues"}
-    if unknown:
-        raise ValueError(f"unknown residue-set fields: {sorted(unknown)}")
-    return ResidueSet.of(doc["modulus"], doc["residues"])

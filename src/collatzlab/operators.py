@@ -94,14 +94,6 @@ class TruncatedOperator:
                 out.setdefault(r, {})[n] = v
         return out
 
-    @property
-    def interior(self) -> frozenset[int]:
-        """Labels whose column and row are both exact."""
-        return self.exact_cols & self.exact_rows
-
-    def nnz(self) -> int:
-        return sum(len(c) for c in self.cols.values())
-
     # --- algebra -------------------------------------------------------------
 
     def adjoint(self) -> "TruncatedOperator":
@@ -510,14 +502,12 @@ def verify_section_relations(ops: SectionOperators) -> RelationReport:
 # --- reachable spans vs equivalence classes ------------------------------------------
 
 
-def _index_graph(ops: Sequence[TruncatedOperator]) -> dict[int, set[int]]:
-    """Labels joined by a nonzero entry of an operator (hence also of its adjoint)."""
+def _index_graph(edges: Iterable[tuple[int, int]]) -> dict[int, set[int]]:
+    """Adjacency sets of the undirected graph on labels with the given edges."""
     adj: dict[int, set[int]] = {}
-    for op in ops:
-        for n, col in op.cols.items():
-            for r in col:
-                adj.setdefault(n, set()).add(r)
-                adj.setdefault(r, set()).add(n)
+    for n, r in edges:
+        adj.setdefault(n, set()).add(r)
+        adj.setdefault(r, set()).add(n)
     return adj
 
 
@@ -554,7 +544,9 @@ def reachable_span(
     if start not in ops[0].window:
         raise DomainError(f"start {start} not in window")
     _check_depth(depth)
-    return _walk(_index_graph(ops), start, depth)
+    # labels joined by a nonzero entry of an operator (hence also of its adjoint)
+    edges = ((n, r) for op in ops for n, col in op.cols.items() for r in col)
+    return _walk(_index_graph(edges), start, depth)
 
 
 @dataclass(frozen=True)
@@ -605,7 +597,8 @@ def span_vs_class(
         raise ValueError("span_vs_class expects a contiguous window [1, hi]")
     full = classes(gcmap, hi, fuel)
     certified = classes(gcmap, hi, fuel, interior_only=True)
-    adj = _index_graph([build_T(gcmap, window)])
+    # the index graph of T: n -- f(n) where both lie in the window
+    adj = _index_graph((n, v) for n in window.elements if (v := gcmap.apply(n)) <= hi)
     if starts is None:
         starts = window.elements
     cert_size = Counter(certified.representative.values())
@@ -618,6 +611,8 @@ def span_vs_class(
     done: dict = {}
     entries = []
     for s in starts:
+        if not 1 <= s <= hi:
+            raise DomainError(f"start {s} not in window")
         rep, full_rep = certified.class_of(s), full.class_of(s)
         key = (rep, full_rep) if depth is None else (rep, full_rep, s)
         if key not in done:

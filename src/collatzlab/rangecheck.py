@@ -6,9 +6,10 @@ strictly below its own starting value.  That reformulation is what makes a
 vectorized scan possible: each n needs only a few steps, not a full descent
 to 1.  The induction base n = 1 is checked by a direct orbit.
 
-The fast path runs batches through numpy int64 arithmetic; trajectory values
-for n <= 10^7 peak well under 2^63, and the scan falls back to exact Python
-integers for any start that threatens to overflow or exceeds the step cap.
+The fast path runs batches through numpy int64 arithmetic and carries only
+the frontier, the starts that have not dropped yet.  Trajectory values for
+n <= 10^7 peak well under 2^63; a frontier that threatens to overflow, or
+that outlives the step cap, is finished with exact Python integers.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ from .gcmap import GCMap
 
 # 3v+1 <= 2^63 - 1 exactly when v < _INT64_GUARD; at or above it the int64 step wraps
 _INT64_GUARD = (2**63 - 2) // 3 + 1
+
+# starts per vectorized batch; bounds the scan's memory, not its result
+_BATCH = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -52,9 +56,7 @@ def _drops_below_start_exact(n: int, step_cap: int) -> int | None:
     return None
 
 
-def verify_range_collatz(
-    limit: int, step_cap: int = 10_000, batch: int = 1 << 20
-) -> RangeReport:
+def verify_range_collatz(limit: int, step_cap: int = 10_000) -> RangeReport:
     """Check that every 1 <= n <= limit reaches 1 under the 3x+1 map.
 
     Equivalent inductive form: 1 lies on the cycle (1, 4, 2) and every
@@ -77,41 +79,27 @@ def verify_range_collatz(
             inconclusive.append(1)
             break
 
-    lo = 2
-    while lo <= limit:
-        hi = min(lo + batch - 1, limit)
-        starts = np.arange(lo, hi + 1, dtype=np.int64)
+    for lo in range(2, limit + 1, _BATCH):
+        # the frontier: starts that have not yet dropped, and their current values
+        starts = np.arange(lo, min(lo + _BATCH, limit + 1), dtype=np.int64)
         vals = starts.copy()
-        active = np.ones(len(starts), dtype=bool)
         for step in range(1, step_cap + 1):
-            v = vals[active]
-            odd = (v & 1).astype(bool)
-            if np.any(v[odd] >= _INT64_GUARD):
-                # rare: finish these starts with exact big-int arithmetic
-                for n in starts[active].tolist():
-                    s = _drops_below_start_exact(int(n), step_cap)
-                    if s is None:
-                        inconclusive.append(int(n))
-                    else:
-                        max_steps = max(max_steps, s)
-                active[:] = False
-                break
-            v = np.where(odd, 3 * v + 1, v >> 1)
-            vals[active] = v
-            dropped = vals < starts
-            newly = active & dropped
-            if np.any(newly):
+            odd = (vals & 1).astype(bool)
+            if np.any(vals[odd] >= _INT64_GUARD):
+                break  # rare: the exact pass below finishes the frontier
+            vals = np.where(odd, 3 * vals + 1, vals >> 1)
+            live = vals >= starts
+            if not live.all():
                 max_steps = max(max_steps, step)
-                active &= ~dropped
-            if not active.any():
-                break
-        for n in starts[active].tolist():
-            s = _drops_below_start_exact(int(n), step_cap)
+                vals, starts = vals[live], starts[live]
+                if not len(starts):
+                    break
+        for n in starts.tolist():
+            s = _drops_below_start_exact(n, step_cap)
             if s is None:
-                inconclusive.append(int(n))
+                inconclusive.append(n)
             else:
                 max_steps = max(max_steps, s)
-        lo = hi + 1
 
     return RangeReport(
         limit,

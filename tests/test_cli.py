@@ -117,6 +117,26 @@ def test_bad_usage_exits_3(capsys):
     assert main(["orbit", "collatz", "5", "--threads", "2"]) == INPUT_ERROR  # no such option
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbit", "collatz", "6", "--depth", "-1"],
+        ["orbit", "collatz", "6", "--seed", "1"],
+        ["classes", "collatz", "--window", "50", "--depth", "3"],
+        ["classes", "collatz", "--window", "50", "--seed", "1"],
+    ],
+)
+def test_orbit_and_classes_reject_depth_and_seed(capsys, argv):
+    assert main(argv) == INPUT_ERROR
+
+
+@pytest.mark.parametrize("suite", ["descent", "bounded", "relations", "modular"])
+def test_depth_outside_span_suite_exits_3(capsys, suite):
+    code, out = run(capsys, "verify", "collatz", "--suite", suite, "--window", "100", "--depth", "-5")
+    assert code == INPUT_ERROR
+    assert "--depth applies only to --suite span" in json.loads(out)["error"]
+
+
 def test_map_file_input(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(

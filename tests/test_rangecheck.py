@@ -3,9 +3,25 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
-from collatzlab import collatz, verify_range, verify_range_collatz
+from collatzlab import collatz, rangecheck, verify_range, verify_range_collatz
 from collatzlab.rangecheck import _INT64_GUARD, _drops_below_start_exact
+
+
+def drop_scan(limit, step_cap):
+    """Pure-Python drops-below-start scan of [2, limit]: (inconclusive, max steps to drop)."""
+    inconclusive, max_steps = [], 0
+    for n in range(2, limit + 1):
+        v = n
+        for step in range(1, step_cap + 1):
+            v = 3 * v + 1 if v % 2 else v // 2
+            if v < n:
+                max_steps = max(max_steps, step)
+                break
+        else:
+            inconclusive.append(n)
+    return tuple(inconclusive), max_steps
 
 
 def test_small_range_verified():
@@ -42,3 +58,26 @@ def test_int64_guard_is_the_exact_overflow_bound():
     assert _INT64_GUARD % 2 == 1 and 3 * _INT64_GUARD + 1 > 2**63 - 1
     wrapped = 3 * np.array([_INT64_GUARD - 2, _INT64_GUARD], dtype=np.int64) + 1
     assert wrapped[0] == 3 * (_INT64_GUARD - 2) + 1 and wrapped[1] < 0
+
+
+@pytest.mark.parametrize("guard", [_INT64_GUARD, 1000])
+@pytest.mark.parametrize("step_cap", [3, 10, 10_000])
+def test_compacting_kernel_matches_python_scan(monkeypatch, guard, step_cap):
+    # batches of 7 make the maximum run across many batches; a guard of 1000
+    # sends every frontier that climbs past it to the exact pass
+    monkeypatch.setattr(rangecheck, "_BATCH", 7)
+    monkeypatch.setattr(rangecheck, "_INT64_GUARD", guard)
+    exact_calls = []
+
+    def exact(n, cap):
+        exact_calls.append(n)
+        return _drops_below_start_exact(n, cap)
+
+    monkeypatch.setattr(rangecheck, "_drops_below_start_exact", exact)
+    rep = verify_range_collatz(3000, step_cap=step_cap)
+    inconclusive, max_steps = drop_scan(3000, step_cap)
+    assert rep.verified == (not inconclusive)
+    assert rep.inconclusive == inconclusive
+    assert rep.max_steps_to_drop == max_steps
+    if guard == 1000:
+        assert set(exact_calls) - set(inconclusive)  # the guard sent live starts to the exact pass

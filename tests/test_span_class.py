@@ -6,7 +6,15 @@ import json
 
 import pytest
 
-from collatzlab import BasisWindow, build_T, classes, collatz, reachable_span, span_vs_class
+from collatzlab import (
+    BasisWindow,
+    DomainError,
+    build_T,
+    classes,
+    collatz,
+    reachable_span,
+    span_vs_class,
+)
 from collatzlab.cli import INCONCLUSIVE, INPUT_ERROR, PASS, VIOLATION, main
 from collatzlab import operators
 from collatzlab.dynamics import ClassesReport
@@ -127,6 +135,15 @@ def test_negative_depth_is_an_input_error():
         span_vs_class(collatz(), BasisWindow.range(1, 50), 100, depth=-1)
     with pytest.raises(ValueError, match="depth must be >= 0"):
         reachable_span([build_T(collatz(), BasisWindow.range(1, 50))], 1, -1)
+
+
+@pytest.mark.parametrize("start", [51, 0])
+def test_start_outside_the_window_is_a_domain_error(start):
+    window = BasisWindow.range(1, 50)
+    with pytest.raises(DomainError, match=f"start {start} not in window"):
+        span_vs_class(collatz(), window, 100, starts=[start])
+    with pytest.raises(DomainError, match=f"start {start} not in window"):
+        reachable_span([build_T(collatz(), window)], start, None)
 
 
 def _verify_span(capsys, *extra):
