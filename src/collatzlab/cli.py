@@ -195,7 +195,8 @@ def _suite_relations(gcmap: GCMap, args) -> tuple[dict, int]:
         payload["section"] = rep.to_dict()
         payload["inconclusiveColumns"] = sorted(ops.inconclusive_columns)
         statuses += [rep.status, verdict(inconclusive=bool(ops.inconclusive_columns))]
-    norm = norm_bound_check(gcmap, BasisWindow.range(1, args.window), trials=200, seed=args.seed)
+    seed = 0 if args.seed is None else args.seed
+    norm = norm_bound_check(gcmap, BasisWindow.range(1, args.window), trials=200, seed=seed)
     payload["normBound"] = {
         "trials": norm.trials,
         "k": norm.k,
@@ -267,6 +268,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _fail_input(f"unknown suite {args.suite!r}")
     if args.depth is not None and suite is not _suite_span:
         return _fail_input("--depth applies only to --suite span")
+    if args.seed is not None and suite is not _suite_relations:
+        return _fail_input("--seed applies only to --suite relations")
     payload, status = suite(gcmap, args)
     body = {"command": "verify", "map": args.map, "suite": args.suite, "exitCode": status}
     _emit({**body, **payload}, args.format)
@@ -299,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="bounded | separating:<x> | ck | section | relations | span | descent | modular",
     )
     sp.add_argument("--depth", type=int, default=None, help="span only: cap on word length")
-    sp.add_argument("--seed", type=int, default=0, help="relations: norm-bound trial vectors")
+    sp.add_argument("--seed", type=int, default=None, help="relations only: norm-bound vectors (default 0)")
     common(sp)
     sp.set_defaults(func=cmd_verify)
 

@@ -173,13 +173,6 @@ class PuncturedResidueSet:
             return n
         raise ValueError("empty punctured set has no members")
 
-    def union(self, other: "ResidueSet") -> "PuncturedResidueSet | ResidueSet":
-        classes = self.classes.union(other)
-        removed = frozenset(e for e in self.removed if e not in other)
-        if not removed:
-            return classes
-        return PuncturedResidueSet(classes, removed)
-
 
 def plain_or_punctured(classes: ResidueSet, removed) -> "ResidueSet | PuncturedResidueSet":
     removed = frozenset(removed)
@@ -395,11 +388,6 @@ class GCMap:
                 break
             v = self.apply(v)
         return OrbitRecord(n, tuple(prefix), Inconclusive(fuel))
-
-    def iterate(self, n: int, steps: int) -> int:
-        for _ in range(steps):
-            n = self.apply(n)
-        return n
 
     def validate(self) -> CheckReport:
         """Check the partition, divisibility, positivity, and per-branch injectivity."""

@@ -21,8 +21,8 @@ from typing import Iterable, Sequence
 
 from .conditions import separating_condition, SeparatingResult
 from .dynamics import ClassesReport, classes, first_return_map
-from .gcmap import INCONCLUSIVE, DomainError, GCMap, Inconclusive, Report, ResidueSet, combine
-from .gcmap import plain_or_punctured, verdict
+from .gcmap import INCONCLUSIVE, DomainError, GCMap, Inconclusive, PuncturedResidueSet, Report
+from .gcmap import ResidueSet, combine, plain_or_punctured, verdict
 
 
 @dataclass(frozen=True)
@@ -42,10 +42,8 @@ class BasisWindow:
         return cls(tuple(range(lo, hi + 1)))
 
     @classmethod
-    def section(cls, sigma, hi: int) -> "BasisWindow":
-        if hasattr(sigma, "members"):
-            return cls(tuple(sigma.members(1, hi)))
-        return cls(tuple(sorted(n for n in sigma if n <= hi)))
+    def section(cls, sigma: ResidueSet | PuncturedResidueSet, hi: int) -> "BasisWindow":
+        return cls(tuple(sigma.members(1, hi)))
 
     def __contains__(self, n: int) -> bool:
         return n in self.position
@@ -73,9 +71,9 @@ class TruncatedOperator:
 
     def __post_init__(self) -> None:
         clean = {
-            n: {r: v for r, v in col.items() if v != 0}
+            n: nonzero
             for n, col in self.cols.items()
-            if any(v != 0 for v in col.values())
+            if (nonzero := {r: v for r, v in col.items() if v != 0})
         }
         object.__setattr__(self, "cols", clean)
 
@@ -104,22 +102,21 @@ class TruncatedOperator:
         if self.window != other.window:
             raise ValueError("operators must share a window")
         cols: dict[int, Column] = {}
-        exact_cols = set()
-        for n in other.window.elements:
-            bcol = other.cols.get(n, {})
+        for n, bcol in other.cols.items():  # a zero column of B stays zero in AB
             acc: Column = {}
             for m, bv in bcol.items():
                 for r, av in self.cols.get(m, {}).items():
                     acc[r] = acc.get(r, 0) + av * bv
-            if acc:
-                cols[n] = acc
-            if n in other.exact_cols and all(m in self.exact_cols for m in bcol):
-                exact_cols.add(n)
+            cols[n] = acc
+        # column n of AB is exact when B's is and every row it reaches is an
+        # exact column of A; dually for rows
+        exact_cols = {
+            n for n in other.exact_cols if self.exact_cols.issuperset(other.cols.get(n, ()))
+        }
         my_rows = self.rows()
-        exact_rows = set()
-        for r in self.window.elements:
-            if r in self.exact_rows and all(m in other.exact_rows for m in my_rows.get(r, {})):
-                exact_rows.add(r)
+        exact_rows = {
+            r for r in self.exact_rows if other.exact_rows.issuperset(my_rows.get(r, ()))
+        }
         return TruncatedOperator(self.window, cols, frozenset(exact_cols), frozenset(exact_rows))
 
     def __add__(self, other: "TruncatedOperator") -> "TruncatedOperator":
@@ -216,6 +213,10 @@ def build_branch_ops(gcmap: GCMap, window: BasisWindow) -> list[TruncatedOperato
 # --- section operators -----------------------------------------------------------
 
 
+#: recursion depth of the first-return preimage search; deeper rows stay non-exact
+_DEPTH_CAP = 8
+
+
 class _PreimageSearch:
     """Exact enumeration of first-return preimages {m in sigma : P(m) = r}.
 
@@ -226,15 +227,10 @@ class _PreimageSearch:
     marked non-exact).
     """
 
-    def __init__(
-        self, gcmap: GCMap, sigma: ResidueSet, removed: frozenset[int] = frozenset(),
-        depth_cap: int = 8,
-    ) -> None:
+    def __init__(self, gcmap: GCMap, sigma: ResidueSet, removed: frozenset[int] = frozenset()) -> None:
         self.map = gcmap
         self.sigma = sigma
         self.removed = removed
-        self.depth_cap = depth_cap
-        self._class_cache: dict[int, bool] = {}
         self.affine = [br for br in gcmap.branches if not (br.a, br.b, br.c) == (1, 0, 2)]
         self.halving = [br for br in gcmap.branches if (br.a, br.b, br.c) == (1, 0, 2)]
         z = math.lcm(gcmap.modulus, sigma.modulus)
@@ -244,49 +240,43 @@ class _PreimageSearch:
         if not self.halving:
             raise ValueError("section preimage search needs an n/2 branch")
         z = math.lcm(z, *(br.a * math.lcm(gcmap.modulus, sigma.modulus) for br in self.affine))
+        if z % 2:
+            raise ValueError("section preimage search needs an even state modulus")
         self.state_mod = z
+        self.reaches = self._sweep()
+
+    def _sweep(self) -> bytearray:
+        """reaches[c] is 1 iff some value in class c (mod state_mod) may have a
+        section member in its f-preimage tree.  The residue graph has the edges
+        c -> 2c and c -> m for each guarded m with a*m + b = c; a class reaches
+        sigma iff it lies on a path into a sigma class, so one backward sweep
+        from the sigma classes marks them all.  A 0 is a proof, a 1 just means
+        "not pruned"."""
+        z, half, mod = self.state_mod, self.state_mod // 2, self.map.modulus
+        affine = [(br.a, br.b, br.guard.residues) for br in self.affine]
+        stack = list(self.sigma.at_modulus(z).residues)
+        reaches = bytearray(z)
+        for d in stack:
+            reaches[d] = 1
+        while stack:
+            d = stack.pop()
+            preds = [d >> 1, (d >> 1) + half] if d % 2 == 0 else []
+            for a, b, guard in affine:
+                if d % mod in guard:
+                    preds.append((a * d + b) % z)
+            for c in preds:
+                if not reaches[c]:
+                    reaches[c] = 1
+                    stack.append(c)
+        return reaches
 
     def _in_sigma(self, v: int) -> bool:
         # class membership minus the finitely many punctures of a shifted N2
         return v % self.sigma.modulus in self.sigma.residues and v not in self.removed
 
-    def _class_reaches_sigma(self, c0: int) -> bool:
-        """Can any value in class c0 (mod state_mod) have a section member in its
-        f-preimage tree?  Overapproximated by a residue-level backward closure:
-        a False answer is a proof, a True answer just means "not pruned"."""
-        cached = self._class_cache.get(c0)
-        if cached is not None:
-            return cached
-        z = self.state_mod
-        seen: set[int] = set()
-        stack = [c0]
-        while stack:
-            c = stack.pop()
-            if c in seen:
-                continue
-            seen.add(c)
-            if c % self.sigma.modulus in self.sigma.residues:
-                self._class_cache[c0] = True
-                return True
-            stack.append((2 * c) % z)
-            for br in self.affine:
-                g = math.gcd(br.a, z)
-                if (c - br.b) % g:
-                    continue
-                zg = z // g
-                m0 = ((c - br.b) // g * pow(br.a // g, -1, zg)) % zg
-                for t in range(g):
-                    m = m0 + t * zg
-                    if m % self.map.modulus in br.guard.residues:
-                        stack.append(m)
-        for c in seen:
-            # the closure from any member of a section-free closure is section-free
-            self._class_cache[c] = False
-        return False
-
     def preimages(self, r: int) -> set[int] | None:
         result: set[int] = set()
-        ok = self._explore(r, self.depth_cap, result)
+        ok = self._explore(r, _DEPTH_CAP, result)
         return result if ok else None
 
     def _explore(self, u: int, depth: int, result: set[int]) -> bool:
@@ -299,7 +289,7 @@ class _PreimageSearch:
             if m is not None:
                 if self._in_sigma(m):
                     result.add(m)
-                elif self._class_reaches_sigma(m % self.state_mod):
+                elif self.reaches[m % self.state_mod]:
                     if not self._explore(m, depth - 1, result):
                         return False
         # doubling chain: 2u, 4u, ... until a section hit or a clean residue cycle
@@ -332,7 +322,7 @@ class _PreimageSearch:
                     if self._in_sigma(m):
                         result.add(m)
                         spawned = True
-                    elif self._class_reaches_sigma(m % self.state_mod):
+                    elif self.reaches[m % self.state_mod]:
                         spawned = True
                         if not self._explore(m, depth - 1, result):
                             return False
@@ -404,7 +394,7 @@ def build_section_ops(
     t1 = TruncatedOperator(window, cols1, frozenset(exact_cols1), frozenset(exact_rows1))
     t2 = TruncatedOperator(window, cols2, frozenset(exact_cols2), frozenset(exact_rows2))
     s2 = t2.adjoint()
-    s1 = t1.adjoint() @ t2.adjoint()
+    s1 = t1.adjoint() @ s2
     return SectionOperators(window, n1, n2, t1, t2, s1, s2, frozenset(inconclusive))
 
 
@@ -470,8 +460,9 @@ def verify_branch_relations(gcmap: GCMap, window: BasisWindow) -> RelationReport
     sum_t = None
     for br, op in zip(gcmap.branches, ops):
         proj = projection_operator(window, guard_members[br.index])
-        checks.append(compare_certified(f"T{br.index}*T{br.index} = proj(X{br.index})", op.adjoint() @ op, proj))
-        total = op.adjoint() @ op if total is None else total + (op.adjoint() @ op)
+        tt = op.adjoint() @ op
+        checks.append(compare_certified(f"T{br.index}*T{br.index} = proj(X{br.index})", tt, proj))
+        total = tt if total is None else total + tt
         sum_t = op if sum_t is None else sum_t + op
     checks.append(compare_certified("sum_i Ti*Ti = I", total, eye))
     checks.append(compare_certified("sum_i Ti = T", sum_t, t))

@@ -8,8 +8,9 @@ to 1.  The induction base n = 1 is checked by a direct orbit.
 
 The fast path runs batches through numpy int64 arithmetic and carries only
 the frontier, the starts that have not dropped yet.  Trajectory values for
-n <= 10^7 peak well under 2^63; a frontier that threatens to overflow, or
-that outlives the step cap, is finished with exact Python integers.
+n <= 10^7 peak well under 2^63; a frontier that threatens to overflow is
+finished with exact Python integers, and one that outlives the step cap is
+inconclusive.
 """
 
 from __future__ import annotations
@@ -94,7 +95,11 @@ def verify_range_collatz(limit: int, step_cap: int = 10_000) -> RangeReport:
                 vals, starts = vals[live], starts[live]
                 if not len(starts):
                     break
-        for n in starts.tolist():
+        else:
+            # outlived the step cap: an exact replay could only say the same
+            inconclusive += starts.tolist()
+            continue
+        for n in starts.tolist():  # only a guard hit gets here with a frontier
             s = _drops_below_start_exact(n, step_cap)
             if s is None:
                 inconclusive.append(n)

@@ -137,6 +137,20 @@ def test_depth_outside_span_suite_exits_3(capsys, suite):
     assert "--depth applies only to --suite span" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("suite", ["descent", "bounded", "span", "modular"])
+def test_seed_outside_relations_suite_exits_3(capsys, suite):
+    code, out = run(capsys, "verify", "collatz", "--suite", suite, "--window", "100", "--seed", "5")
+    assert code == INPUT_ERROR
+    assert "--seed applies only to --suite relations" in json.loads(out)["error"]
+
+
+def test_seed_with_relations_suite(capsys):
+    relations = ("verify", "collatz", "--suite", "relations", "--window", "100")
+    assert run(capsys, *relations, "--seed", "5")[0] == PASS
+    # without --seed the norm-bound vectors are those of seed 0
+    assert run(capsys, *relations)[1] == run(capsys, *relations, "--seed", "0")[1]
+
+
 def test_map_file_input(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(

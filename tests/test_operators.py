@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -101,6 +102,32 @@ def test_exactness_propagates_through_products():
         "T1*T1=proj(odd)", t1.adjoint() @ t1, projection_operator(w, [1, 3, 5, 7])
     )
     assert chk.holds and chk.columns_checked > 0
+
+
+def test_product_exactness_masks_follow_their_definition():
+    # column n of AB is exact iff B's column n is exact and every row of it is
+    # an exact column of A; row r iff A's row r is exact and every column of it
+    # is an exact row of B
+    rng = random.Random(3)
+    w = BasisWindow.range(1, 12)
+    for _ in range(50):
+        a, b = (
+            dataclasses.replace(
+                _random_op(w, rng),
+                exact_cols=frozenset(n for n in w.elements if rng.random() < 0.6),
+                exact_rows=frozenset(n for n in w.elements if rng.random() < 0.6),
+            )
+            for _ in range(2)
+        )
+        prod = a @ b
+        assert prod.exact_cols == {
+            n for n in w.elements
+            if n in b.exact_cols and all(r in a.exact_cols for r in b.column(n))
+        }
+        assert prod.exact_rows == {
+            r for r in w.elements
+            if r in a.exact_rows and all(n in b.exact_rows for n in a.adjoint().column(r))
+        }
 
 
 def test_build_T_adjoint_column_is_preimage():

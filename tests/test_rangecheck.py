@@ -81,3 +81,5 @@ def test_compacting_kernel_matches_python_scan(monkeypatch, guard, step_cap):
     assert rep.max_steps_to_drop == max_steps
     if guard == 1000:
         assert set(exact_calls) - set(inconclusive)  # the guard sent live starts to the exact pass
+    else:
+        assert not exact_calls  # a frontier that outlives the step cap is not replayed
