@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from collatzlab import collatz, rangecheck, verify_range, verify_range_collatz
-from collatzlab.rangecheck import _INT64_GUARD, _drops_below_start_exact
+from collatzlab.rangecheck import _INT64_GUARD, _drops_below_start_exact, _sieve
 
 
 def drop_scan(limit, step_cap):
@@ -34,6 +34,7 @@ def test_agrees_with_generic_scan():
     fast = verify_range_collatz(2_000)
     slow = verify_range(collatz(), 2_000, 10_000)
     assert fast.verified == slow.verified == True  # noqa: E712
+    assert fast.max_steps_to_drop == slow.max_steps_to_drop == 132
 
 
 def test_exact_fallback_matches_vectorized():
@@ -83,3 +84,78 @@ def test_compacting_kernel_matches_python_scan(monkeypatch, guard, step_cap):
         assert set(exact_calls) - set(inconclusive)  # the guard sent live starts to the exact pass
     else:
         assert not exact_calls  # a frontier that outlives the step cap is not replayed
+
+
+@pytest.mark.parametrize("sieve_bits", [1, 2, 3, 8])
+@pytest.mark.parametrize("guard", [_INT64_GUARD, 1000])
+@pytest.mark.parametrize("step_cap", [3, 10, 10_000])
+def test_sieved_scan_matches_python_scan(monkeypatch, sieve_bits, guard, step_cap):
+    # small moduli leave a short first block, so sieved classes and advanced
+    # survivors decide most of [2, 3000]; at 2 bits and cap 3 the maximum
+    # comes from a sieved class alone
+    monkeypatch.setattr(rangecheck, "_SIEVE_BITS", sieve_bits)
+    monkeypatch.setattr(rangecheck, "_BATCH", 7)
+    monkeypatch.setattr(rangecheck, "_INT64_GUARD", guard)
+    rep = verify_range_collatz(3000, step_cap=step_cap)
+    inconclusive, max_steps = drop_scan(3000, step_cap)
+    assert rep.inconclusive == inconclusive
+    assert rep.verified == (not inconclusive)
+    assert rep.max_steps_to_drop == max_steps
+
+
+@pytest.mark.parametrize("sieve_bits", [3, 8, 12])
+@pytest.mark.parametrize("step_cap", [5, 10_000])
+def test_sieve_table_matches_exact_drop_steps(monkeypatch, sieve_bits, step_cap):
+    monkeypatch.setattr(rangecheck, "_SIEVE_BITS", sieve_bits)
+    m = 1 << sieve_bits
+    drop, q, base, slope = _sieve(10**6, step_cap)
+    survivors = np.flatnonzero(drop == 0)
+    for r in np.flatnonzero(drop).tolist():
+        for t in range(1, 6):
+            assert _drops_below_start_exact(r + t * m, step_cap) == drop[r]
+    for r, b, s in zip(survivors.tolist(), base.tolist(), slope.tolist()):
+        for t in range(1, 6):
+            n = v = r + t * m
+            for _ in range(q):
+                v = 3 * v + 1 if v & 1 else v >> 1
+            assert _drops_below_start_exact(n, q) is None
+            assert b + s * (t - 1) == v
+    if sieve_bits == 12 and step_cap == 10_000:
+        assert (len(survivors), q, drop.max()) == (226, 20, 19)
+
+
+def test_sieve_does_not_advance_where_int64_would_wrap():
+    drop, q, base, slope = _sieve(2**62, 10_000)
+    survivors = np.flatnonzero(drop == 0)
+    m = len(drop)
+    assert q == 0
+    assert base.tolist() == (survivors + m).tolist() and set(slope.tolist()) == {m}
+
+
+@pytest.mark.parametrize("limit", [1, 2, 30, 1000])
+@pytest.mark.parametrize("step_cap", [3, 5, 7, 10_000])
+def test_small_limits_match_python_scan(limit, step_cap):
+    rep = verify_range_collatz(limit, step_cap=step_cap)
+    inconclusive, max_steps = drop_scan(limit, step_cap)
+    assert rep.inconclusive == inconclusive
+    assert rep.max_steps_to_drop == max_steps
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: verify_range_collatz(10, step_cap=0),
+        lambda: verify_range_collatz(10, step_cap=-3),
+        lambda: verify_range_collatz(0),
+        lambda: verify_range_collatz(True),
+        lambda: verify_range_collatz(10.0),
+        lambda: verify_range_collatz("10"),
+        lambda: verify_range(collatz(), 10, 0),
+        lambda: verify_range(collatz(), 0, 100),
+        lambda: verify_range(collatz(), True, 100),
+        lambda: verify_range(collatz(), 10.0, 100),
+    ],
+)
+def test_bad_limit_or_cap_is_a_value_error(call):
+    with pytest.raises(ValueError):
+        call()
