@@ -391,8 +391,9 @@ def ck_for_section(
     # (c) empirical: P on the window
     P = first_return_map(gcmap, sigma_set)
     seen_n2: dict[int, int] = {}
+    returns: dict[int, int | Inconclusive] = {}  # P on the window, reused by the witness check
     for n in sigma_set.members(1, window):
-        v = P.apply(n, fuel)
+        v = returns[n] = P.apply(n, fuel)
         if isinstance(v, Inconclusive):
             undecided.append(n)
         elif n in n1:
@@ -409,7 +410,7 @@ def ck_for_section(
         kappa = witnesses.exponents[s % mw]
         m = s * pow(2, kappa)
         if m <= window and m in sigma_set:
-            v = P.apply(m, fuel)
+            v = returns[m]
             if isinstance(v, Inconclusive):
                 undecided.append(m)
             elif v != s:

@@ -1,13 +1,21 @@
 """Exact finite truncations of the map-induced Hilbert-space operators.
 
-Operators are sparse integer matrices over a finite basis window, indexed by
-the integer basis labels themselves (not positions).  Every relation check is
-an integer equality with zero tolerance.  Truncating a genuine isometry is
-not isometric at the window boundary, so each operator carries exactness
-masks: a column (row) is exact when it coincides with the corresponding
-column (row) of the untruncated operator.  Exactness propagates through
-products and adjoints, and identities are asserted only on columns certified
-exact on both sides.
+Operators are sparse integer matrices over a finite basis window.  Internally
+an operator is int64 numpy arrays over window positions, in column-major
+order: the column, row and value of each nonzero entry, sorted by (column,
+row), each pair at most once and no value zero.  Positions are sorted by
+label, so position order is label order.  The label forms (``cols``,
+``exact_cols``, ``column``, ``dump_triplets``, ...) are views built on demand.
+
+Every relation check is an integer equality with zero tolerance, and
+fixed-width arithmetic never wraps: before a product or sum, a Python-int
+bound on its entries is checked, and a result that could leave int64 raises
+``OverflowError``.  Truncating a genuine isometry is not isometric at the
+window boundary, so each operator carries exactness masks, boolean arrays
+over positions: a column (row) is exact when it coincides with the
+corresponding column (row) of the untruncated operator.  Exactness propagates
+through products and adjoints, and identities are asserted only on columns
+certified exact on both sides.
 """
 
 from __future__ import annotations
@@ -18,6 +26,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .conditions import separating_condition, SeparatingResult
 from .dynamics import ClassesReport, classes, first_return_map
@@ -54,117 +64,235 @@ class BasisWindow:
 
 Column = dict[int, int]
 
+_INT64_MAX = 2**63 - 1
 
-@dataclass(frozen=True)
+
+def _max_abs(val: np.ndarray) -> int:
+    return max(int(val.max()), -int(val.min())) if len(val) else 0
+
+
+def _check_bound(bound: int, what: str) -> None:
+    if bound > _INT64_MAX:
+        raise OverflowError(f"{what}: entries up to {bound} would leave int64")
+
+
+def _position(window: BasisWindow, n: int) -> int:
+    p = window.position.get(n)
+    if p is None:
+        raise ValueError(f"label {n} is not in the window")
+    return p
+
+
+def _combine(n: int, col: np.ndarray, row: np.ndarray, val: np.ndarray):
+    """Entries in canonical order: sorted by (col, row), duplicates summed, zeros dropped."""
+    key = col * max(n, 1) + row
+    if len(key) > 1 and (key[1:] <= key[:-1]).any():
+        order = np.argsort(key)
+        key = key[order]
+        head = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        col, row, val = col[order][head], row[order][head], np.add.reduceat(val[order], head)
+    keep = val != 0
+    if not keep.all():
+        col, row, val = col[keep], row[keep], val[keep]
+    return col, row, val
+
+
 class TruncatedOperator:
     """Sparse integer matrix over a window, with exactness masks.
 
+    ``TruncatedOperator(window, cols, exact_cols, exact_rows)`` takes labels:
     ``cols[n]`` maps row labels to integer entries of the column at basis
-    label n.  ``exact_cols`` / ``exact_rows`` list labels where the truncated
-    column / row equals that of the infinite operator.
+    label n, and ``exact_cols`` / ``exact_rows`` list labels where the
+    truncated column / row equals that of the infinite operator.  The same
+    forms come back from ``cols``, ``exact_cols`` and ``exact_rows``.
     """
 
-    window: BasisWindow
-    cols: dict[int, Column]
-    exact_cols: frozenset[int]
-    exact_rows: frozenset[int]
+    __slots__ = ("window", "_ptr", "_col", "_row", "_val", "_exact_col", "_exact_row")
 
-    def __post_init__(self) -> None:
-        clean = {
-            n: nonzero
-            for n, col in self.cols.items()
-            if (nonzero := {r: v for r, v in col.items() if v != 0})
-        }
-        object.__setattr__(self, "cols", clean)
+    def __init__(
+        self,
+        window: BasisWindow,
+        cols: dict[int, Column],
+        exact_cols: Iterable[int],
+        exact_rows: Iterable[int],
+    ) -> None:
+        col, row, val = [], [], []
+        for n, column in cols.items():
+            p = _position(window, n)
+            for r, v in column.items():
+                col.append(p)
+                row.append(_position(window, r))
+                val.append(v)
+        entries = (np.array(a, dtype=np.int64) for a in (col, row, val))  # OverflowError past int64
+        masks = []
+        for labels in (exact_cols, exact_rows):
+            mask = np.zeros(len(window), dtype=bool)
+            mask[[_position(window, n) for n in labels]] = True
+            masks.append(mask)
+        self._set(window, *_combine(len(window), *entries), *masks)
 
-    # --- structure ---------------------------------------------------------
+    def _set(self, window, col, row, val, exact_col, exact_row) -> None:
+        self.window = window
+        self._col, self._row, self._val = col, row, val
+        self._exact_col, self._exact_row = exact_col, exact_row
+        # column j holds the entries _ptr[j]:_ptr[j + 1]
+        self._ptr = np.zeros(len(window) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(col, minlength=len(window)), out=self._ptr[1:])
+
+    @classmethod
+    def _of(cls, window, col, row, val, exact_col, exact_row) -> "TruncatedOperator":
+        """From position arrays already in canonical order."""
+        op = cls.__new__(cls)
+        op._set(window, col, row, val, exact_col, exact_row)
+        return op
+
+    def _same_window(self, other: "TruncatedOperator") -> None:
+        if self.window is not other.window and self.window != other.window:
+            raise ValueError("operators must share a window")
+
+    # --- label views ---------------------------------------------------------
+
+    def _triplets(self) -> list[tuple[int, int, int]]:
+        """(row, col, value) labels of every entry, in column-major order."""
+        e = self.window.elements
+        return [
+            (e[r], e[c], v)
+            for c, r, v in zip(self._col.tolist(), self._row.tolist(), self._val.tolist())
+        ]
+
+    @property
+    def cols(self) -> dict[int, Column]:
+        out: dict[int, Column] = {}
+        for r, n, v in self._triplets():
+            out.setdefault(n, {})[r] = v
+        return out
+
+    def _labels(self, mask: np.ndarray) -> frozenset[int]:
+        return frozenset(self.window.elements[i] for i in np.flatnonzero(mask).tolist())
+
+    @property
+    def exact_cols(self) -> frozenset[int]:
+        return self._labels(self._exact_col)
+
+    @property
+    def exact_rows(self) -> frozenset[int]:
+        return self._labels(self._exact_row)
 
     def column(self, n: int) -> Column:
-        return dict(self.cols.get(n, {}))
+        p = self.window.position.get(n)
+        if p is None:
+            return {}
+        lo, hi = self._ptr[p], self._ptr[p + 1]
+        e = self.window.elements
+        return {e[r]: v for r, v in zip(self._row[lo:hi].tolist(), self._val[lo:hi].tolist())}
 
     def entry(self, row: int, col: int) -> int:
-        return self.cols.get(col, {}).get(row, 0)
+        return self.column(col).get(row, 0)
 
     def rows(self) -> dict[int, Column]:
-        out: dict[int, Column] = {}
-        for n, col in self.cols.items():
-            for r, v in col.items():
-                out.setdefault(r, {})[n] = v
-        return out
+        return self.adjoint().cols
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TruncatedOperator):
+            return NotImplemented
+        return self.window == other.window and all(
+            np.array_equal(getattr(self, a), getattr(other, a)) for a in self.__slots__[1:]
+        )
 
     # --- algebra -------------------------------------------------------------
 
     def adjoint(self) -> "TruncatedOperator":
         """Exact transpose; an involution.  Exact columns and rows swap roles."""
-        return TruncatedOperator(self.window, self.rows(), self.exact_rows, self.exact_cols)
+        order = np.argsort(self._row, kind="stable")  # (row, col) order: the transpose's columns
+        return TruncatedOperator._of(
+            self.window, self._row[order], self._col[order], self._val[order],
+            self._exact_row, self._exact_col,
+        )
 
     def __matmul__(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        if self.window != other.window:
-            raise ValueError("operators must share a window")
-        cols: dict[int, Column] = {}
-        for n, bcol in other.cols.items():  # a zero column of B stays zero in AB
-            acc: Column = {}
-            for m, bv in bcol.items():
-                for r, av in self.cols.get(m, {}).items():
-                    acc[r] = acc.get(r, 0) + av * bv
-            cols[n] = acc
+        self._same_window(other)
+        n = len(self.window)
+        # an entry of AB sums at most one term per entry of B's column
+        per_col = int(np.diff(other._ptr).max()) if n else 0
+        _check_bound(_max_abs(self._val) * _max_abs(other._val) * per_col, "product")
+        # each entry (m, n) of B scales A's column m into column n of AB
+        lo = self._ptr[other._row]
+        cnt = self._ptr[other._row + 1] - lo
+        at = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt) + np.arange(int(cnt.sum()))
+        col, row, val = _combine(
+            n, np.repeat(other._col, cnt), self._row[at], self._val[at] * np.repeat(other._val, cnt)
+        )
         # column n of AB is exact when B's is and every row it reaches is an
         # exact column of A; dually for rows
-        exact_cols = {
-            n for n in other.exact_cols if self.exact_cols.issuperset(other.cols.get(n, ()))
-        }
-        my_rows = self.rows()
-        exact_rows = {
-            r for r in self.exact_rows if other.exact_rows.issuperset(my_rows.get(r, ()))
-        }
-        return TruncatedOperator(self.window, cols, frozenset(exact_cols), frozenset(exact_rows))
+        col_bad = np.zeros(n, dtype=bool)
+        col_bad[other._col[~self._exact_col[other._row]]] = True
+        row_bad = np.zeros(n, dtype=bool)
+        row_bad[self._row[~other._exact_row[self._col]]] = True
+        return TruncatedOperator._of(
+            self.window, col, row, val, other._exact_col & ~col_bad, self._exact_row & ~row_bad
+        )
 
     def __add__(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        if self.window != other.window:
-            raise ValueError("operators must share a window")
-        cols: dict[int, Column] = {}
-        for n in set(self.cols) | set(other.cols):
-            acc = dict(self.cols.get(n, {}))
-            for r, v in other.cols.get(n, {}).items():
-                acc[r] = acc.get(r, 0) + v
-            cols[n] = acc
-        return TruncatedOperator(
-            self.window,
-            cols,
-            self.exact_cols & other.exact_cols,
-            self.exact_rows & other.exact_rows,
+        self._same_window(other)
+        _check_bound(_max_abs(self._val) + _max_abs(other._val), "sum")
+        col, row, val = _combine(
+            len(self.window),
+            *(np.concatenate((getattr(self, a), getattr(other, a))) for a in ("_col", "_row", "_val")),
+        )
+        return TruncatedOperator._of(
+            self.window, col, row, val,
+            self._exact_col & other._exact_col, self._exact_row & other._exact_row,
         )
 
     def with_entry(self, row: int, col: int, value: int) -> "TruncatedOperator":
         """Copy with one entry overwritten (fault injection for tests)."""
-        cols = {n: dict(c) for n, c in self.cols.items()}
+        cols = self.cols
         cols.setdefault(col, {})[row] = value
         return TruncatedOperator(self.window, cols, self.exact_cols, self.exact_rows)
 
     def apply_vector(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
         out: dict[int, Fraction] = {}
         for n, x in vec.items():
-            for r, v in self.cols.get(n, {}).items():
+            for r, v in self.column(n).items():
                 out[r] = out.get(r, Fraction(0)) + v * x
         return {r: v for r, v in out.items() if v != 0}
 
 
+def _diagonal(window: BasisWindow, mask: np.ndarray) -> TruncatedOperator:
+    """The 0/1 diagonal operator with ones at the masked positions; exact everywhere."""
+    idx = np.flatnonzero(mask).astype(np.int64)
+    exact = np.ones(len(window), dtype=bool)
+    return TruncatedOperator._of(window, idx, idx, np.ones(len(idx), dtype=np.int64), exact, exact)
+
+
 def identity_operator(window: BasisWindow) -> TruncatedOperator:
-    labels = frozenset(window.elements)
-    return TruncatedOperator(window, {n: {n: 1} for n in window.elements}, labels, labels)
+    return _diagonal(window, np.ones(len(window), dtype=bool))
 
 
 def projection_operator(window: BasisWindow, onto: Iterable[int]) -> TruncatedOperator:
     onto = set(onto)
-    labels = frozenset(window.elements)
-    return TruncatedOperator(
-        window, {n: {n: 1} for n in window.elements if n in onto}, labels, labels
-    )
+    return _diagonal(window, np.fromiter((n in onto for n in window.elements), bool, len(window)))
 
 
 def zero_operator(window: BasisWindow) -> TruncatedOperator:
-    labels = frozenset(window.elements)
-    return TruncatedOperator(window, {}, labels, labels)
+    return _diagonal(window, np.zeros(len(window), dtype=bool))
+
+
+def _functional(window: BasisWindow, image, exact_col, exact_row) -> TruncatedOperator:
+    """The 0/1 operator e_n -> e_{image[n]} on positions; no entry where image is -1."""
+    image = np.asarray(image, dtype=np.int64)
+    col = np.flatnonzero(image >= 0).astype(np.int64)
+    return TruncatedOperator._of(
+        window, col, image[col], np.ones(len(col), dtype=np.int64),
+        np.asarray(exact_col, dtype=bool), np.asarray(exact_row, dtype=bool),
+    )
+
+
+def _residue_mask(window: BasisWindow, rs: ResidueSet) -> np.ndarray:
+    """Which window labels lie in the residue set."""
+    member = np.zeros(rs.modulus, dtype=bool)
+    member[list(rs.residues)] = True
+    return member[np.array(window.elements, dtype=np.int64) % rs.modulus]
 
 
 # --- map-induced operators ------------------------------------------------------
@@ -172,41 +300,25 @@ def zero_operator(window: BasisWindow) -> TruncatedOperator:
 
 def build_T(gcmap: GCMap, window: BasisWindow) -> TruncatedOperator:
     """T e_n = e_{f(n)}, truncated to the window."""
-    cols: dict[int, Column] = {}
-    exact_cols = set()
-    exact_rows = set()
-    for n in window.elements:
-        v = gcmap.apply(n)
-        if v in window:
-            cols[n] = {v: 1}
-            exact_cols.add(n)
-        if all(m in window for m in gcmap.preimage(n)):
-            exact_rows.add(n)
-    return TruncatedOperator(window, cols, frozenset(exact_cols), frozenset(exact_rows))
+    pos = window.position
+    image = [pos.get(gcmap.apply(n), -1) for n in window.elements]
+    exact_row = [all(m in pos for m in gcmap.preimage(n)) for n in window.elements]
+    return _functional(window, image, np.asarray(image) >= 0, exact_row)
 
 
 def build_branch_ops(gcmap: GCMap, window: BasisWindow) -> list[TruncatedOperator]:
     """T_i e_n = e_{f(n)} for n in X_i, 0 elsewhere; sum over i recovers T entrywise."""
-    labels = frozenset(window.elements)
-    cols: dict[int, dict[int, Column]] = {br.index: {} for br in gcmap.branches}
-    leaves: dict[int, set[int]] = {br.index: set() for br in gcmap.branches}
-    for n in window.elements:
-        i = gcmap.branch_of(n).index
-        v = gcmap.apply(n)
-        if v in window:
-            cols[i][n] = {v: 1}
-        else:
-            leaves[i].add(n)  # the only inexact columns; every zero column is exact
+    pos = window.position
+    branch = np.array([gcmap.branch_of(n).index for n in window.elements], dtype=np.int64)
+    image = np.array([pos.get(gcmap.apply(n), -1) for n in window.elements], dtype=np.int64)
     ops = []
     for br in gcmap.branches:
-        exact_rows = set()
-        for n in window.elements:
-            if br.a >= 1:
-                m = br.preimage_of(n)
-                if m is None or m in window:
-                    exact_rows.add(n)
-        exact_cols = labels - leaves[br.index]
-        ops.append(TruncatedOperator(window, cols[br.index], exact_cols, frozenset(exact_rows)))
+        mine = branch == br.index
+        exact_row = [
+            br.a >= 1 and ((m := br.preimage_of(n)) is None or m in pos) for n in window.elements
+        ]
+        # leaves (images outside the window) are the only inexact columns; every zero column is exact
+        ops.append(_functional(window, np.where(mine, image, -1), ~(mine & (image < 0)), exact_row))
     return ops
 
 
@@ -363,36 +475,34 @@ def build_section_ops(
     P = first_return_map(gcmap, sigma_set)
     search = _PreimageSearch(gcmap, sigma, sigma_removed)
 
-    cols1: dict[int, Column] = {}
-    cols2: dict[int, Column] = {}
-    exact_cols1, exact_cols2 = set(), set()
+    pos = window.position
+    in_n1 = _residue_mask(window, n1)
+    image = []  # position of P(n), or -1 when it is unknown or outside the window
     inconclusive = set()
     for n in window.elements:
-        if n in n1:
-            cols, exact, other_exact = cols1, exact_cols1, exact_cols2
-        else:
-            cols, exact, other_exact = cols2, exact_cols2, exact_cols1
-        other_exact.add(n)  # the other branch's column at n is genuinely zero
         v = P.apply(n, fuel)
         if isinstance(v, Inconclusive):
             inconclusive.add(n)  # unknown column: not exact for the branch that owns n
-        elif v in window:
-            cols[n] = {v: 1}
-            exact.add(n)
+            image.append(-1)
+        else:
+            image.append(pos.get(v, -1))
+    image = np.array(image, dtype=np.int64)
+    # the other branch's column at n is genuinely zero, hence exact
+    exact_col1, exact_col2 = ~in_n1 | (image >= 0), in_n1 | (image >= 0)
 
-    exact_rows1, exact_rows2 = set(), set()
+    exact_rows1, exact_rows2 = [], []
     for r in window.elements:
         pre = search.preimages(r)
-        if pre is None:
-            continue
-        # a preimage whose column is inconclusive is missing from the row
-        if all(m in window and m not in inconclusive for m in pre if m in n1):
-            exact_rows1.add(r)
-        if all(m in window and m not in inconclusive for m in pre if m in n2):
-            exact_rows2.add(r)
+        ok1 = ok2 = pre is not None
+        for m in pre or ():
+            # a preimage outside the window, or whose column is inconclusive, is missing from the row
+            if m not in pos or m in inconclusive:
+                ok1, ok2 = ok1 and m not in n1, ok2 and m not in n2
+        exact_rows1.append(ok1)
+        exact_rows2.append(ok2)
 
-    t1 = TruncatedOperator(window, cols1, frozenset(exact_cols1), frozenset(exact_rows1))
-    t2 = TruncatedOperator(window, cols2, frozenset(exact_cols2), frozenset(exact_rows2))
+    t1 = _functional(window, np.where(in_n1, image, -1), exact_col1, exact_rows1)
+    t2 = _functional(window, np.where(in_n1, -1, image), exact_col2, exact_rows2)
     s2 = t2.adjoint()
     s1 = t1.adjoint() @ s2
     return SectionOperators(window, n1, n2, t1, t2, s1, s2, frozenset(inconclusive))
@@ -436,15 +546,30 @@ class RelationReport(Report):
 
 
 def compare_certified(name: str, lhs: TruncatedOperator, rhs: TruncatedOperator) -> IdentityCheck:
-    """Entrywise integer equality on columns certified exact on both sides."""
-    certified = lhs.exact_cols & rhs.exact_cols
-    for n in sorted(certified):
-        a, b = lhs.cols.get(n, {}), rhs.cols.get(n, {})
-        if a != b:
-            rows = set(a) | set(b)
-            r = min(r for r in rows if a.get(r, 0) != b.get(r, 0))
-            return IdentityCheck(name, False, len(certified), (r, n, a.get(r, 0), b.get(r, 0)))
-    return IdentityCheck(name, True, len(certified))
+    """Entrywise integer equality on columns certified exact on both sides.
+
+    A failure's witness is the smallest certified column that differs, at
+    its smallest differing row.
+    """
+    lhs._same_window(rhs)
+    certified = lhs._exact_col & rhs._exact_col
+    checked = int(certified.sum())
+    n = max(len(lhs.window), 1)
+    sides = []
+    for op in (lhs, rhs):
+        keep = certified[op._col]
+        sides.append((op._col[keep] * n + op._row[keep], op._val[keep]))
+    (ka, va), (kb, vb) = sides
+    if np.array_equal(ka, kb) and np.array_equal(va, vb):
+        return IdentityCheck(name, True, checked)
+    keys = np.union1d(ka, kb)  # sorted: column-major, so label order
+    a, b = np.zeros(len(keys), dtype=np.int64), np.zeros(len(keys), dtype=np.int64)
+    a[np.searchsorted(keys, ka)] = va
+    b[np.searchsorted(keys, kb)] = vb
+    i = int(np.flatnonzero(a != b)[0])
+    c, r = divmod(int(keys[i]), n)
+    e = lhs.window.elements
+    return IdentityCheck(name, False, checked, (e[r], e[c], int(a[i]), int(b[i])))
 
 
 def verify_branch_relations(gcmap: GCMap, window: BasisWindow) -> RelationReport:
@@ -452,14 +577,12 @@ def verify_branch_relations(gcmap: GCMap, window: BasisWindow) -> RelationReport
     ops = build_branch_ops(gcmap, window)
     t = build_T(gcmap, window)
     eye = identity_operator(window)
-    guard_members: dict[int, list[int]] = {br.index: [] for br in gcmap.branches}
-    for n in window.elements:
-        guard_members[gcmap.branch_of(n).index].append(n)
+    branch = np.array([gcmap.branch_of(n).index for n in window.elements], dtype=np.int64)
     checks = []
     total = None
     sum_t = None
     for br, op in zip(gcmap.branches, ops):
-        proj = projection_operator(window, guard_members[br.index])
+        proj = _diagonal(window, branch == br.index)
         tt = op.adjoint() @ op
         checks.append(compare_certified(f"T{br.index}*T{br.index} = proj(X{br.index})", tt, proj))
         total = tt if total is None else total + tt
@@ -473,18 +596,18 @@ def verify_section_relations(ops: SectionOperators) -> RelationReport:
     """The Cuntz relation battery for S1, S2 and the descent identity T2*T2T1 = T1."""
     w = ops.window
     eye = identity_operator(w)
-    proj1 = projection_operator(w, (n for n in w.elements if n in ops.n1))
-    proj2 = projection_operator(w, (n for n in w.elements if n in ops.n2))
     zero = zero_operator(w)
     s1, s2, t1, t2 = ops.s1, ops.s2, ops.t1, ops.t2
+    s1_adj, s2_adj = s1.adjoint(), s2.adjoint()
+    range1, range2 = s1 @ s1_adj, s2 @ s2_adj
     checks = (
-        compare_certified("S1*S1 = I", s1.adjoint() @ s1, eye),
-        compare_certified("S2*S2 = I", s2.adjoint() @ s2, eye),
-        compare_certified("S1S1* = proj(N1)", s1 @ s1.adjoint(), proj1),
-        compare_certified("S2S2* = proj(N2)", s2 @ s2.adjoint(), proj2),
-        compare_certified("S1S1* + S2S2* = I", (s1 @ s1.adjoint()) + (s2 @ s2.adjoint()), eye),
-        compare_certified("S1*S2 = 0", s1.adjoint() @ s2, zero),
-        compare_certified("S2*S1 = 0", s2.adjoint() @ s1, zero),
+        compare_certified("S1*S1 = I", s1_adj @ s1, eye),
+        compare_certified("S2*S2 = I", s2_adj @ s2, eye),
+        compare_certified("S1S1* = proj(N1)", range1, _diagonal(w, _residue_mask(w, ops.n1))),
+        compare_certified("S2S2* = proj(N2)", range2, _diagonal(w, _residue_mask(w, ops.n2))),
+        compare_certified("S1S1* + S2S2* = I", range1 + range2, eye),
+        compare_certified("S1*S2 = 0", s1_adj @ s2, zero),
+        compare_certified("S2*S1 = 0", s2_adj @ s1, zero),
         compare_certified("T2*T2T1 = T1", t2.adjoint() @ t2 @ t1, t1),
     )
     return RelationReport(checks)
@@ -536,7 +659,7 @@ def reachable_span(
         raise DomainError(f"start {start} not in window")
     _check_depth(depth)
     # labels joined by a nonzero entry of an operator (hence also of its adjoint)
-    edges = ((n, r) for op in ops for n, col in op.cols.items() for r in col)
+    edges = ((n, r) for op in ops for r, n, _ in op._triplets())
     return _walk(_index_graph(edges), start, depth)
 
 
@@ -762,13 +885,16 @@ def norm_bound_check(
     """Check ||T v||^2 <= k ||v||^2 on seeded pseudo-random rational vectors.
 
     Vectors are supported on columns whose image stays inside the window, so
-    the truncated action agrees with the infinite operator; all arithmetic is
-    exact rational.
+    the truncated action agrees with the infinite operator.  Each vector is
+    scaled by the lcm of its denominators, which leaves the ratio unchanged,
+    so the arithmetic is exact in integers and one Fraction per trial.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    t = build_T(gcmap, window)
-    support_pool = sorted(t.exact_cols & set(t.cols))
+    image = {n: v for n in window.elements if (v := gcmap.apply(n)) in window}
+    support_pool = list(image)  # in label order
+    if not support_pool:
+        raise ValueError("norm bound: no column of T stays in the window, so no vector can be drawn")
     rng = random.Random(seed)
     k = gcmap.k
     max_ratio = Fraction(0)
@@ -776,13 +902,15 @@ def norm_bound_check(
     for _ in range(trials):
         size = rng.randint(1, min(12, len(support_pool)))
         support = rng.sample(support_pool, size)
-        vec = {
-            n: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)) for n in support
-        }
-        out = t.apply_vector(vec)
-        num = sum(v * v for v in out.values())
-        den = sum(v * v for v in vec.values())
-        ratio = Fraction(num, den)
+        coeffs = [(rng.randint(-9, 9) or 1, rng.randint(1, 9)) for _ in support]
+        scale = math.lcm(*[q for _, q in coeffs])
+        out: Counter = Counter()
+        norm = 0
+        for n, (p, q) in zip(support, coeffs):
+            x = p * (scale // q)  # the entry p/q of v, times scale
+            out[image[n]] += x
+            norm += x * x
+        ratio = Fraction(sum(v * v for v in out.values()), norm)
         if ratio > max_ratio:
             max_ratio = ratio
         if ratio > k:
@@ -795,8 +923,5 @@ def norm_bound_check(
 
 def dump_triplets(op: TruncatedOperator) -> str:
     """Sparse triplet text: one ``row col value`` line per entry, labels not positions."""
-    lines = ["# row col value"]
-    for n in sorted(op.cols):
-        for r in sorted(op.cols[n]):
-            lines.append(f"{r} {n} {op.cols[n][r]}")
+    lines = ["# row col value"] + [f"{r} {n} {v}" for r, n, v in op._triplets()]
     return "\n".join(lines) + "\n"

@@ -156,7 +156,8 @@ def verify_range_collatz(limit: int, step_cap: int = 10_000) -> RangeReport:
     for first, starts, vals in _batches(limit, np.flatnonzero(drop == 0), q, base, slope):
         for step in range(first, step_cap + 1):
             odd = (vals & 1).astype(bool)
-            if np.any(vals[odd] >= _INT64_GUARD):
+            # the max is a cheap superset test; only then pick the odd values out
+            if vals.max() >= _INT64_GUARD and np.any(vals[odd] >= _INT64_GUARD):
                 break  # rare: the exact pass below finishes the frontier
             vals = np.where(odd, 3 * vals + 1, vals >> 1)
             live = vals >= starts

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -112,8 +111,9 @@ def test_product_exactness_masks_follow_their_definition():
     w = BasisWindow.range(1, 12)
     for _ in range(50):
         a, b = (
-            dataclasses.replace(
-                _random_op(w, rng),
+            TruncatedOperator(
+                w,
+                _random_op(w, rng).cols,
                 exact_cols=frozenset(n for n in w.elements if rng.random() < 0.6),
                 exact_rows=frozenset(n for n in w.elements if rng.random() < 0.6),
             )
