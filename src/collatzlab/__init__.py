@@ -28,7 +28,6 @@ from .dynamics import (
     check_reduction_sufficient,
     classes,
     equivalent,
-    first_return_map,
     return_time,
 )
 from .conditions import (
@@ -58,7 +57,6 @@ from .operators import (
     descent_check,
     identity_operator,
     norm_bound_check,
-    projection_operator,
     reachable_span,
     separating_word_check,
     span_vs_class,

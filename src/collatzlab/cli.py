@@ -53,8 +53,8 @@ def _resolve_map(ref: str, validate: bool = True) -> GCMap:
         raise SystemExit(_fail_input(f"bad preset argument: {exc}"))
     try:
         gcmap = load_map(ref)
-    except FileNotFoundError:
-        raise SystemExit(_fail_input(f"unknown preset and no such file: {ref!r}"))
+    except OSError as exc:  # no such file, a directory, or no permission to read it
+        raise SystemExit(_fail_input(f"unknown preset and no readable map file {ref!r}: {exc.strerror}"))
     except (ValueError, KeyError) as exc:
         raise SystemExit(_fail_input(f"could not parse map file {ref!r}: {exc}"))
     failures = gcmap.validate().failures() if validate else []
@@ -182,7 +182,8 @@ def _suite_section(gcmap: GCMap, args) -> tuple[dict, int]:
 
 
 def _suite_relations(gcmap: GCMap, args) -> tuple[dict, int]:
-    branch = verify_branch_relations(gcmap, BasisWindow.range(1, args.window))
+    window = BasisWindow.range(1, args.window)
+    branch = verify_branch_relations(gcmap, window)
     payload = {"branch": branch.to_dict()}
     statuses = [branch.status]
     section = _preset_section(args.map)
@@ -196,7 +197,7 @@ def _suite_relations(gcmap: GCMap, args) -> tuple[dict, int]:
         payload["inconclusiveColumns"] = sorted(ops.inconclusive_columns)
         statuses += [rep.status, verdict(inconclusive=bool(ops.inconclusive_columns))]
     seed = 0 if args.seed is None else args.seed
-    norm = norm_bound_check(gcmap, BasisWindow.range(1, args.window), trials=200, seed=seed)
+    norm = norm_bound_check(gcmap, window, trials=200, seed=seed)
     payload["normBound"] = {
         "trials": norm.trials,
         "k": norm.k,

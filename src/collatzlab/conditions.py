@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dynamics import FirstReturnMap, first_return_map
+from .dynamics import FirstReturnMap
 from .gcmap import INCONCLUSIVE, PASS, VIOLATION, Inconclusive, Report, verdict
-from .gcmap import GCMap, ResidueSet, _check_positive, plain_or_punctured
+from .gcmap import AffineBranch, GCMap, ResidueSet, _check_positive, section_sets
 
 
 @dataclass(frozen=True)
@@ -183,22 +183,6 @@ class CKMatrix:
     def as_lists(self) -> list[list[int]]:
         return [list(r) for r in self.rows]
 
-    def is_irreducible(self) -> bool:
-        """Every class reaches every class in the transition graph (plumbing only)."""
-        k = self.k
-        for start in range(k):
-            seen = {start}
-            frontier = [start]
-            while frontier:
-                j = frontier.pop()
-                for i in range(k):
-                    if self.rows[j][i] and i not in seen:
-                        seen.add(i)
-                        frontier.append(i)
-            if len(seen) != k:
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class CKViolation:
@@ -286,11 +270,9 @@ class SectionCKReport(Report):
         }
 
 
-def _halving_branch(gcmap: GCMap) -> int | None:
-    for br in gcmap.branches:
-        if (br.a, br.b, br.c) == (1, 0, 2):
-            return br.index
-    return None
+def _halving_branch(gcmap: GCMap) -> AffineBranch | None:
+    """The map's n -> n/2 branch, if it has one."""
+    return next((br for br in gcmap.branches if (br.a, br.b, br.c) == (1, 0, 2)), None)
 
 
 def ck_for_section(
@@ -333,8 +315,7 @@ def ck_for_section(
         return fail(f"image punctures {sorted(exc)} do not match declared {sorted(removed)}")
 
     sigma = n1.union(n2)
-    n2_set = plain_or_punctured(n2, removed)
-    sigma_set = plain_or_punctured(sigma, (e for e in removed if e not in n1))
+    n2_set, sigma_set = section_sets(n1, n2, removed)
     mw = witnesses.modulus
     if mw % sigma.modulus != 0 or mw % n2.modulus != 0:
         return fail(f"witness modulus {mw} must be a multiple of the section moduli")
@@ -350,22 +331,21 @@ def ck_for_section(
         return fail("map has no n/2 branch; witness descent undefined")
     if mw % gcmap.modulus != 0:
         return fail(f"witness modulus {mw} must be a multiple of the map modulus")
-    sigma_mw = sigma.at_modulus(mw).residues
     for r, kappa in sorted(witnesses.exponents.items()):
         if kappa < 1:
             return fail(f"residue {r}: exponent must be >= 1")
         for j in range(1, kappa):
             v = (r * pow(2, j)) % mw
-            if v in sigma_mw:
+            if v in section_residues:
                 return fail(f"residue {r}: intermediate 2^{j}*n is inside the section")
             r0 = v if v >= 1 else mw
-            if gcmap.branch_of(r0).index != halving:
+            if gcmap.branch_of(r0) is not halving:
                 return fail(f"residue {r}: intermediate 2^{j}*n is not halved by f")
         if (r * pow(2, kappa)) % n2.modulus not in n2.residues:
             return fail(f"residue {r}: 2^{kappa}*n does not land in N2")
         top = (r * pow(2, kappa)) % mw
         top0 = top if top >= 1 else mw
-        if gcmap.branch_of(top0).index != halving:
+        if gcmap.branch_of(top0) is not halving:
             return fail(f"residue {r}: 2^{kappa}*n is not halved by f")
 
     # punctured witness endpoints: 2^kappa * n is a removed value for finitely
@@ -389,7 +369,7 @@ def ck_for_section(
                 break
 
     # (c) empirical: P on the window
-    P = first_return_map(gcmap, sigma_set)
+    P = FirstReturnMap(gcmap, sigma_set)
     seen_n2: dict[int, int] = {}
     returns: dict[int, int | Inconclusive] = {}  # P on the window, reused by the witness check
     for n in sigma_set.members(1, window):

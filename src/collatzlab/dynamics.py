@@ -7,8 +7,8 @@ termination of these orbits is exactly the open conjecture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Container
 
 from .gcmap import (
     DomainError,
@@ -21,13 +21,6 @@ from .gcmap import (
     _check_positive,
     verdict,
 )
-
-SectionLike = ResidueSet | frozenset | set
-
-
-def _in_section(sigma: SectionLike, n: int) -> bool:
-    return n in sigma
-
 
 # --- orbit equivalence ------------------------------------------------------
 
@@ -119,9 +112,6 @@ class ClassesReport:
     def sizes(self) -> list[int]:
         return sorted((len(v) for v in self.classes().values()), reverse=True)
 
-    def same_class(self, x: int, y: int) -> bool:
-        return self.representative[x] == self.representative[y]
-
 
 def classes(gcmap: GCMap, window: int, fuel: int, interior_only: bool = False) -> ClassesReport:
     """Union-find partition of {1..window}.
@@ -165,15 +155,15 @@ class SectionReturn:
 
 
 def return_time(
-    gcmap: GCMap, sigma: SectionLike, x: int, fuel: int
+    gcmap: GCMap, sigma: Container[int], x: int, fuel: int
 ) -> SectionReturn | Inconclusive:
     """tau(x) = min{n >= 1 : f^n(x) in sigma} and the return value, fuel-bounded."""
-    if not _in_section(sigma, x):
+    if x not in sigma:
         raise DomainError(f"{x} is not in the section")
     v = x
     for tau in range(1, fuel + 1):
         v = gcmap.apply(v)
-        if _in_section(sigma, v):
+        if v in sigma:
             return SectionReturn(tau, v)
     return Inconclusive(fuel)
 
@@ -186,12 +176,9 @@ class FirstReturnMap:
     P-step.
     """
 
-    def __init__(self, gcmap: GCMap, sigma: SectionLike) -> None:
+    def __init__(self, gcmap: GCMap, sigma: Container[int]) -> None:
         self.map = gcmap
         self.sigma = sigma
-
-    def contains(self, x: int) -> bool:
-        return _in_section(self.sigma, x)
 
     def apply(self, x: int, fuel: int) -> int | Inconclusive:
         r = return_time(self.map, self.sigma, x, fuel)
@@ -199,7 +186,7 @@ class FirstReturnMap:
 
     def orbit(self, x: int, fuel: int) -> OrbitRecord:
         """Orbit under P; fuel bounds the total number of raw f-steps."""
-        if not self.contains(x):
+        if x not in self.sigma:
             raise DomainError(f"{x} is not in the section")
         seen: dict[int, int] = {}
         prefix: list[int] = []
@@ -216,10 +203,6 @@ class FirstReturnMap:
                 return OrbitRecord(x, tuple(prefix), Inconclusive(fuel))
             budget -= r.tau
             v = r.value
-
-
-def first_return_map(gcmap: GCMap, sigma: SectionLike) -> FirstReturnMap:
-    return FirstReturnMap(gcmap, sigma)
 
 
 # --- transformation propositions (section reductions) -------------------------
@@ -249,7 +232,7 @@ class ReductionReport(Report):
 
 
 def check_reduction_sufficient(
-    gcmap: GCMap, sigma: SectionLike, window: int, fuel: int
+    gcmap: GCMap, sigma: Container[int], window: int, fuel: int
 ) -> ReductionReport:
     """Hypothesis of the sufficiency direction: every orbit meets the section.
 
@@ -260,38 +243,38 @@ def check_reduction_sufficient(
     inconclusive: list[int] = []
     for x in range(1, window + 1):
         v = x
-        hit = _in_section(sigma, v)
+        hit = v in sigma
         spent = 0
         while not hit and spent < fuel:
             v = gcmap.apply(v)
             spent += 1
-            hit = _in_section(sigma, v)
+            hit = v in sigma
         if not hit:
             inconclusive.append(x)
     return ReductionReport(window, (), tuple(inconclusive))
 
 
 def check_reduction_necessary(
-    gcmap: GCMap, sigma: SectionLike, x0: int, fuel: int
+    gcmap: GCMap, sigma: Container[int], x0: int, fuel: int
 ) -> ReductionReport:
     """Hypothesis of the necessity direction at a periodic point x0.
 
     Verifies x0 is periodic under f and orb(x0; P) = orb(x0; f) ∩ sigma,
     both sides computed exactly from the detected cycles.
     """
-    if not _in_section(sigma, x0):
+    if x0 not in sigma:
         raise DomainError(f"{x0} is not in the section")
     orb_f = gcmap.orbit(x0, fuel)
     if not orb_f.entered_cycle:
         return ReductionReport(1, (), (x0,), f"orbit of {x0} does not close within fuel")
     if orb_f.outcome.entry_index != 0:
         return ReductionReport(1, (x0,), (), f"{x0} is not periodic under f")
-    P = first_return_map(gcmap, sigma)
+    P = FirstReturnMap(gcmap, sigma)
     orb_p = P.orbit(x0, fuel)
     if not orb_p.entered_cycle:
         return ReductionReport(1, (), (x0,), "P-orbit inconclusive within fuel")
     lhs = set(orb_p.prefix)
-    rhs = {v for v in orb_f.prefix if _in_section(sigma, v)}
+    rhs = {v for v in orb_f.prefix if v in sigma}
     if lhs == rhs:
         return ReductionReport(1, (), ())
     return ReductionReport(

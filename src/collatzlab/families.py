@@ -19,7 +19,7 @@ from .gcmap import (
     GCMap,
     PuncturedResidueSet,
     ResidueSet,
-    plain_or_punctured,
+    section_sets,
 )
 
 
@@ -89,12 +89,11 @@ class Section:
 
     @property
     def n2_set(self) -> ResidueSet | PuncturedResidueSet:
-        return plain_or_punctured(self.n2, self.n2_removed)
+        return section_sets(self.n1, self.n2, self.n2_removed)[0]
 
     @property
     def sigma(self) -> ResidueSet | PuncturedResidueSet:
-        classes = self.n1.union(self.n2)
-        return plain_or_punctured(classes, (e for e in self.n2_removed if e not in self.n1))
+        return section_sets(self.n1, self.n2, self.n2_removed)[1]
 
 
 def _make_section(name: str, gcmap: GCMap, n1: ResidueSet, witnesses=None) -> Section:

@@ -174,9 +174,21 @@ class PuncturedResidueSet:
         raise ValueError("empty punctured set has no members")
 
 
-def plain_or_punctured(classes: ResidueSet, removed) -> "ResidueSet | PuncturedResidueSet":
+def section_sets(
+    n1: ResidueSet, n2: ResidueSet, removed: Iterable[int] = ()
+) -> tuple["ResidueSet | PuncturedResidueSet", "ResidueSet | PuncturedResidueSet"]:
+    """The point sets N2 and sigma = N1 ∪ N2 of a first-return section.
+
+    ``removed`` lists the punctures of N2.  A puncture that N1 contains is
+    still a point of sigma, so sigma's punctures are the N2 punctures not in N1.
+    """
+
+    def punctured(classes: ResidueSet, gone: frozenset[int]) -> "ResidueSet | PuncturedResidueSet":
+        return PuncturedResidueSet(classes, gone) if gone else classes
+
     removed = frozenset(removed)
-    return PuncturedResidueSet(classes, removed) if removed else classes
+    sigma_removed = frozenset(e for e in removed if e not in n1)
+    return punctured(n2, removed), punctured(n1.union(n2), sigma_removed)
 
 
 def _divisors(n: int) -> list[int]:

@@ -4,8 +4,9 @@ Operators are sparse integer matrices over a finite basis window.  Internally
 an operator is int64 numpy arrays over window positions, in column-major
 order: the column, row and value of each nonzero entry, sorted by (column,
 row), each pair at most once and no value zero.  Positions are sorted by
-label, so position order is label order.  The label forms (``cols``,
-``exact_cols``, ``column``, ``dump_triplets``, ...) are views built on demand.
+label, so position order is label order.  The label forms (the dict
+constructor, ``cols``, ``exact_cols``, ``exact_rows`` and ``with_entry``) are
+views built on demand.
 
 Every relation check is an integer equality with zero tolerance, and
 fixed-width arithmetic never wraps: before a product or sum, a Python-int
@@ -29,10 +30,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .conditions import separating_condition, SeparatingResult
-from .dynamics import ClassesReport, classes, first_return_map
+from .conditions import _halving_branch, separating_condition, SeparatingResult
+from .dynamics import FirstReturnMap, classes
 from .gcmap import INCONCLUSIVE, DomainError, GCMap, Inconclusive, PuncturedResidueSet, Report
-from .gcmap import ResidueSet, combine, plain_or_punctured, verdict
+from .gcmap import ResidueSet, combine, section_sets, verdict
 
 
 @dataclass(frozen=True)
@@ -178,20 +179,6 @@ class TruncatedOperator:
     def exact_rows(self) -> frozenset[int]:
         return self._labels(self._exact_row)
 
-    def column(self, n: int) -> Column:
-        p = self.window.position.get(n)
-        if p is None:
-            return {}
-        lo, hi = self._ptr[p], self._ptr[p + 1]
-        e = self.window.elements
-        return {e[r]: v for r, v in zip(self._row[lo:hi].tolist(), self._val[lo:hi].tolist())}
-
-    def entry(self, row: int, col: int) -> int:
-        return self.column(col).get(row, 0)
-
-    def rows(self) -> dict[int, Column]:
-        return self.adjoint().cols
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedOperator):
             return NotImplemented
@@ -251,9 +238,10 @@ class TruncatedOperator:
         return TruncatedOperator(self.window, cols, self.exact_cols, self.exact_rows)
 
     def apply_vector(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+        cols = self.cols
         out: dict[int, Fraction] = {}
         for n, x in vec.items():
-            for r, v in self.column(n).items():
+            for r, v in cols.get(n, {}).items():
                 out[r] = out.get(r, Fraction(0)) + v * x
         return {r: v for r, v in out.items() if v != 0}
 
@@ -267,11 +255,6 @@ def _diagonal(window: BasisWindow, mask: np.ndarray) -> TruncatedOperator:
 
 def identity_operator(window: BasisWindow) -> TruncatedOperator:
     return _diagonal(window, np.ones(len(window), dtype=bool))
-
-
-def projection_operator(window: BasisWindow, onto: Iterable[int]) -> TruncatedOperator:
-    onto = set(onto)
-    return _diagonal(window, np.fromiter((n in onto for n in window.elements), bool, len(window)))
 
 
 def zero_operator(window: BasisWindow) -> TruncatedOperator:
@@ -339,17 +322,19 @@ class _PreimageSearch:
     marked non-exact).
     """
 
-    def __init__(self, gcmap: GCMap, sigma: ResidueSet, removed: frozenset[int] = frozenset()) -> None:
+    def __init__(self, gcmap: GCMap, sigma: ResidueSet | PuncturedResidueSet) -> None:
         self.map = gcmap
         self.sigma = sigma
-        self.removed = removed
-        self.affine = [br for br in gcmap.branches if not (br.a, br.b, br.c) == (1, 0, 2)]
-        self.halving = [br for br in gcmap.branches if (br.a, br.b, br.c) == (1, 0, 2)]
+        punctured = isinstance(sigma, PuncturedResidueSet)
+        self.classes = sigma.classes if punctured else sigma
+        self.removed = sigma.removed if punctured else frozenset()
+        self.halving = _halving_branch(gcmap)
+        self.affine = [br for br in gcmap.branches if br is not self.halving]
         z = math.lcm(gcmap.modulus, sigma.modulus)
         for br in self.affine:
             if br.c != 1 or br.a < 1:
                 raise ValueError("section preimage search needs branches n -> a*n+b and n -> n/2")
-        if not self.halving:
+        if self.halving is None:
             raise ValueError("section preimage search needs an n/2 branch")
         z = math.lcm(z, *(br.a * math.lcm(gcmap.modulus, sigma.modulus) for br in self.affine))
         if z % 2:
@@ -366,7 +351,7 @@ class _PreimageSearch:
         "not pruned"."""
         z, half, mod = self.state_mod, self.state_mod // 2, self.map.modulus
         affine = [(br.a, br.b, br.guard.residues) for br in self.affine]
-        stack = list(self.sigma.at_modulus(z).residues)
+        stack = list(self.classes.at_modulus(z).residues)
         reaches = bytearray(z)
         for d in stack:
             reaches[d] = 1
@@ -382,10 +367,6 @@ class _PreimageSearch:
                     stack.append(c)
         return reaches
 
-    def _in_sigma(self, v: int) -> bool:
-        # class membership minus the finitely many punctures of a shifted N2
-        return v % self.sigma.modulus in self.sigma.residues and v not in self.removed
-
     def preimages(self, r: int) -> set[int] | None:
         result: set[int] = set()
         ok = self._explore(r, _DEPTH_CAP, result)
@@ -399,13 +380,13 @@ class _PreimageSearch:
         for br in self.affine:
             m = br.preimage_of(u)
             if m is not None:
-                if self._in_sigma(m):
+                if m in self.sigma:
                     result.add(m)
                 elif self.reaches[m % self.state_mod]:
                     if not self._explore(m, depth - 1, result):
                         return False
         # doubling chain: 2u, 4u, ... until a section hit or a clean residue cycle
-        hb = self.halving[0]
+        hb = self.halving
         seen_states: dict[int, int] = {}
         spawn_steps: list[int] = []
         v = u
@@ -417,7 +398,7 @@ class _PreimageSearch:
             v = nxt
             step += 1
             state = v % self.state_mod
-            if self._in_sigma(v):
+            if v in self.sigma:
                 result.add(v)
                 return True
             first = seen_states.get(state)
@@ -431,7 +412,7 @@ class _PreimageSearch:
             for br in self.affine:
                 m = br.preimage_of(v)
                 if m is not None:
-                    if self._in_sigma(m):
+                    if m in self.sigma:
                         result.add(m)
                         spawned = True
                     elif self.reaches[m % self.state_mod]:
@@ -466,14 +447,12 @@ def build_section_ops(
     n2_removed: frozenset[int] = frozenset(),
 ) -> SectionOperators:
     """Build the section operators on a window contained in N1 ∪ N2."""
-    sigma = n1.union(n2)
-    sigma_removed = frozenset(e for e in n2_removed if e not in n1)
-    sigma_set = plain_or_punctured(sigma, sigma_removed)
+    _, sigma = section_sets(n1, n2, n2_removed)
     for n in window.elements:
-        if n not in sigma_set:
+        if n not in sigma:
             raise DomainError(f"window element {n} is not in N1 ∪ N2")
-    P = first_return_map(gcmap, sigma_set)
-    search = _PreimageSearch(gcmap, sigma, sigma_removed)
+    P = FirstReturnMap(gcmap, sigma)
+    search = _PreimageSearch(gcmap, sigma)
 
     pos = window.position
     in_n1 = _residue_mask(window, n1)
@@ -781,7 +760,7 @@ def descent_check(limit: int) -> DescentReport:
     window = BasisWindow.range(1, 4)
     t1, t2 = build_branch_ops(collatz(), window)
     word = t2 @ t2 @ t1
-    fixed_ok = word.column(1) == {1: 1}
+    fixed_ok = word.cols.get(1) == {1: 1}
     return DescentReport(limit, checked, tuple(bad), fixed_ok)
 
 
@@ -834,12 +813,13 @@ def separating_word_check(
     for letter in word:  # rightmost factor T_{i_1} acts first
         op = ops[letter]
         t_word = op if t_word is None else op @ t_word
-    fixed_ok = t_word.column(x) == {x: 1}
+    cols = t_word.cols
+    fixed_ok = cols.get(x) == {x: 1}
     annihilations_ok = True
     v = x
     for _ in range(1, n):
         v = gcmap.apply(v)
-        if t_word.column(v):
+        if v in cols:
             annihilations_ok = False
 
     # contraction on sampled equivalent y: T_I^m e_y must reach 0, never e_x
@@ -916,12 +896,3 @@ def norm_bound_check(
         if ratio > k:
             violations += 1
     return NormBoundReport(trials, k, max_ratio, violations)
-
-
-# --- sparse triplet dumps ------------------------------------------------------------
-
-
-def dump_triplets(op: TruncatedOperator) -> str:
-    """Sparse triplet text: one ``row col value`` line per entry, labels not positions."""
-    lines = ["# row col value"] + [f"{r} {n} {v}" for r, n, v in op._triplets()]
-    return "\n".join(lines) + "\n"

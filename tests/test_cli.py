@@ -236,3 +236,11 @@ def test_malformed_map_file_exits_3(tmp_path, capsys, branch, argv):
     path.write_text(json.dumps({"modulus": 2, "branches": [branch, halving]}))
     code, out = run(capsys, *(arg.format(path) for arg in argv))
     assert code == INPUT_ERROR and "error" in json.loads(out)
+
+
+@pytest.mark.parametrize("argv", [("orbit", "{}", "1"), ("verify", "{}", "--suite", "bounded")])
+def test_directory_as_map_exits_3(tmp_path, capsys, argv):
+    # opening a directory raises IsADirectoryError, an OSError but not FileNotFoundError
+    code, out = run(capsys, *(arg.format(tmp_path) for arg in argv))
+    assert code == INPUT_ERROR
+    assert "Is a directory" in json.loads(out)["error"]

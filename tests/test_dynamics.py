@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from collatzlab import (
     DomainError,
+    FirstReturnMap,
     Inconclusive,
     Related,
     Unrelated,
@@ -16,7 +17,6 @@ from collatzlab import (
     classes,
     collatz,
     equivalent,
-    first_return_map,
     identity_map,
     preset_section,
     qx1,
@@ -76,13 +76,13 @@ def test_classes_collatz_single_class():
     rep = classes(collatz(), 100, 10**4)
     assert rep.num_classes == 1
     assert not rep.flagged
-    assert rep.same_class(27, 1)
+    assert rep.class_of(27) == rep.class_of(1) == 1
 
 
 def test_classes_qx1_5_splits():
     rep = classes(qx1(5), 50, 10**4)
-    assert not rep.same_class(1, 13)
-    assert rep.same_class(1, 2) and rep.same_class(13, 26)
+    assert rep.class_of(1) != rep.class_of(13)
+    assert rep.class_of(1) == rep.class_of(2) and rep.class_of(13) == rep.class_of(26)
 
 
 def test_classes_identity_all_singletons():
@@ -113,7 +113,7 @@ def test_return_time_collatz():
 
 def test_first_return_orbit_and_equivalence():
     sec = preset_section("collatz")
-    P = first_return_map(sec.map, sec.sigma)
+    P = FirstReturnMap(sec.map, sec.sigma)
     rec = P.orbit(1, 1000)
     assert rec.prefix[:3] == (1, 4, 1)[:2]
     assert rec.entered_cycle
@@ -123,7 +123,7 @@ def test_first_return_orbit_and_equivalence():
 
 def test_first_return_apply_matches_stepping():
     sec = preset_section("collatz")
-    P = first_return_map(sec.map, sec.sigma)
+    P = FirstReturnMap(sec.map, sec.sigma)
     for n in sec.sigma.members(1, 500):
         v = P.apply(n, 10**4)
         assert isinstance(v, int)

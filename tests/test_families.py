@@ -5,7 +5,11 @@ from __future__ import annotations
 import pytest
 
 from collatzlab import (
+    BasisWindow,
+    DomainError,
+    FirstReturnMap,
     ResidueSet,
+    build_section_ops,
     collatz,
     identity_map,
     mersenne,
@@ -20,6 +24,7 @@ from collatzlab import (
     verify_mersenne_identities,
     verify_q5_group,
 )
+from collatzlab.operators import _PreimageSearch
 
 
 # --- maps -------------------------------------------------------------------
@@ -107,6 +112,22 @@ def test_section_3x5_puncture():
     assert 2 not in sec.sigma
     # 8 = f(1) is the smallest N2 member
     assert sec.n2_set.min_member() == 8
+
+
+def test_3x5_puncture_reaches_every_consumer():
+    # 2 is in the class 2 mod 18 of N2, but no n in N1 maps to it; without the
+    # puncture 2 would be a section point with P(2) = 1
+    sec = section_3xd(5)
+    assert FirstReturnMap(sec.map, sec.sigma.classes).apply(2, 100) == 1
+    with pytest.raises(DomainError):
+        FirstReturnMap(sec.map, sec.sigma).apply(2, 100)
+    win = BasisWindow(tuple(sec.sigma.members(1, 50)) + (2,))
+    with pytest.raises(DomainError, match="window element 2 "):
+        build_section_ops(sec.map, sec.n1, sec.n2, win, 10**4, n2_removed=sec.n2_removed)
+    assert 2 in _PreimageSearch(sec.map, sec.sigma.classes).preimages(1)
+    search = _PreimageSearch(sec.map, sec.sigma)
+    rows = [search.preimages(r) for r in sec.sigma.members(1, 2000)]
+    assert all(pre is not None and 2 not in pre for pre in rows)
 
 
 def test_sigma_members_are_consistent():

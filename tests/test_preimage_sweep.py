@@ -15,7 +15,7 @@ import random
 import pytest
 
 from collatzlab import preset_map, preset_section
-from collatzlab.gcmap import AffineBranch, GCMap, ResidueSet
+from collatzlab.gcmap import AffineBranch, GCMap, ResidueSet, section_sets
 from collatzlab.operators import _PreimageSearch
 
 
@@ -32,7 +32,7 @@ def class_reaches_sigma(search: _PreimageSearch, c0: int, cache: dict[int, bool]
         if c in seen:
             continue
         seen.add(c)
-        if c % search.sigma.modulus in search.sigma.residues:
+        if c in search.classes:
             cache[c0] = True
             return True
         stack.append((2 * c) % z)
@@ -64,9 +64,8 @@ def assert_sweep_matches_walk(search: _PreimageSearch) -> None:
 )
 def test_sweep_matches_walk_on_preset_sections(ref):
     sec = preset_section(ref)
-    sigma = sec.n1.union(sec.n2)
-    removed = frozenset(e for e in sec.n2_removed if e not in sec.n1)
-    assert_sweep_matches_walk(_PreimageSearch(sec.map, sigma, removed))
+    _, sigma = section_sets(sec.n1, sec.n2, sec.n2_removed)
+    assert_sweep_matches_walk(_PreimageSearch(sec.map, sigma))
 
 
 def test_sweep_matches_walk_on_random_sections():
