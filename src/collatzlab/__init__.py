@@ -33,7 +33,6 @@ from .dynamics import (
 from .conditions import (
     CKMatrix,
     CKViolation,
-    Itinerary,
     NotResidueRepresentable,
     SectionCKReport,
     SeparatingResult,

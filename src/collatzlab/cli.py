@@ -2,14 +2,13 @@
 
 Exit codes: 0 = verified / pass, 1 = violation found, 2 = inconclusive
 (fuel or window exhausted before a verdict), 3 = input error.  Every report
-is deterministic for a fixed seed, and a run exits with its combined status.
+is deterministic, and a run exits with its combined status.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from dataclasses import asdict
@@ -72,21 +71,22 @@ def _preset_section(ref: str) -> families.Section | None:
 
 
 def _fail_input(msg: str) -> int:
-    print(json.dumps({"schemaVersion": SCHEMA_VERSION, "error": msg}))
+    _emit({"error": msg})
     return INPUT_ERROR
 
 
-def _emit(payload: dict, fmt: str, csv_rows=None, csv_header=None) -> None:
-    if fmt == "csv" and csv_rows is not None:
-        out = io.StringIO()
-        w = csv.writer(out)
-        w.writerow(csv_header)
-        w.writerows(csv_rows)
-        sys.stdout.write(out.getvalue())
+def _emit(payload: dict) -> None:
+    print(json.dumps({"schemaVersion": SCHEMA_VERSION, **payload}))
+
+
+def _emit_table(payload: dict, fmt: str, header: tuple[str, str], rows) -> None:
+    """The JSON payload, or under ``--format csv`` the rows under a header line."""
+    if fmt == "json":
+        _emit(payload)
     else:
-        body = {"schemaVersion": SCHEMA_VERSION}
-        body.update(payload)
-        print(json.dumps(body))
+        w = csv.writer(sys.stdout)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 # --- subcommands -----------------------------------------------------------
@@ -108,8 +108,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
         if exhausted
         else {"entryIndex": rec.outcome.entry_index, "cycle": list(rec.outcome.cycle)},
     }
-    rows = [(i, v) for i, v in enumerate(rec.prefix)]
-    _emit(payload, args.format, rows, ("index", "value"))
+    _emit_table(payload, args.format, ("index", "value"), enumerate(rec.prefix))
     return verdict(inconclusive=exhausted)
 
 
@@ -124,8 +123,8 @@ def cmd_classes(args: argparse.Namespace) -> int:
         "flagged": sorted(rep.flagged),
         "classes": {str(k): v for k, v in sorted(rep.classes().items())},
     }
-    rows = [(n, rep.class_of(n)) for n in range(1, args.window + 1)]
-    _emit(payload, args.format, rows, ("n", "representative"))
+    rows = ((n, rep.class_of(n)) for n in range(1, args.window + 1))
+    _emit_table(payload, args.format, ("n", "representative"), rows)
     return verdict(inconclusive=bool(rep.flagged))
 
 
@@ -196,8 +195,7 @@ def _suite_relations(gcmap: GCMap, args) -> tuple[dict, int]:
         payload["section"] = rep.to_dict()
         payload["inconclusiveColumns"] = sorted(ops.inconclusive_columns)
         statuses += [rep.status, verdict(inconclusive=bool(ops.inconclusive_columns))]
-    seed = 0 if args.seed is None else args.seed
-    norm = norm_bound_check(gcmap, window, trials=200, seed=seed)
+    norm = norm_bound_check(gcmap, window, trials=200)
     payload["normBound"] = {
         "trials": norm.trials,
         "k": norm.k,
@@ -269,11 +267,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _fail_input(f"unknown suite {args.suite!r}")
     if args.depth is not None and suite is not _suite_span:
         return _fail_input("--depth applies only to --suite span")
-    if args.seed is not None and suite is not _suite_relations:
-        return _fail_input("--seed applies only to --suite relations")
     payload, status = suite(gcmap, args)
     body = {"command": "verify", "map": args.map, "suite": args.suite, "exitCode": status}
-    _emit({**body, **payload}, args.format)
+    _emit({**body, **payload})
     return status
 
 
@@ -283,16 +279,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="orbit, class, and operator-relation verification for Collatz-type maps",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--fuel", type=int, default=10_000)
-        sp.add_argument("--window", type=int, default=10_000)
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
+    # each subcommand declares only the options it reads
+    count = {"type": int, "default": 10_000}  # --fuel and --window
+    fmt = {"choices": ("json", "csv"), "default": "json"}
 
     sp = sub.add_parser("orbit", help="print the orbit of a start value")
     sp.add_argument("map", help="preset (collatz, qx1:<q>, 3xd:<d>, mersenne:<k>, identity) or a map file")
     sp.add_argument("start", type=int)
-    common(sp)
+    sp.add_argument("--fuel", **count)
+    sp.add_argument("--format", **fmt)
     sp.set_defaults(func=cmd_orbit)
 
     sp = sub.add_parser("verify", help="run a verification suite")
@@ -303,13 +298,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="bounded | separating:<x> | ck | section | relations | span | descent | modular",
     )
     sp.add_argument("--depth", type=int, default=None, help="span only: cap on word length")
-    sp.add_argument("--seed", type=int, default=None, help="relations only: norm-bound vectors (default 0)")
-    common(sp)
+    sp.add_argument("--fuel", **count)
+    sp.add_argument("--window", **count)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("classes", help="partition a window into orbit-equivalence classes")
     sp.add_argument("map")
-    common(sp)
+    sp.add_argument("--fuel", **count)
+    sp.add_argument("--window", **count)
+    sp.add_argument("--format", **fmt)
     sp.set_defaults(func=cmd_classes)
 
     return p
@@ -321,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on bad usage; report 3 per our contract
         code = exc.code if isinstance(exc.code, int) else INPUT_ERROR
         return PASS if code == 0 else INPUT_ERROR
-    if args.fuel < 1 or args.window < 1:
+    if args.fuel < 1 or getattr(args, "window", 1) < 1:  # orbit takes no window
         return _fail_input("fuel and window must be positive")
     try:
         return args.func(args)

@@ -16,25 +16,9 @@ from .gcmap import INCONCLUSIVE, PASS, VIOLATION, Inconclusive, Report, verdict
 from .gcmap import AffineBranch, GCMap, ResidueSet, _check_positive, section_sets
 
 
-@dataclass(frozen=True)
-class Itinerary:
-    """A word over the branch alphabet {1..k}: which branch each orbit step used."""
-
-    word: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.word) < 1:
-            raise ValueError("itinerary must have length >= 1")
-
-    def __len__(self) -> int:
-        return len(self.word)
-
-    def __iter__(self):
-        return iter(self.word)
-
-
-def itinerary(gcmap: GCMap, x: int, length: int) -> Itinerary:
-    """word[j] = index of the branch applied at f^(j-1)(x), for j = 1..length."""
+def itinerary(gcmap: GCMap, x: int, length: int) -> tuple[int, ...]:
+    """The branch word of x over {1..k}: word[j] = index of the branch applied at
+    f^(j-1)(x), for j = 1..length."""
     _check_positive(x)
     _check_positive(length, "length")
     word = []
@@ -43,10 +27,10 @@ def itinerary(gcmap: GCMap, x: int, length: int) -> Itinerary:
         br = gcmap.branch_of(v)
         word.append(br.index)
         v = br.image(v)
-    return Itinerary(tuple(word))
+    return tuple(word)
 
 
-def is_aperiodic(word: Itinerary | tuple[int, ...]) -> bool:
+def is_aperiodic(word: tuple[int, ...]) -> bool:
     """True iff the word differs from all of its nontrivial cyclic rotations."""
     w = tuple(word)
     n = len(w)
@@ -56,7 +40,7 @@ def is_aperiodic(word: Itinerary | tuple[int, ...]) -> bool:
 @dataclass(frozen=True)
 class SeparatingResult(Report):
     period: int
-    word: Itinerary
+    word: tuple[int, ...]
     aperiodic: bool
 
     @property
@@ -196,10 +180,14 @@ def cuntz_krieger_condition(gcmap: GCMap) -> tuple[bool, CKMatrix | CKViolation]
 
     On success returns A with A(j,i) = 1 iff X_i is contained in f(X_j).
     """
-    k = gcmap.k
     images: list[ResidueSet] = []
     for br in gcmap.branches:
-        images.append(residue_image(gcmap, br.guard))
+        try:
+            images.append(residue_image(gcmap, br.guard))
+        except NotResidueRepresentable as err:
+            return False, CKViolation(
+                br.index, err.exceptions[0], f"f(X_{br.index}) is not a union of classes: {err}"
+            )
 
     rows: list[tuple[int, ...]] = []
     for j, (br, img) in enumerate(zip(gcmap.branches, images)):
@@ -402,8 +390,12 @@ def ck_for_section(
     return SectionCKReport(PASS, CKMatrix(((0, 1), (1, 1))), "witnessed")
 
 
-def derive_witnesses(n1: ResidueSet, n2: ResidueSet, max_exponent: int = 512) -> WitnessTable:
-    """Enumerate minimal power-of-two exponents per section residue class."""
+def derive_witnesses(n1: ResidueSet, n2: ResidueSet) -> WitnessTable:
+    """Enumerate minimal power-of-two exponents per section residue class.
+
+    The doubling orbit of a residue mod ``mw`` repeats within ``mw`` steps, so
+    an exponent that does not appear by then never does.
+    """
     sigma = n1.union(n2)
     mw = math.lcm(sigma.modulus, n2.modulus)
     sig = sigma.at_modulus(mw).residues
@@ -411,7 +403,7 @@ def derive_witnesses(n1: ResidueSet, n2: ResidueSet, max_exponent: int = 512) ->
     table: dict[int, int] = {}
     for r in sig:
         v = r
-        for kappa in range(1, max_exponent + 1):
+        for kappa in range(1, mw + 1):
             v = (v * 2) % mw
             if v in n2r:
                 table[r] = kappa
@@ -419,5 +411,5 @@ def derive_witnesses(n1: ResidueSet, n2: ResidueSet, max_exponent: int = 512) ->
             if v in sig:
                 raise ValueError(f"residue {r}: doubling re-enters the section before N2")
         else:
-            raise ValueError(f"residue {r}: no power of two lands in N2 (exponent cap hit)")
+            raise ValueError(f"residue {r}: no power of two lands in N2")
     return WitnessTable(mw, table)

@@ -109,9 +109,6 @@ class ClassesReport:
             out.setdefault(self.representative[n], []).append(n)
         return out
 
-    def sizes(self) -> list[int]:
-        return sorted((len(v) for v in self.classes().values()), reverse=True)
-
 
 def classes(gcmap: GCMap, window: int, fuel: int, interior_only: bool = False) -> ClassesReport:
     """Union-find partition of {1..window}.

@@ -154,9 +154,6 @@ class PuncturedResidueSet:
     def __contains__(self, n: int) -> bool:
         return n in self.classes and n not in self.removed
 
-    def is_empty(self) -> bool:
-        return self.classes.is_empty()
-
     @property
     def modulus(self) -> int:
         return self.classes.modulus

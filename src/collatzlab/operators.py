@@ -237,14 +237,6 @@ class TruncatedOperator:
         cols.setdefault(col, {})[row] = value
         return TruncatedOperator(self.window, cols, self.exact_cols, self.exact_rows)
 
-    def apply_vector(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        cols = self.cols
-        out: dict[int, Fraction] = {}
-        for n, x in vec.items():
-            for r, v in cols.get(n, {}).items():
-                out[r] = out.get(r, Fraction(0)) + v * x
-        return {r: v for r, v in out.items() if v != 0}
-
 
 def _diagonal(window: BasisWindow, mask: np.ndarray) -> TruncatedOperator:
     """The 0/1 diagonal operator with ones at the masked positions; exact everywhere."""
@@ -327,7 +319,7 @@ class _PreimageSearch:
         self.sigma = sigma
         punctured = isinstance(sigma, PuncturedResidueSet)
         self.classes = sigma.classes if punctured else sigma
-        self.removed = sigma.removed if punctured else frozenset()
+        self.max_puncture = max(sigma.removed if punctured else (), default=0)
         self.halving = _halving_branch(gcmap)
         self.affine = [br for br in gcmap.branches if br is not self.halving]
         z = math.lcm(gcmap.modulus, sigma.modulus)
@@ -373,55 +365,41 @@ class _PreimageSearch:
         return result if ok else None
 
     def _explore(self, u: int, depth: int, result: set[int]) -> bool:
-        """Collect section members whose forward path reaches u outside the section."""
+        """Collect section members whose forward path reaches u outside the section.
+
+        Walks the doubling chain u, 2u, 4u, ... and searches each link's affine
+        preimages (spawns) one level deeper unless they are in sigma or pruned.
+        The chain ends at a section hit, at a link with no even preimage, or when
+        a residue state repeats above every puncture with no spawn in the cycle.
+        Pruning is not fixed by the state, so pruned spawns count too.
+        """
         if depth < 0:
             return False
-        # affine preimages (one odd step back)
-        for br in self.affine:
-            m = br.preimage_of(u)
-            if m is not None:
-                if m in self.sigma:
-                    result.add(m)
-                elif self.reaches[m % self.state_mod]:
-                    if not self._explore(m, depth - 1, result):
-                        return False
-        # doubling chain: 2u, 4u, ... until a section hit or a clean residue cycle
-        hb = self.halving
-        seen_states: dict[int, int] = {}
+        sigma, z, reaches, top = self.sigma, self.state_mod, self.reaches, self.max_puncture
+        first_seen: dict[int, int] = {}
         spawn_steps: list[int] = []
-        v = u
-        step = 0
+        v, step = u, 0
         while True:
-            nxt = hb.preimage_of(v)
-            if nxt is None:
-                return True  # no even preimage: the chain ends here
-            v = nxt
-            step += 1
-            state = v % self.state_mod
-            if v in self.sigma:
-                result.add(v)
-                return True
-            first = seen_states.get(state)
-            if first is not None and v > max(self.removed, default=0):
-                # a full residue cycle with no section hit, at values beyond all
-                # punctures; safe iff no spawns happened inside the cycle
-                return all(s < first for s in spawn_steps)
-            if first is None:
-                seen_states[state] = step
-            spawned = False
+            if v > top:
+                first = first_seen.setdefault(v % z, step)
+                if first < step:
+                    return all(s < first for s in spawn_steps)
             for br in self.affine:
                 m = br.preimage_of(v)
-                if m is not None:
-                    if m in self.sigma:
-                        result.add(m)
-                        spawned = True
-                    elif self.reaches[m % self.state_mod]:
-                        spawned = True
-                        if not self._explore(m, depth - 1, result):
-                            return False
-                    # class-pruned spawns contribute nothing, in this pass or any later one
-            if spawned:
+                if m is None:
+                    continue
                 spawn_steps.append(step)
+                if m in sigma:
+                    result.add(m)
+                elif reaches[m % z] and not self._explore(m, depth - 1, result):
+                    return False
+            v = self.halving.preimage_of(v)
+            if v is None:
+                return True  # no even preimage: the chain ends here
+            step += 1
+            if v in sigma:
+                result.add(v)
+                return True
 
 
 @dataclass(frozen=True)
@@ -859,10 +837,8 @@ class NormBoundReport(Report):
         return verdict(self.violations > 0 or self.max_ratio > self.k)
 
 
-def norm_bound_check(
-    gcmap: GCMap, window: BasisWindow, trials: int, seed: int = 0
-) -> NormBoundReport:
-    """Check ||T v||^2 <= k ||v||^2 on seeded pseudo-random rational vectors.
+def norm_bound_check(gcmap: GCMap, window: BasisWindow, trials: int) -> NormBoundReport:
+    """Check ||T v||^2 <= k ||v||^2 on pseudo-random rational vectors of seed 0.
 
     Vectors are supported on columns whose image stays inside the window, so
     the truncated action agrees with the infinite operator.  Each vector is
@@ -875,7 +851,7 @@ def norm_bound_check(
     support_pool = list(image)  # in label order
     if not support_pool:
         raise ValueError("norm bound: no column of T stays in the window, so no vector can be drawn")
-    rng = random.Random(seed)
+    rng = random.Random(0)
     k = gcmap.k
     max_ratio = Fraction(0)
     violations = 0

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 from collatzlab import (
@@ -198,7 +199,8 @@ def test_criterion_9_negative_controls():
     v = equivalent(qx1(5), 1, 13, 10**4)
     split = isinstance(v, Unrelated) and set(v.cycle_x).isdisjoint(v.cycle_y)
     rep = classes(identity_map(), 1000, 10)
-    singletons = rep.num_classes == 1000 and rep.sizes() == [1] * 1000
+    sizes = sorted((len(v) for v in rep.classes().values()), reverse=True)
+    singletons = rep.num_classes == 1000 and sizes == [1] * 1000
     _verdict(
         9,
         split and singletons,
@@ -225,8 +227,11 @@ def test_criterion_10_property_suite():
     involution = t.adjoint().adjoint() == t and t1.adjoint().adjoint() == t1
     sums = compare_certified("T1+T2=T", t1 + t2, t).holds
 
-    nb = norm_bound_check(m, w, trials=500, seed=0)
-    out = t.apply_vector({5: Fraction(1), 32: Fraction(1)})
+    nb = norm_bound_check(m, w, trials=500)
+    out = Counter()  # T(e5 + e32), read off the two columns
+    cols = t.cols
+    for n in (5, 32):
+        out.update(cols[n])
     extremal = Fraction(sum(x * x for x in out.values()), 2)
     norm_ok = nb.ok and nb.k == 2 and extremal == 2
 

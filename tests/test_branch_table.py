@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collatzlab import AffineBranch, DomainError, GCMap, ResidueSet, itinerary, preset_map
-from collatzlab.conditions import Itinerary
 from collatzlab.gcmap import _check_positive
 
 PRESETS = (
@@ -39,7 +38,7 @@ def scan_apply(gcmap: GCMap, n: int) -> int:
     return v
 
 
-def scan_itinerary(gcmap: GCMap, x: int, length: int) -> Itinerary:
+def scan_itinerary(gcmap: GCMap, x: int, length: int) -> tuple[int, ...]:
     _check_positive(x)
     _check_positive(length, "length")
     word = []
@@ -48,7 +47,7 @@ def scan_itinerary(gcmap: GCMap, x: int, length: int) -> Itinerary:
         br = scan_branch_of(gcmap, v)
         word.append(br.index)
         v = br.image(v)
-    return Itinerary(tuple(word))
+    return tuple(word)
 
 
 def outcome(f, *args):

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
 
-from collatzlab.cli import INCONCLUSIVE, INPUT_ERROR, PASS, VIOLATION, main
+from collatzlab.cli import INCONCLUSIVE, INPUT_ERROR, PASS, VIOLATION, build_parser, main
 
 
 def run(capsys, *argv):
@@ -75,6 +76,26 @@ def test_verify_ck_section_and_partition(capsys):
     assert code == PASS and rep["level"] == "partition" and rep["matrix"] == [[1]]
 
 
+def test_verify_ck_section_beyond_exponent_512(capsys):
+    # the minimal doubling exponent of the mersenne:8 section is 1024
+    code, out = run(capsys, "verify", "mersenne:8", "--suite", "ck", "--window", "300", "--fuel", "100000")
+    rep = json.loads(out)
+    assert code == PASS and rep["level"] == "section" and rep["passed"]
+
+
+def test_verify_ck_partition_violation_on_map_file_exits_1(tmp_path, capsys):
+    # odd n -> (n+3)/2 hits every n >= 2 but never 1, so f(X_1) is not a union of classes
+    path = tmp_path / "shifted.json"
+    path.write_text(json.dumps({"modulus": 2, "branches": [
+        {"residues": [1], "a": 1, "b": 3, "c": 2},
+        {"residues": [0], "a": 1, "b": 0, "c": 2},
+    ]}))
+    code, out = run(capsys, "verify", str(path), "--suite", "ck")
+    rep = json.loads(out)
+    assert code == VIOLATION
+    assert rep["level"] == "partition" and rep["branch"] == 1 and rep["witness"] == 1
+
+
 def test_verify_relations(capsys):
     code, out = run(capsys, "verify", "collatz", "--suite", "relations", "--window", "600", "--fuel", "100000")
     rep = json.loads(out)
@@ -139,16 +160,33 @@ def test_depth_outside_span_suite_exits_3(capsys, suite):
 
 @pytest.mark.parametrize("suite", ["descent", "bounded", "span", "modular"])
 def test_seed_outside_relations_suite_exits_3(capsys, suite):
-    code, out = run(capsys, "verify", "collatz", "--suite", suite, "--window", "100", "--seed", "5")
-    assert code == INPUT_ERROR
-    assert "--seed applies only to --suite relations" in json.loads(out)["error"]
+    assert main(["verify", "collatz", "--suite", suite, "--window", "100", "--seed", "5"]) == INPUT_ERROR
 
 
-def test_seed_with_relations_suite(capsys):
-    relations = ("verify", "collatz", "--suite", "relations", "--window", "100")
-    assert run(capsys, *relations, "--seed", "5")[0] == PASS
-    # without --seed the norm-bound vectors are those of seed 0
-    assert run(capsys, *relations)[1] == run(capsys, *relations, "--seed", "0")[1]
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "collatz", "--suite", "relations", "--window", "100", "--seed", "5"],
+        ["orbit", "collatz", "6", "--window", "0"],
+        ["verify", "collatz", "--suite", "bounded", "--format", "csv"],
+    ],
+)
+def test_deleted_options_exit_3(capsys, argv):
+    # --seed, orbit --window and verify --format were read by nothing
+    assert main(argv) == INPUT_ERROR
+
+
+def test_each_subcommand_declares_only_the_options_it_reads():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {
+        name: {flag for action in sp._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, sp in sub.choices.items()
+    }
+    assert declared == {
+        "orbit": {"--fuel", "--format"},
+        "verify": {"--suite", "--depth", "--fuel", "--window"},
+        "classes": {"--fuel", "--window", "--format"},
+    }
 
 
 def test_map_file_input(tmp_path, capsys):

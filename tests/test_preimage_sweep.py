@@ -1,10 +1,14 @@
-"""The section preimage search's pruning table against a per-class residue walk.
+"""The section preimage search against two oracles.
 
 ``_PreimageSearch.reaches`` is built by one backward sweep from the sigma
-classes.  The oracle below is the forward walk it replaced: from a class c
+classes.  The first oracle is the forward walk it replaced: from a class c
 (mod state_mod) it follows c -> 2c and c -> m for every guarded m with
 a*m + b = c, and answers whether a sigma class is reachable.  Both must agree
 on every class.
+
+The second oracle is the first-return map P itself, inverted on a window:
+every row the search calls complete must hold every forward preimage found
+there, and nothing else.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ import random
 
 import pytest
 
-from collatzlab import preset_map, preset_section
-from collatzlab.gcmap import AffineBranch, GCMap, ResidueSet, section_sets
+from collatzlab import FirstReturnMap, preset_map, preset_section
+from collatzlab.gcmap import AffineBranch, GCMap, Inconclusive, PuncturedResidueSet, ResidueSet, section_sets
 from collatzlab.operators import _PreimageSearch
 
 
@@ -68,19 +72,89 @@ def test_sweep_matches_walk_on_preset_sections(ref):
     assert_sweep_matches_walk(_PreimageSearch(sec.map, sigma))
 
 
+def random_sections(seed: int, count: int):
+    """``count`` seeded (map, sigma) pairs: a few classes of a small modulus."""
+    rng = random.Random(seed)
+    maps = [preset_map(ref) for ref in ("collatz", "qx1:5", "3xd:7", "mersenne:3")]
+    for _ in range(count):
+        modulus = rng.choice([3, 5, 6, 9, 10, 12, 18, 27])
+        residues = rng.sample(range(modulus), rng.randint(1, max(1, modulus // 3)))
+        yield rng.choice(maps), ResidueSet.of(modulus, residues)
+
+
 def test_sweep_matches_walk_on_random_sections():
     # the preset sections alone do not tell the affine predecessors apart: a
     # sweep without them marks the same classes there
-    rng = random.Random(2024)
-    maps = [preset_map(ref) for ref in ("collatz", "qx1:5", "3xd:7", "mersenne:3")]
     pruned = 0
-    for _ in range(64):
-        modulus = rng.choice([3, 5, 6, 9, 10, 12, 18, 27])
-        residues = rng.sample(range(modulus), rng.randint(1, max(1, modulus // 3)))
-        search = _PreimageSearch(rng.choice(maps), ResidueSet.of(modulus, residues))
+    for gcmap, sigma in random_sections(2024, 64):
+        search = _PreimageSearch(gcmap, sigma)
         assert_sweep_matches_walk(search)
         pruned += not all(search.reaches)
     assert pruned  # some sections leave classes that provably never reach them
+
+
+def preimage_mismatches(gcmap: GCMap, sigma, rows: int = 300, window: int = 4000, fuel: int = 1000):
+    """Rows r <= ``rows`` whose complete preimage set disagrees with P on sigma ∩ [1, window]."""
+    P = FirstReturnMap(gcmap, sigma)
+    forward: dict[int, set[int]] = {}
+    for m in sigma.members(1, window):
+        v = P.apply(m, fuel)
+        if not isinstance(v, Inconclusive):
+            forward.setdefault(v, set()).add(m)
+    search = _PreimageSearch(gcmap, sigma)
+    bad = []
+    for r in sigma.members(1, rows):
+        pre = search.preimages(r)
+        if pre is None:
+            continue
+        missed = forward.get(r, set()) - pre
+        wrong = [m for m in pre if P.apply(m, fuel) != r]
+        if missed or wrong:
+            bad.append((r, sorted(missed), sorted(wrong)))
+    return bad
+
+
+@pytest.mark.parametrize(
+    "ref", ["collatz", "qx1:5", "3xd:1", "3xd:3", "3xd:5", "3xd:9", "mersenne:3", "mersenne:4"]
+)
+def test_preimages_match_first_return_on_preset_sections(ref):
+    sec = preset_section(ref)
+    assert preimage_mismatches(sec.map, sec.sigma) == []
+
+
+@pytest.mark.parametrize(
+    "ref, modulus, residues, removed, r, m",
+    [
+        # P(m) = r, but the doubling chain from r repeats a residue state whose
+        # affine preimage is pruned on one pass and reaches sigma on a later one
+        ("qx1:5", 3, [0], [], 66, 33),
+        ("3xd:7", 10, [5, 7], [], 35, 77),
+        ("mersenne:3", 12, [9], [], 9, 1965),
+        # 80 -> 40 -> 20 -> 10 -> 5 -> 26: the cycle 10, 20, 40 (mod 30) passes
+        # the puncture 20, and the next pass meets sigma at 80
+        ("qx1:5", 6, [2], [20, 32], 26, 80),
+    ],
+)
+def test_residue_cycle_ends_a_chain_only_when_nothing_can_follow(ref, modulus, residues, removed, r, m):
+    gcmap = preset_map(ref)
+    sigma = PuncturedResidueSet(ResidueSet.of(modulus, residues), frozenset(removed))
+    assert FirstReturnMap(gcmap, sigma).apply(m, 1000) == r
+    pre = _PreimageSearch(gcmap, sigma).preimages(r)
+    assert pre is None or m in pre
+    assert preimage_mismatches(gcmap, sigma) == []
+
+
+def test_preimages_match_first_return_on_random_sections():
+    for gcmap, sigma in random_sections(7, 24):
+        assert preimage_mismatches(gcmap, sigma) == [], sigma
+
+
+def test_preimages_match_first_return_on_punctured_random_sections():
+    rng = random.Random(1)
+    for gcmap, classes in random_sections(1, 24):
+        members = list(classes.members(1, 40))
+        sigma = PuncturedResidueSet(classes, frozenset(rng.sample(members, min(len(members), 3))))
+        assert preimage_mismatches(gcmap, sigma) == [], sigma
 
 
 def test_odd_state_modulus_is_rejected():
