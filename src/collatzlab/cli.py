@@ -41,6 +41,8 @@ SCHEMA_VERSION = 1
 
 INPUT_ERROR = 3
 
+DEFAULT_COUNT = 10_000  # --fuel and --window wherever they are read
+
 
 def _resolve_map(ref: str, validate: bool = True) -> GCMap:
     """A preset, or a map file that must pass ``GCMap.validate`` when ``validate`` is set."""
@@ -246,27 +248,35 @@ def _suite_modular(gcmap: GCMap, args) -> tuple[dict, int]:
 
 
 # Each suite returns its JSON payload and the combined status of its reports;
-# a ValueError it raises is an input error.
+# a ValueError it raises is an input error.  Next to it, the options it reads:
+# any other option given to it is an input error.  ck and relations read these
+# on a map with a section preset; on other maps ck reads neither and relations
+# only --window, which is not checked.
 SUITES = {
-    "bounded": _suite_bounded,
-    "separating": _suite_separating,  # spelled separating:<x>
-    "ck": _suite_ck,
-    "section": _suite_section,
-    "relations": _suite_relations,
-    "span": _suite_span,
-    "descent": _suite_descent,
-    "modular": _suite_modular,
+    "bounded": (_suite_bounded, ()),
+    "separating": (_suite_separating, ("fuel",)),  # spelled separating:<x>
+    "ck": (_suite_ck, ("fuel", "window")),
+    "section": (_suite_section, ("fuel", "window")),
+    "relations": (_suite_relations, ("fuel", "window")),
+    "span": (_suite_span, ("depth", "fuel", "window")),
+    "descent": (_suite_descent, ("window",)),
+    "modular": (_suite_modular, ()),
 }
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     # the bounded suite exists to list a map file's validation failures
     gcmap = _resolve_map(args.map, validate=args.suite != "bounded")
-    suite = SUITES.get("separating" if args.suite.startswith("separating:") else args.suite)
-    if suite is None:
+    name = "separating" if args.suite.startswith("separating:") else args.suite
+    if name not in SUITES:
         return _fail_input(f"unknown suite {args.suite!r}")
-    if args.depth is not None and suite is not _suite_span:
-        return _fail_input("--depth applies only to --suite span")
+    suite, reads = SUITES[name]
+    for option in ("depth", "fuel", "window"):
+        if getattr(args, option) is not None and option not in reads:
+            readers = ", ".join(s for s, (_, r) in SUITES.items() if option in r)
+            return _fail_input(f"--{option} applies only to --suite {readers}")
+    args.fuel = DEFAULT_COUNT if args.fuel is None else args.fuel
+    args.window = DEFAULT_COUNT if args.window is None else args.window
     payload, status = suite(gcmap, args)
     body = {"command": "verify", "map": args.map, "suite": args.suite, "exitCode": status}
     _emit({**body, **payload})
@@ -280,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
     # each subcommand declares only the options it reads
-    count = {"type": int, "default": 10_000}  # --fuel and --window
+    count = {"type": int, "default": DEFAULT_COUNT}  # --fuel and --window
     fmt = {"choices": ("json", "csv"), "default": "json"}
 
     sp = sub.add_parser("orbit", help="print the orbit of a start value")
@@ -297,9 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="bounded | separating:<x> | ck | section | relations | span | descent | modular",
     )
+    # unset means not given: each suite rejects what it does not read (default DEFAULT_COUNT)
     sp.add_argument("--depth", type=int, default=None, help="span only: cap on word length")
-    sp.add_argument("--fuel", **count)
-    sp.add_argument("--window", **count)
+    sp.add_argument("--fuel", type=int, default=None)
+    sp.add_argument("--window", type=int, default=None)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("classes", help="partition a window into orbit-equivalence classes")
@@ -318,7 +329,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on bad usage; report 3 per our contract
         code = exc.code if isinstance(exc.code, int) else INPUT_ERROR
         return PASS if code == 0 else INPUT_ERROR
-    if args.fuel < 1 or getattr(args, "window", 1) < 1:  # orbit takes no window
+    given = (args.fuel, getattr(args, "window", None))  # orbit takes no window
+    if any(v is not None and v < 1 for v in given):
         return _fail_input("fuel and window must be positive")
     try:
         return args.func(args)

@@ -11,7 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dynamics import FirstReturnMap
+import numpy as np
+
+from .dynamics import return_times
 from .gcmap import INCONCLUSIVE, PASS, VIOLATION, Inconclusive, Report, verdict
 from .gcmap import AffineBranch, GCMap, ResidueSet, _check_positive, section_sets
 
@@ -357,12 +359,13 @@ def ck_for_section(
                 break
 
     # (c) empirical: P on the window
-    P = FirstReturnMap(gcmap, sigma_set)
+    members = list(sigma_set.members(1, window))
+    value, _, unknown = return_times(gcmap, sigma_set, members, fuel)
+    # P on the window, None where undecided; reused by the witness check
+    returns = dict(zip(members, np.where(unknown, None, value).tolist()))
     seen_n2: dict[int, int] = {}
-    returns: dict[int, int | Inconclusive] = {}  # P on the window, reused by the witness check
-    for n in sigma_set.members(1, window):
-        v = returns[n] = P.apply(n, fuel)
-        if isinstance(v, Inconclusive):
+    for n, v in returns.items():
+        if v is None:
             undecided.append(n)
         elif n in n1:
             if v not in n2_set:
@@ -379,7 +382,7 @@ def ck_for_section(
         m = s * pow(2, kappa)
         if m <= window and m in sigma_set:
             v = returns[m]
-            if isinstance(v, Inconclusive):
+            if v is None:
                 undecided.append(m)
             elif v != s:
                 return fail(f"witness failure: P({m}) = {v}, expected {s}")
@@ -393,23 +396,39 @@ def ck_for_section(
 def derive_witnesses(n1: ResidueSet, n2: ResidueSet) -> WitnessTable:
     """Enumerate minimal power-of-two exponents per section residue class.
 
-    The doubling orbit of a residue mod ``mw`` repeats within ``mw`` steps, so
-    an exponent that does not appear by then never does.
+    The doubling chain of a residue mod ``mw`` runs through residues outside
+    the section until it meets the section, or repeats without meeting it.
+    Chains merge, so each residue's outcome is kept (the doublings it needs
+    to reach N2, or a code for a chain that re-enters the section outside N2
+    or never meets it) and every residue mod ``mw`` is walked at most once.
     """
     sigma = n1.union(n2)
     mw = math.lcm(sigma.modulus, n2.modulus)
     sig = sigma.at_modulus(mw).residues
     n2r = n2.at_modulus(mw).residues
+    reenters, never = -1, -2
+    doublings: dict[int, int] = {}  # residue -> doublings until N2, or a code
     table: dict[int, int] = {}
     for r in sig:
-        v = r
-        for kappa in range(1, mw + 1):
-            v = (v * 2) % mw
-            if v in n2r:
-                table[r] = kappa
-                break
-            if v in sig:
-                raise ValueError(f"residue {r}: doubling re-enters the section before N2")
+        path, seen, v = [r], {r}, (2 * r) % mw
+        while not (v in sig or v in doublings or v in seen):
+            path.append(v)
+            seen.add(v)
+            v = (2 * v) % mw
+        if v in n2r:
+            k = 1
+        elif v in sig:
+            k = reenters
+        elif v in doublings:
+            k = doublings[v] + (doublings[v] > 0)
         else:
+            k = never  # the chain cycles outside the section
+        for u in reversed(path):
+            doublings[u] = k
+            k += k > 0
+        if doublings[r] == reenters:
+            raise ValueError(f"residue {r}: doubling re-enters the section before N2")
+        if doublings[r] == never:
             raise ValueError(f"residue {r}: no power of two lands in N2")
+        table[r] = doublings[r]
     return WitnessTable(mw, table)

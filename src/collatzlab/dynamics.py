@@ -3,6 +3,10 @@
 Everything here is three-valued by design: fuel exhaustion is a normal
 outcome (:class:`~collatzlab.gcmap.Inconclusive`), never an error, because
 termination of these orbits is exactly the open conjecture.
+
+Windowed first returns (the classes of a window, and P on a section window)
+all go through one array kernel, :func:`return_times`, which steps int64
+frontiers and agrees lane by lane with the scalar :func:`return_time`.
 """
 
 from __future__ import annotations
@@ -10,17 +14,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Container
 
+import numpy as np
+
 from .gcmap import (
     DomainError,
     EnteredCycle,
     GCMap,
     Inconclusive,
     OrbitRecord,
+    PuncturedResidueSet,
     Report,
     ResidueSet,
     _check_positive,
     verdict,
 )
+
+_INT64_MAX = 2**63 - 1
 
 # --- orbit equivalence ------------------------------------------------------
 
@@ -68,26 +77,6 @@ def equivalent(gcmap: GCMap, x: int, y: int, fuel: int) -> EquivalenceVerdict:
 # --- window partitioning ----------------------------------------------------
 
 
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n + 1))
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            if ri > rj:
-                ri, rj = rj, ri
-            self.parent[rj] = ri  # keep the minimum as representative
-
-
 @dataclass
 class ClassesReport:
     """Partition of {1..window} by fuel-bounded orbit evidence."""
@@ -111,35 +100,44 @@ class ClassesReport:
 
 
 def classes(gcmap: GCMap, window: int, fuel: int, interior_only: bool = False) -> ClassesReport:
-    """Union-find partition of {1..window}.
+    """Partition of {1..window} by the first return of each n to the window.
 
-    Each n is merged with its first orbit iterate that re-enters the window;
-    n whose orbit leaves and never returns within fuel is flagged, not
-    guessed.  With ``interior_only`` the merge n -- f(n) happens only when
-    f(n) <= window (no out-of-window excursions), which is the certified
-    regime for span/class comparisons.
+    Each n is joined with its first orbit iterate that re-enters the window
+    (at least one step, at most ``fuel``); n whose orbit leaves and never
+    returns within fuel is flagged, not guessed.  With ``interior_only`` the
+    fuel is one step, so n joins f(n) only when f(n) <= window (no
+    out-of-window excursions), which is the certified regime for span/class
+    comparisons.  Each class is represented by its minimum.
     """
     _check_positive(window, "window")
-    uf = _UnionFind(window)
-    flagged: set[int] = set()
-    for n in range(1, window + 1):
-        v = gcmap.apply(n)
-        if v <= window:
-            uf.union(n, v)
-            continue
-        if interior_only:
-            flagged.add(n)
-            continue
-        spent = 1
-        while v > window and spent < fuel:
-            v = gcmap.apply(v)
-            spent += 1
-        if v <= window:
-            uf.union(n, v)
-        else:
-            flagged.add(n)
-    rep = {n: uf.find(n) for n in range(1, window + 1)}
-    return ClassesReport(window, rep, frozenset(flagged))
+    labels = np.arange(1, window + 1, dtype=np.int64)
+    steps = 1 if interior_only else max(fuel, 1)
+    value, _, flagged = return_times(gcmap, range(1, window + 1), labels, steps)
+    rep = _component_minima(np.where(flagged, labels, value) - 1)
+    # a representative is one of these int objects, so rep makes no new ints
+    names = list(range(1, window + 1))
+    representative = dict(zip(names, map(names.__getitem__, rep.tolist())))
+    return ClassesReport(window, representative, frozenset(labels[flagged].tolist()))
+
+
+def _component_minima(parent: np.ndarray) -> np.ndarray:
+    """The least node of each node's component in the graph i -- parent[i] on 0..n-1.
+
+    Pointer jumping with a running minimum: after k rounds ``low[i]`` is the
+    least of the first 2^k nodes on the path from i and ``jump[i]`` is the
+    2^k-th.  Once 2^k >= n the path covers everything i reaches and
+    ``jump[i]`` lies on the cycle that ends it, so ``low[jump[i]]``, the least
+    node of that cycle, names the component; its minimum is then one scatter.
+    """
+    n = len(parent)
+    nodes = np.arange(n, dtype=np.int64)
+    low, jump = nodes, parent
+    for _ in range(max(n - 1, 0).bit_length()):
+        low, jump = np.minimum(low, low[jump]), jump[jump]
+    cycle = low[jump]
+    least = np.full(n, n, dtype=np.int64)
+    np.minimum.at(least, cycle, nodes)
+    return least[cycle]
 
 
 # --- first-return maps --------------------------------------------------------
@@ -163,6 +161,119 @@ def return_time(
         if v in sigma:
             return SectionReturn(tau, v)
     return Inconclusive(fuel)
+
+
+def _step_tables(gcmap: GCMap):
+    """(A, B, C, guard): the branch n -> (A[r]*n + B[r]) // C[r] at each residue r.
+
+    A residue whose class the tables cannot step exactly (no branch or more
+    than one, or a branch that leaves a remainder or an image below 1
+    somewhere on the class) gets (0, int64 max, 1), whose image lies past
+    ``guard``, so a lane that reaches it sends the call to the scalar path.
+    From values up to ``guard`` no int64 numerator can wrap.  None when a
+    coefficient does not fit int64.
+    """
+    m, coef = gcmap.modulus, []
+    for r, br in enumerate(gcmap._branch_at):
+        if br is None:
+            coef.append(None)
+            continue
+        if max(br.a, abs(br.b), br.c) > _INT64_MAX:
+            return None
+        # a >= 0, so a*n + b grows along the class: its least member (r, or m
+        # for r = 0) and the step a*m settle divisibility and positivity
+        low = br.a * (r or m) + br.b
+        exact = low % br.c == 0 and br.a * m % br.c == 0 and low >= br.c
+        coef.append((br.a, br.b, br.c) if exact else None)
+    steppable = [row for row in coef if row is not None]
+    max_a = max((a for a, _, _ in steppable), default=1)
+    max_b = max((b for _, b, _ in steppable), default=0)
+    guard = min((_INT64_MAX - max(max_b, 0)) // max(max_a, 1), _INT64_MAX - 1)
+    A, B, C = np.array([row or (0, _INT64_MAX, 1) for row in coef], dtype=np.int64).T
+    return A, B, C, guard
+
+
+def _member_test(sigma: Container[int]):
+    """A vectorised ``v in sigma`` for a window ``range(1, hi)`` or a (punctured)
+    residue set, else None."""
+    if isinstance(sigma, range) and sigma.step == 1 and sigma.start <= 1:
+        hi = sigma.stop
+        return lambda v: v < hi  # every value the kernel tests is at least 1
+    if isinstance(sigma, PuncturedResidueSet):
+        sigma, removed = sigma.classes, np.array(sorted(sigma.removed), dtype=np.int64)
+    elif isinstance(sigma, ResidueSet):
+        removed = None
+    else:
+        return None
+    m, table = sigma.modulus, np.zeros(sigma.modulus, dtype=bool)
+    table[list(sigma.residues)] = True
+    if removed is not None:
+        return lambda v: table[v % m] & ~np.isin(v, removed)
+    return lambda v: table[v % m]
+
+
+def _int_array(values: list[int]) -> np.ndarray:
+    """int64 when every value fits, else exact Python ints in an object array."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _scalar_returns(gcmap: GCMap, sigma: Container[int], xs: np.ndarray, fuel: int):
+    rets = [return_time(gcmap, sigma, x, fuel) for x in xs.tolist()]
+    undecided = np.array([isinstance(r, Inconclusive) for r in rets], dtype=bool)
+    return (
+        _int_array([getattr(r, "value", 0) for r in rets]),
+        np.array([getattr(r, "tau", 0) for r in rets], dtype=np.int64),
+        undecided,
+    )
+
+
+def return_times(gcmap: GCMap, sigma: Container[int], xs, fuel: int):
+    """First returns to sigma of every x in xs (each fits int64), as arrays:
+    ``(value, tau, undecided)``.
+
+    Lane i agrees with ``return_time(gcmap, sigma, xs[i], fuel)``: value and
+    tau of the return, or ``undecided[i]`` (value and tau 0) when fuel ran
+    out.  sigma is a window ``range(1, hi)``, a residue set or a punctured
+    one.  Each step reads the map's per-residue tables on int64 arrays and
+    carries only the frontier, the lanes that have not returned.  Anything
+    the tables cannot step reruns the whole call through ``return_time``,
+    which raises as it does: a value past the overflow guard, a residue
+    class that is not stepped exactly (see ``_step_tables``), a start outside
+    sigma or below 1, a coefficient beyond int64, another kind of sigma.
+    On that path ``value`` is an object array if a return does not fit int64.
+    """
+    xs = np.asarray(xs, dtype=np.int64)
+    tables, member = _step_tables(gcmap), _member_test(sigma)
+    if tables is None or member is None:
+        return _scalar_returns(gcmap, sigma, xs, fuel)
+    A, B, C, guard = tables
+    if len(xs) and (xs.min() < 1 or xs.max() > guard or not member(xs).all()):
+        return _scalar_returns(gcmap, sigma, xs, fuel)
+    m = np.int64(gcmap.modulus)
+    lanes, vals = np.arange(len(xs)), xs
+    returned = []  # (lanes, values, step) of each step's returns
+    # argmax and count_nonzero: the cheapest reductions on a short frontier
+    for step in range(1, fuel + 1):
+        if not len(vals):
+            break
+        r = vals % m
+        vals = (A[r] * vals + B[r]) // C[r]
+        if vals[vals.argmax()] > guard:
+            return _scalar_returns(gcmap, sigma, xs, fuel)
+        hit = member(vals)
+        if np.count_nonzero(hit):
+            returned.append((lanes[hit], vals[hit], step))
+            miss = ~hit
+            lanes, vals = lanes[miss], vals[miss]
+    value, tau = np.zeros(len(xs), dtype=np.int64), np.zeros(len(xs), dtype=np.int64)
+    for done, v, step in returned:
+        value[done], tau[done] = v, step
+    undecided = np.zeros(len(xs), dtype=bool)
+    undecided[lanes] = True
+    return value, tau, undecided
 
 
 class FirstReturnMap:

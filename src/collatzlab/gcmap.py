@@ -1,10 +1,12 @@
 """Generalized Collatz-type maps: residue-guarded affine branches on positive integers.
 
 A map is a finite list of branches ``n -> (a*n + b) // c``, each guarded by a
-union of residue classes modulo the map's modulus.  All arithmetic is exact
-Python integers; orbits of 5x+1-style maps grow without known bound, so there
-is no fixed-width fast path here (a checked numpy path for bulk range scans
-lives in :mod:`collatzlab.rangecheck`).
+union of residue classes modulo the map's modulus.  All arithmetic here is
+exact Python integers, because orbits of 5x+1-style maps grow without known
+bound.  The checked int64 paths live elsewhere and fall back to this one:
+first returns and window classes step the map's per-residue tables in
+:func:`collatzlab.dynamics.return_times`, and bulk 3x+1 range scans run in
+:mod:`collatzlab.rangecheck`.
 """
 
 from __future__ import annotations

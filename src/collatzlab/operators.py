@@ -31,8 +31,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .conditions import _halving_branch, separating_condition, SeparatingResult
-from .dynamics import FirstReturnMap, classes
-from .gcmap import INCONCLUSIVE, DomainError, GCMap, Inconclusive, PuncturedResidueSet, Report
+from .dynamics import classes, return_times
+from .gcmap import INCONCLUSIVE, DomainError, GCMap, PuncturedResidueSet, Report
 from .gcmap import ResidueSet, combine, section_sets, verdict
 
 
@@ -429,21 +429,17 @@ def build_section_ops(
     for n in window.elements:
         if n not in sigma:
             raise DomainError(f"window element {n} is not in N1 ∪ N2")
-    P = FirstReturnMap(gcmap, sigma)
     search = _PreimageSearch(gcmap, sigma)
 
     pos = window.position
     in_n1 = _residue_mask(window, n1)
-    image = []  # position of P(n), or -1 when it is unknown or outside the window
-    inconclusive = set()
-    for n in window.elements:
-        v = P.apply(n, fuel)
-        if isinstance(v, Inconclusive):
-            inconclusive.add(n)  # unknown column: not exact for the branch that owns n
-            image.append(-1)
-        else:
-            image.append(pos.get(v, -1))
-    image = np.array(image, dtype=np.int64)
+    labels = np.array(window.elements, dtype=np.int64)
+    value, _, undecided = return_times(gcmap, sigma, labels, fuel)
+    # position of P(n), or -1 when it is unknown or outside the window
+    at = np.minimum(np.searchsorted(labels, value), len(labels) - 1)
+    image = np.where(~undecided & (labels[at] == value), at, -1)
+    # unknown columns: not exact for the branch that owns n
+    inconclusive = set(labels[undecided].tolist())
     # the other branch's column at n is genuinely zero, hence exact
     exact_col1, exact_col2 = ~in_n1 | (image >= 0), in_n1 | (image >= 0)
 
@@ -582,6 +578,17 @@ def _index_graph(edges: Iterable[tuple[int, int]]) -> dict[int, set[int]]:
     return adj
 
 
+def _t_graph(gcmap: GCMap, labels: tuple[int, ...]) -> dict[int, set[int]]:
+    """The index graph of T on the window [1, hi]: n -- f(n) where both lie in it.
+
+    A function of its own so that the label lists it builds are freed before
+    the span walks, which run at the peak of span_vs_class's memory.
+    """
+    image, _, leaves = return_times(gcmap, range(1, len(labels) + 1), labels, 1)
+    edges = zip(labels, image.tolist(), leaves.tolist())
+    return _index_graph((n, v) for n, v, leaf in edges if not leaf)
+
+
 def _check_depth(depth: int | None) -> None:
     if depth is not None and depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
@@ -668,8 +675,7 @@ def span_vs_class(
         raise ValueError("span_vs_class expects a contiguous window [1, hi]")
     full = classes(gcmap, hi, fuel)
     certified = classes(gcmap, hi, fuel, interior_only=True)
-    # the index graph of T: n -- f(n) where both lie in the window
-    adj = _index_graph((n, v) for n in window.elements if (v := gcmap.apply(n)) <= hi)
+    adj = _t_graph(gcmap, window.elements)
     if starts is None:
         starts = window.elements
     cert_size = Counter(certified.representative.values())

@@ -176,6 +176,37 @@ def test_deleted_options_exit_3(capsys, argv):
     assert main(argv) == INPUT_ERROR
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["collatz", "--suite", "bounded", "--window", "5", "--fuel", "3"], "--fuel"),
+        (["collatz", "--suite", "bounded", "--window", "5"], "--window"),
+        (["mersenne:4", "--suite", "modular", "--window", "5", "--fuel", "3"], "--fuel"),
+        (["mersenne:4", "--suite", "modular", "--window", "5"], "--window"),
+        (["collatz", "--suite", "separating:1", "--window", "5"], "--window"),
+        (["collatz", "--suite", "descent", "--window", "5", "--fuel", "3"], "--fuel"),
+    ],
+)
+def test_option_the_suite_does_not_read_exits_3(capsys, argv, option):
+    code, out = run(capsys, "verify", *argv)
+    assert code == INPUT_ERROR
+    assert json.loads(out)["error"].startswith(f"{option} applies only to --suite ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["collatz", "--suite", "separating:1", "--fuel", "10000"],
+        ["collatz", "--suite", "descent", "--window", "10000"],
+        ["collatz", "--suite", "ck", "--window", "10000", "--fuel", "10000"],
+    ],
+)
+def test_options_a_suite_reads_default_to_10000(capsys, argv):
+    given = run(capsys, "verify", *argv)
+    assert given[0] != INPUT_ERROR
+    assert run(capsys, "verify", *argv[:3]) == given
+
+
 def test_each_subcommand_declares_only_the_options_it_reads():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     declared = {
