@@ -71,8 +71,6 @@ from .families import (
     preset_section,
     qx1,
     section_3xd,
-    section_collatz,
-    section_mersenne,
     section_qx1,
     three_x_d,
     verify_mersenne_identities,

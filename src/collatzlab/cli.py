@@ -66,9 +66,10 @@ def _resolve_map(ref: str, validate: bool = True) -> GCMap:
 
 
 def _preset_section(ref: str) -> families.Section | None:
+    """The map's section, or None for a map without one; other errors propagate."""
     try:
         return families.preset_section(ref)
-    except (KeyError, ValueError):
+    except KeyError:
         return None
 
 
@@ -172,9 +173,10 @@ def _suite_ck(gcmap: GCMap, args) -> tuple[dict, int]:
 
 
 def _suite_section(gcmap: GCMap, args) -> tuple[dict, int]:
-    section = _preset_section(args.map)
-    if section is None:
-        raise ValueError(f"no first-return section preset for {args.map!r}")
+    try:
+        section = families.preset_section(args.map)
+    except KeyError as exc:  # its message names the reason
+        raise ValueError(exc.args[0]) from None
     suff = check_reduction_sufficient(gcmap, section.sigma, args.window, args.fuel)
     x0 = section.sigma.min_member()
     nec = check_reduction_necessary(gcmap, section.sigma, x0, args.fuel)

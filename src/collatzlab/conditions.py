@@ -427,8 +427,8 @@ def derive_witnesses(n1: ResidueSet, n2: ResidueSet) -> WitnessTable:
             doublings[u] = k
             k += k > 0
         if doublings[r] == reenters:
-            raise ValueError(f"residue {r}: doubling re-enters the section before N2")
+            raise ValueError(f"residue {r} mod {mw}: doubling re-enters the section before N2")
         if doublings[r] == never:
-            raise ValueError(f"residue {r}: no power of two lands in N2")
+            raise ValueError(f"residue {r} mod {mw}: no power of two lands in N2")
         table[r] = doublings[r]
     return WitnessTable(mw, table)

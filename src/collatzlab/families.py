@@ -1,9 +1,9 @@
 """Preset map families, their first-return sections, and modular identities.
 
-The section data (N1, N2, power-of-two witnesses) is what makes the
-first-return systems checkable: N2 is always computed as the exact residue
-image f(N1), and the witnesses give, per residue class of the section, the
-minimal doubling exponent landing back in N2.
+Every section is built one way: N1 is a set of residue classes, N2 the exact
+residue image f(N1), and the witnesses give, per residue class of the
+section, the minimal doubling exponent landing back in N2.  All qx+1 maps,
+collatz and mersenne:<k> among them, share one N1 recipe (``section_qx1``).
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ class Section:
     (e.g. the value 2 for the 3x+5 map).
     """
 
-    name: str
     map: GCMap
     n1: ResidueSet
     n2: ResidueSet
@@ -96,60 +95,44 @@ class Section:
         return section_sets(self.n1, self.n2, self.n2_removed)[1]
 
 
-def _make_section(name: str, gcmap: GCMap, n1: ResidueSet, witnesses=None) -> Section:
+def _make_section(gcmap: GCMap, n1: ResidueSet) -> Section:
+    """N2 = f(N1) and derived witnesses; KeyError when some class never doubles into N2."""
     n2, removed = residue_image_exceptions(gcmap, n1)
-    if witnesses is None:
+    try:
         witnesses = derive_witnesses(n1, n2)
-    return Section(name, gcmap, n1, n2, witnesses, frozenset(removed))
-
-
-#: minimal doubling exponents per section residue mod 18 for the 3x+1 section;
-#: 4n for n ≡ 1,4,13, 8n for n ≡ 5, 16n for n ≡ 7,16, 2n for n ≡ 11,17.
-COLLATZ_WITNESSES = WitnessTable(
-    18, {1: 2, 4: 2, 13: 2, 5: 3, 7: 4, 16: 4, 11: 1, 17: 1}
-)
-
-
-def section_collatz() -> Section:
-    """N1 = odds coprime to 3, N2 = {4, 16} (mod 18)."""
-    return _make_section("collatz", collatz(), ResidueSet.of(6, [1, 5]), COLLATZ_WITNESSES)
+    except ValueError as exc:
+        raise KeyError(str(exc)) from None
+    return Section(gcmap, n1, n2, witnesses, frozenset(removed))
 
 
 def section_qx1(q: int) -> Section:
-    """For q = 5: N1 = odds coprime to 5 (mod 10); other q need their own theory."""
-    if q != 5:
-        raise ValueError("a first-return section is only provided for q = 5")
-    return _make_section("qx1:5", qx1(5), ResidueSet.of(10, [1, 3, 7, 9]))
+    """N1 = the odd n whose residue mod q^2 is a power of 2, at its smallest modulus.
 
-
-def section_mersenne(k: int) -> Section:
-    """For q = 2^k - 1, k > 2: N1 = odd classes n (mod 2q^2) with 2n a power of 2."""
-    if k <= 2:
-        raise ValueError("the Mersenne section needs k > 2")
-    q = 2**k - 1
-    m = 2 * q * q
-    powers = set()
-    v = 1
-    while True:
-        v = (2 * v) % m
-        if v in powers:
-            break
-        powers.add(v)
-    n1 = ResidueSet.of(m, [r for r in range(1, m, 2) if (2 * r) % m in powers])
-    return _make_section(f"mersenne:{k}", mersenne(k), n1)
+    For q = 3 and 5 these are the odds coprime to q; for q = 2^k - 1, the odds
+    congruent to a power of 2 mod q.  The recipe yields a section exactly
+    when ord_{q^2}(2) = q * ord_q(2), as checked for every odd q <= 201: it
+    fails at 21, 39, 55, 57, 105, 111, 147, 155, 165, 171, 183, 195 and 201,
+    and at the Wieferich primes 1093 and 3511.  There some class never
+    doubles into N2, and this raises KeyError.
+    """
+    gcmap = qx1(q)  # rejects a bad q: the loop below needs 2 invertible mod q^2
+    m = q * q
+    powers, v = [1], 2
+    while v != 1:
+        powers.append(v)
+        v = 2 * v % m
+    # the odd lift mod 2m of each power (m is odd)
+    n1 = ResidueSet.of(2 * m, [p if p % 2 else p + m for p in powers]).reduce()
+    return _make_section(gcmap, n1)
 
 
 def section_3xd(d: int) -> Section:
     """For d odd with 3-adic valuation k: N1 = {3^k, 5*3^k} (mod 6*3^k)."""
-    if d < 1 or d % 2 == 0:
-        raise ValueError("d must be an odd integer >= 1")
-    k = 0
-    dd = d
-    while dd % 3 == 0:
-        dd //= 3
-        k += 1
-    p = 3**k
-    return _make_section(f"3xd:{d}", three_x_d(d), ResidueSet.of(6 * p, [p, 5 * p]))
+    gcmap = three_x_d(d)  # rejects a bad d before the loop below can spin on it
+    p = 1
+    while d % (3 * p) == 0:
+        p *= 3
+    return _make_section(gcmap, ResidueSet.of(6 * p, [p, 5 * p]))
 
 
 # --- preset references ---------------------------------------------------------
@@ -174,18 +157,17 @@ def preset_map(ref: str) -> GCMap:
 
 
 def preset_section(ref: str) -> Section:
-    if ref == "collatz":
-        return section_collatz()
-    kind, _, arg = ref.partition(":")
-    if arg:
-        n = int(arg)
-        if kind == "qx1":
-            return section_qx1(n)
-        if kind == "3xd":
-            return section_3xd(n)
-        if kind == "mersenne":
-            return section_mersenne(n)
-    raise KeyError(f"no section preset for {ref!r}")
+    """The section of a preset: collatz, qx1:<q> and mersenne:<k> by ``section_qx1``,
+    3xd:<d> by ``section_3xd``.  Every map without one raises KeyError naming why."""
+    no_section = f"no first-return section preset for {ref!r}"
+    kind = ref.partition(":")[0]
+    if kind not in ("collatz", "qx1", "mersenne", "3xd"):
+        raise KeyError(no_section)
+    odd = preset_map(ref).branches[0]  # n -> a*n + b on odd n
+    try:
+        return section_3xd(odd.b) if kind == "3xd" else section_qx1(odd.a)
+    except KeyError as exc:
+        raise KeyError(f"{no_section}: {exc.args[0]}") from None
 
 
 # --- modular identities behind the Mersenne sections ------------------------------

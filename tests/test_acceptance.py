@@ -30,14 +30,12 @@ from collatzlab import (
     preset_section,
     qx1,
     residue_image,
-    section_collatz,
     separating_condition,
     span_vs_class,
     three_x_d,
     verify_range_collatz,
     verify_section_relations,
 )
-from collatzlab.families import COLLATZ_WITNESSES
 from collatzlab.operators import compare_certified
 
 
@@ -61,14 +59,14 @@ def test_criterion_1_range_verification():
 def test_criterion_2_first_return_injectivity_and_witnesses():
     """P|N2 injective on the section up to 10^6; P(N1)=N2 symbolically; all
     witness bullets mod 18 exhaustive, including minimality."""
-    sec = section_collatz()
+    sec = preset_section("collatz")
     limit = 10**6
 
     symbolic = residue_image(sec.map, sec.n1).same_set(sec.n2)
 
     # exhaustive witness bullets mod 18: 4n for 1,4,13; 8n for 5; 16n for 7,16; 2n for 11,17
     expected = {1: 2, 4: 2, 13: 2, 5: 3, 7: 4, 16: 4, 11: 1, 17: 1}
-    witness_ok = COLLATZ_WITNESSES.modulus == 18 and COLLATZ_WITNESSES.exponents == expected
+    witness_ok = sec.witnesses.modulus == 18 and sec.witnesses.exponents == expected
     n2r = {4, 16}
     sigma_r = {1, 5, 7, 11, 13, 17, 4, 16}
     for r, kappa in expected.items():
@@ -102,7 +100,7 @@ def test_criterion_2_first_return_injectivity_and_witnesses():
 
 def test_criterion_3_operator_relation_battery():
     """The full S/T relation battery on (N1 ∪ N2) ∩ [1, 10^4], exact integers."""
-    sec = section_collatz()
+    sec = preset_section("collatz")
     win = BasisWindow.section(sec.sigma, 10**4)
     ops = build_section_ops(sec.map, sec.n1, sec.n2, win, 10**5)
     rep = verify_section_relations(ops)

@@ -27,11 +27,9 @@ from collatzlab import (
     qx1,
     residue_image,
     residue_image_exceptions,
-    section_collatz,
     separating_condition,
     three_x_d,
 )
-from collatzlab.families import COLLATZ_WITNESSES
 
 
 # --- itineraries and aperiodicity ------------------------------------------------
@@ -181,15 +179,15 @@ def test_ck_for_section_out_of_fuel_is_inconclusive(ref):
 
 
 def test_collatz_witnesses_match_derived():
-    sec = section_collatz()
+    sec = preset_section("collatz")
     derived = derive_witnesses(sec.n1, sec.n2)
-    assert derived.modulus == COLLATZ_WITNESSES.modulus
-    assert derived.exponents == COLLATZ_WITNESSES.exponents
+    assert derived.modulus == sec.witnesses.modulus
+    assert derived.exponents == sec.witnesses.exponents
 
 
 def test_ck_for_section_rejects_nonminimal_witness():
-    sec = section_collatz()
-    bad = dict(COLLATZ_WITNESSES.exponents)
+    sec = preset_section("collatz")
+    bad = dict(sec.witnesses.exponents)
     bad[11] = 2  # 2n already lands in N2 for n ≡ 11 (mod 18); 4n is not minimal
     rep = ck_for_section(
         sec.map, sec.n1, sec.n2, WitnessTable(18, bad), 2000, 10**5
@@ -198,7 +196,7 @@ def test_ck_for_section_rejects_nonminimal_witness():
 
 
 def test_ck_for_section_rejects_wrong_n2():
-    sec = section_collatz()
+    sec = preset_section("collatz")
     wrong = ResidueSet.of(18, [4, 10])
     rep = ck_for_section(sec.map, sec.n1, wrong, sec.witnesses, 2000, 10**5)
     assert not rep.passed

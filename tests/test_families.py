@@ -17,8 +17,6 @@ from collatzlab import (
     preset_section,
     qx1,
     section_3xd,
-    section_collatz,
-    section_mersenne,
     section_qx1,
     three_x_d,
     verify_mersenne_identities,
@@ -50,12 +48,10 @@ def test_preset_rejections():
         three_x_d(2)
     with pytest.raises(ValueError):
         mersenne(1)
-    with pytest.raises(ValueError):
-        section_mersenne(2)
-    with pytest.raises(ValueError):
-        section_qx1(7)
     with pytest.raises(KeyError):
         preset_map("nonsense")
+    with pytest.raises(KeyError):
+        section_qx1(21)
     with pytest.raises(KeyError):
         preset_section("identity")
 
@@ -69,7 +65,7 @@ def test_mersenne_is_qx1():
 
 
 def test_section_collatz_sets():
-    sec = section_collatz()
+    sec = preset_section("collatz")
     assert sec.n1.same_set(ResidueSet.of(6, [1, 5]))
     assert sec.n2.same_set(ResidueSet.of(18, [4, 16]))
     assert not sec.n2_removed
@@ -87,7 +83,7 @@ def test_section_q5_sets():
 
 
 def test_section_mersenne_k3():
-    sec = section_mersenne(3)
+    sec = preset_section("mersenne:3")
     assert 1 in sec.n1  # 2*1 = 2^1 (mod 98)
     # {n ≡ 1 (mod 2q)} is contained in N1
     assert all(n in sec.n1 for n in range(1, 1000, 14))
@@ -101,7 +97,7 @@ def test_section_mersenne_k3():
 def test_section_3xd_sets():
     assert section_3xd(9).n1.same_set(ResidueSet.of(54, [9, 45]))
     assert 5 in section_3xd(5).n1
-    a, b = section_3xd(1), section_collatz()
+    a, b = section_3xd(1), preset_section("collatz")
     assert a.n1.same_set(b.n1) and a.n2.same_set(b.n2)
 
 
