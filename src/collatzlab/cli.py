@@ -83,13 +83,24 @@ def _emit(payload: dict) -> None:
 
 
 def _emit_table(payload: dict, fmt: str, header: tuple[str, str], rows) -> None:
-    """The JSON payload, or under ``--format csv`` the rows under a header line."""
-    if fmt == "json":
-        _emit(payload)
-    else:
-        w = csv.writer(sys.stdout)
-        w.writerow(header)
-        w.writerows(rows)
+    """The JSON payload, or under ``--format csv`` the rows under a header line.
+
+    Exact values print in full: Python's int-to-str digit limit (3.11 and
+    later), which a divergent orbit passes within a few thousand steps, is
+    lifted meanwhile and then restored.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    set_limit(0)
+    try:
+        if fmt == "json":
+            _emit(payload)
+        else:
+            w = csv.writer(sys.stdout)
+            w.writerow(header)
+            w.writerows(rows)
+    finally:
+        set_limit(limit)
 
 
 # --- subcommands -----------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import return_times
+from .dynamics import _member_test, return_times
 from .gcmap import INCONCLUSIVE, PASS, VIOLATION, Inconclusive, Report, verdict
 from .gcmap import AffineBranch, GCMap, ResidueSet, _check_positive, section_sets
 
@@ -241,6 +241,22 @@ class WitnessTable:
     modulus: int
     exponents: dict[int, int]
 
+    def tiles(self, values: np.ndarray, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Which int64 section values s have s * 2^kappa(s) <= hi, and those products.
+        Tested as s <= hi >> kappa, so no shift leaves int64."""
+        keys = np.array(sorted(self.exponents), dtype=np.int64)
+        kappa = np.array([self.exponents[k] for k in keys.tolist()], dtype=np.int64)
+        kappa = kappa[np.searchsorted(keys, values % self.modulus)]
+        inside = values <= (hi >> np.minimum(kappa, 63))
+        return inside, values[inside] << kappa[inside]
+
+    def bases(self, e: int) -> list[int]:
+        """The section-class values n with n * 2^kappa(n) = e, in ascending exponent."""
+        return [
+            e >> j for j in range(1, e.bit_length())
+            if e % (1 << j) == 0 and self.exponents.get((e >> j) % self.modulus) == j
+        ]
+
 
 @dataclass(frozen=True)
 class SectionCKReport(Report):
@@ -304,8 +320,8 @@ def ck_for_section(
     if frozenset(exc) != frozenset(removed):
         return fail(f"image punctures {sorted(exc)} do not match declared {sorted(removed)}")
 
-    sigma = n1.union(n2)
     n2_set, sigma_set = section_sets(n1, n2, removed)
+    sigma = sigma_set.classes
     mw = witnesses.modulus
     if mw % sigma.modulus != 0 or mw % n2.modulus != 0:
         return fail(f"witness modulus {mw} must be a multiple of the section moduli")
@@ -341,10 +357,8 @@ def ck_for_section(
     # punctured witness endpoints: 2^kappa * n is a removed value for finitely
     # many n; each of those needs its own, larger doubling exponent into N2
     for e in sorted(removed):
-        j = 1
-        while e % (1 << j) == 0:
-            n = e >> j
-            if n in sigma_set and witnesses.exponents.get(n % mw) == j:
+        for n in witnesses.bases(e):
+            if n in sigma_set:
                 v = e
                 for _ in range(fuel):
                     v *= 2
@@ -354,38 +368,38 @@ def ck_for_section(
                         break
                 else:
                     undecided.append(e)
-            j += 1
-            if (1 << j) > e:
-                break
 
-    # (c) empirical: P on the window
-    members = list(sigma_set.members(1, window))
+    # (c) empirical: P on the window; the first failing label is reported
+    members = np.arange(1, window + 1, dtype=np.int64)
+    members = members[_member_test(sigma_set)(members)]
     value, _, unknown = return_times(gcmap, sigma_set, members, fuel)
-    # P on the window, None where undecided; reused by the witness check
-    returns = dict(zip(members, np.where(unknown, None, value).tolist()))
-    seen_n2: dict[int, int] = {}
-    for n, v in returns.items():
-        if v is None:
-            undecided.append(n)
-        elif n in n1:
-            if v not in n2_set:
-                return fail(f"P({n}) = {v} with {n} in N1 but value outside N2")
-        else:
-            if v not in sigma_set:
-                return fail(f"P({n}) = {v} outside the section")
-            if v in seen_n2:
-                return fail(f"P|N2 collision: P({seen_n2[v]}) = P({n}) = {v}")
-            seen_n2[v] = n
+    in_n1 = _member_test(n1)(members)
+    # N1 must return into N2 and N2 into sigma, each N2 label to a value no earlier one took
+    stray = ~unknown & np.where(in_n1, ~_member_test(n2_set)(value), ~_member_test(sigma_set)(value))
+    to_n2 = np.flatnonzero(~unknown & ~in_n1 & ~stray)
+    again = np.zeros(len(members), dtype=bool)
+    again[to_n2] = True
+    again[to_n2[np.unique(value[to_n2], return_index=True)[1]]] = False
+    bad = np.flatnonzero(stray | again)
+    if len(bad):
+        i = bad[0]
+        n, v = int(members[i]), int(value[i])
+        if again[i]:
+            return fail(f"P|N2 collision: P({members[to_n2[value[to_n2] == v][0]]}) = P({n}) = {v}")
+        if in_n1[i]:
+            return fail(f"P({n}) = {v} with {n} in N1 but value outside N2")
+        return fail(f"P({n}) = {v} outside the section")
+    undecided += members[unknown].tolist()
     # empirical surjectivity through the witnesses, within the window
-    for s in sigma_set.members(1, window):
-        kappa = witnesses.exponents[s % mw]
-        m = s * pow(2, kappa)
-        if m <= window and m in sigma_set:
-            v = returns[m]
-            if v is None:
-                undecided.append(m)
-            elif v != s:
-                return fail(f"witness failure: P({m}) = {v}, expected {s}")
+    inside, m = witnesses.tiles(members, window)
+    s, keep = members[inside], _member_test(sigma_set)(m)
+    s, m = s[keep], m[keep]
+    j = np.searchsorted(members, m)  # each such m is a member
+    wrong = np.flatnonzero(~unknown[j] & (value[j] != s))
+    if len(wrong):
+        i = wrong[0]
+        return fail(f"witness failure: P({int(m[i])}) = {int(value[j[i]])}, expected {int(s[i])}")
+    undecided += m[unknown[j]].tolist()
 
     if undecided:
         detail = f"{len(undecided)} first returns undecided within fuel {fuel}, from {undecided[0]}"

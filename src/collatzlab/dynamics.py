@@ -195,21 +195,19 @@ def _step_tables(gcmap: GCMap):
 
 def _member_test(sigma: Container[int]):
     """A vectorised ``v in sigma`` for a window ``range(1, hi)`` or a (punctured)
-    residue set, else None."""
+    residue set, else None.  The residue tests also take exact ints in an
+    object array."""
     if isinstance(sigma, range) and sigma.step == 1 and sigma.start <= 1:
         hi = sigma.stop
         return lambda v: v < hi  # every value the kernel tests is at least 1
-    if isinstance(sigma, PuncturedResidueSet):
-        sigma, removed = sigma.classes, np.array(sorted(sigma.removed), dtype=np.int64)
-    elif isinstance(sigma, ResidueSet):
-        removed = None
-    else:
+    if not isinstance(sigma, (ResidueSet, PuncturedResidueSet)):
         return None
     m, table = sigma.modulus, np.zeros(sigma.modulus, dtype=bool)
-    table[list(sigma.residues)] = True
-    if removed is not None:
-        return lambda v: table[v % m] & ~np.isin(v, removed)
-    return lambda v: table[v % m]
+    table[list(sigma.classes.residues)] = True
+    if sigma.removed:
+        removed = np.array(sorted(sigma.removed), dtype=np.int64)
+        return lambda v: table[(v % m).astype(np.int64, copy=False)] & ~np.isin(v, removed)
+    return lambda v: table[(v % m).astype(np.int64, copy=False)]
 
 
 def _int_array(values: list[int]) -> np.ndarray:

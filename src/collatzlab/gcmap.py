@@ -66,6 +66,8 @@ class ResidueSet:
 
     modulus: int
     residues: frozenset[int]
+    #: no punctures: with ``classes`` a residue set reads as a PuncturedResidueSet does
+    removed: ClassVar[frozenset[int]] = frozenset()
 
     def __post_init__(self) -> None:
         if self.modulus < 1:
@@ -89,6 +91,10 @@ class ResidueSet:
 
     def __contains__(self, n: int) -> bool:
         return n % self.modulus in self.residues
+
+    @property
+    def classes(self) -> "ResidueSet":
+        return self
 
     def is_empty(self) -> bool:
         return not self.residues

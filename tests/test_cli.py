@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 
 import pytest
 
+from collatzlab import preset_map
 from collatzlab.cli import INCONCLUSIVE, INPUT_ERROR, PASS, VIOLATION, build_parser, main
 
 
@@ -29,6 +31,25 @@ def test_orbit_fuel_exhaustion_exits_2(capsys):
     code, out = run(capsys, "orbit", "collatz", "27", "--fuel", "5")
     assert code == INCONCLUSIVE
     assert json.loads(out)["outcome"] == "fuelExhausted"
+
+
+def test_orbit_past_the_int_digit_limit_prints_its_exact_prefix(capsys):
+    # under n -> (10^60 + 1) n + 1 the orbit of 1 passes 4,300 digits at step 165
+    ref, fuel = f"qx1:{10**60 + 1}", 200
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        digits = [str(v) for v in preset_map(ref).orbit(1, fuel).prefix]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert max(map(len, digits)) > limit
+    code, out = run(capsys, "orbit", ref, "1", "--fuel", str(fuel))
+    assert code == INCONCLUSIVE and sys.get_int_max_str_digits() == limit
+    rep = json.loads(out, parse_int=str)  # digit strings, read past the limit
+    assert rep["outcome"] == "fuelExhausted" and rep["prefix"] == digits
+    code, out = run(capsys, "orbit", ref, "1", "--fuel", str(fuel), "--format", "csv")
+    assert code == INCONCLUSIVE and sys.get_int_max_str_digits() == limit
+    assert out.splitlines() == ["index,value"] + [f"{i},{d}" for i, d in enumerate(digits)]
 
 
 def test_orbit_csv(capsys):

@@ -22,7 +22,7 @@ from collatzlab import (
     verify_mersenne_identities,
     verify_q5_group,
 )
-from collatzlab.operators import _PreimageSearch
+from preimage_oracle import PreimageSearch
 
 
 # --- maps -------------------------------------------------------------------
@@ -120,10 +120,15 @@ def test_3x5_puncture_reaches_every_consumer():
     win = BasisWindow(tuple(sec.sigma.members(1, 50)) + (2,))
     with pytest.raises(DomainError, match="window element 2 "):
         build_section_ops(sec.map, sec.n1, sec.n2, win, 10**4, n2_removed=sec.n2_removed)
-    assert 2 in _PreimageSearch(sec.map, sec.sigma.classes).preimages(1)
-    search = _PreimageSearch(sec.map, sec.sigma)
+    assert 2 in PreimageSearch(sec.map, sec.sigma.classes).preimages(1)
+    search = PreimageSearch(sec.map, sec.sigma)
     rows = [search.preimages(r) for r in sec.sigma.members(1, 2000)]
     assert all(pre is not None and 2 not in pre for pre in rows)
+    # the closed-form rows: 1's tile 2 is the puncture, and 8 halves through it to 1
+    ops = build_section_ops(
+        sec.map, sec.n1, sec.n2, BasisWindow.section(sec.sigma, 50), 10**4, n2_removed=sec.n2_removed
+    )
+    assert ops.t2.adjoint().cols[1] == {8: 1} and 1 in ops.t2.exact_rows
 
 
 def test_sigma_members_are_consistent():

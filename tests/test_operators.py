@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -12,9 +14,12 @@ from hypothesis import strategies as st
 
 from collatzlab import (
     INCONCLUSIVE,
+    AffineBranch,
     BasisWindow,
     DomainError,
     FirstReturnMap,
+    GCMap,
+    ResidueSet,
     TruncatedOperator,
     build_T,
     build_branch_ops,
@@ -24,6 +29,7 @@ from collatzlab import (
     identity_map,
     identity_operator,
     norm_bound_check,
+    preset_map,
     preset_section,
     qx1,
     reachable_span,
@@ -296,3 +302,59 @@ def test_zero_operator_certified():
     w = BasisWindow.range(1, 5)
     z = zero_operator(w)
     assert compare_certified("0=0", z, z).columns_checked == 5
+
+
+# --- one window-image step for build_T, build_branch_ops and norm_bound_check ---
+
+
+def scalar_norm_bound(gcmap, window, trials):
+    """norm_bound_check with one ``gcmap.apply`` per label, as it was written before."""
+    image = {n: v for n in window.elements if (v := gcmap.apply(n)) in window}
+    pool = list(image)
+    rng, worst, violations = random.Random(0), Fraction(0), 0
+    for _ in range(trials):
+        support = rng.sample(pool, rng.randint(1, min(12, len(pool))))
+        coeffs = [(rng.randint(-9, 9) or 1, rng.randint(1, 9)) for _ in support]
+        scale = math.lcm(*[q for _, q in coeffs])
+        out, norm = Counter(), 0
+        for n, (p, q) in zip(support, coeffs):
+            x = p * (scale // q)
+            out[image[n]] += x
+            norm += x * x
+        ratio = Fraction(sum(v * v for v in out.values()), norm)
+        worst = max(worst, ratio)
+        violations += ratio > gcmap.k
+    return worst, violations
+
+
+@pytest.mark.parametrize("ref", ["collatz", "qx1:5", "3xd:5", "mersenne:3", "identity"])
+def test_window_image_agrees_with_scalar_apply(ref):
+    gcmap, rng = preset_map(ref), random.Random(4)
+    windows = [BasisWindow.range(1, 300)] + [
+        BasisWindow(tuple(rng.sample(range(1, 400), rng.randint(1, 60)))) for _ in range(30)
+    ]
+    for window in windows:
+        cols = {n: {v: 1} for n in window.elements if (v := gcmap.apply(n)) in window}
+        t = build_T(gcmap, window)
+        assert t.cols == cols and t.exact_cols == frozenset(cols)
+        for br, op in zip(gcmap.branches, build_branch_ops(gcmap, window)):
+            assert op.cols == {n: c for n, c in cols.items() if gcmap.branch_of(n) is br}
+        if cols:
+            rep = norm_bound_check(gcmap, window, trials=40)
+            assert (rep.max_ratio, rep.violations) == scalar_norm_bound(gcmap, window, 40)
+
+
+def test_window_image_raises_as_apply_does():
+    halves_odds = GCMap(2, (
+        AffineBranch(1, ResidueSet.of(2, [1]), 1, 0, 2),
+        AffineBranch(2, ResidueSet.of(2, [0]), 1, 0, 2),
+    ))
+    gap = GCMap(3, (AffineBranch(1, ResidueSet.of(3, [0, 1]), 1, 0, 1),))
+    window = BasisWindow.range(1, 9)
+    # the first label apply rejects: 1 is not halved exactly, no guard holds 2
+    for gcmap, first in ((halves_odds, 1), (gap, 2)):
+        with pytest.raises((ArithmeticError, ValueError)) as want:
+            gcmap.apply(first)
+        for build in (build_T, lambda g, w: norm_bound_check(g, w, 5)):
+            with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+                build(gcmap, window)

@@ -1,14 +1,16 @@
-"""The section preimage search against two oracles.
+"""The preimage search and the closed-form section rows against two oracles.
 
-``_PreimageSearch.reaches`` is built by one backward sweep from the sigma
-classes.  The first oracle is the forward walk it replaced: from a class c
-(mod state_mod) it follows c -> 2c and c -> m for every guarded m with
-a*m + b = c, and answers whether a sigma class is reachable.  Both must agree
-on every class.
+``PreimageSearch`` (in ``preimage_oracle``, the oracle of the closed-form
+rows of ``build_section_ops``) prunes its walk with ``reaches``, built by one
+backward sweep from the sigma classes.  The first oracle is the forward walk
+it replaced: from a class c (mod state_mod) it follows c -> 2c and c -> m
+for every guarded m with a*m + b = c, and answers whether a sigma class is
+reachable.  Both must agree on every class.
 
 The second oracle is the first-return map P itself, inverted on a window:
 every row the search calls complete must hold every forward preimage found
-there, and nothing else.
+there, and nothing else; and every row ``build_section_ops`` certifies
+exact must hold exactly the forward preimages its operator owns.
 """
 
 from __future__ import annotations
@@ -18,12 +20,13 @@ import random
 
 import pytest
 
-from collatzlab import FirstReturnMap, preset_map, preset_section
+from collatzlab import BasisWindow, FirstReturnMap, build_section_ops, preset_map, preset_section
+from collatzlab.conditions import residue_image_exceptions
 from collatzlab.gcmap import AffineBranch, GCMap, Inconclusive, PuncturedResidueSet, ResidueSet, section_sets
-from collatzlab.operators import _PreimageSearch
+from preimage_oracle import PreimageSearch
 
 
-def class_reaches_sigma(search: _PreimageSearch, c0: int, cache: dict[int, bool]) -> bool:
+def class_reaches_sigma(search: PreimageSearch, c0: int, cache: dict[int, bool]) -> bool:
     """Forward residue-graph walk from c0; ``cache`` keeps the proven "no" answers."""
     cached = cache.get(c0)
     if cached is not None:
@@ -56,7 +59,7 @@ def class_reaches_sigma(search: _PreimageSearch, c0: int, cache: dict[int, bool]
     return False
 
 
-def assert_sweep_matches_walk(search: _PreimageSearch) -> None:
+def assert_sweep_matches_walk(search: PreimageSearch) -> None:
     assert len(search.reaches) == search.state_mod
     cache: dict[int, bool] = {}
     walked = [int(class_reaches_sigma(search, c, cache)) for c in range(search.state_mod)]
@@ -69,7 +72,7 @@ def assert_sweep_matches_walk(search: _PreimageSearch) -> None:
 def test_sweep_matches_walk_on_preset_sections(ref):
     sec = preset_section(ref)
     _, sigma = section_sets(sec.n1, sec.n2, sec.n2_removed)
-    assert_sweep_matches_walk(_PreimageSearch(sec.map, sigma))
+    assert_sweep_matches_walk(PreimageSearch(sec.map, sigma))
 
 
 def random_sections(seed: int, count: int):
@@ -87,7 +90,7 @@ def test_sweep_matches_walk_on_random_sections():
     # sweep without them marks the same classes there
     pruned = 0
     for gcmap, sigma in random_sections(2024, 64):
-        search = _PreimageSearch(gcmap, sigma)
+        search = PreimageSearch(gcmap, sigma)
         assert_sweep_matches_walk(search)
         pruned += not all(search.reaches)
     assert pruned  # some sections leave classes that provably never reach them
@@ -101,7 +104,7 @@ def preimage_mismatches(gcmap: GCMap, sigma, rows: int = 300, window: int = 4000
         v = P.apply(m, fuel)
         if not isinstance(v, Inconclusive):
             forward.setdefault(v, set()).add(m)
-    search = _PreimageSearch(gcmap, sigma)
+    search = PreimageSearch(gcmap, sigma)
     bad = []
     for r in sigma.members(1, rows):
         pre = search.preimages(r)
@@ -139,7 +142,7 @@ def test_residue_cycle_ends_a_chain_only_when_nothing_can_follow(ref, modulus, r
     gcmap = preset_map(ref)
     sigma = PuncturedResidueSet(ResidueSet.of(modulus, residues), frozenset(removed))
     assert FirstReturnMap(gcmap, sigma).apply(m, 1000) == r
-    pre = _PreimageSearch(gcmap, sigma).preimages(r)
+    pre = PreimageSearch(gcmap, sigma).preimages(r)
     assert pre is None or m in pre
     assert preimage_mismatches(gcmap, sigma) == []
 
@@ -165,4 +168,59 @@ def test_odd_state_modulus_is_rejected():
     ))
     assert gcmap.validate().ok
     with pytest.raises(ValueError, match="even state modulus"):
-        _PreimageSearch(gcmap, ResidueSet.of(3, [1]))
+        PreimageSearch(gcmap, ResidueSet.of(3, [1]))
+
+
+def forward_preimages(gcmap: GCMap, sigma, window: int = 4000, fuel: int = 1000) -> dict[int, set[int]]:
+    """{r: {m in sigma ∩ [1, window] : P(m) = r}} over the decided first returns."""
+    P = FirstReturnMap(gcmap, sigma)
+    forward: dict[int, set[int]] = {}
+    for m in sigma.members(1, window):
+        v = P.apply(m, fuel)
+        if not isinstance(v, Inconclusive):
+            forward.setdefault(v, set()).add(m)
+    return forward
+
+
+def closed_form_mismatches(gcmap: GCMap, n1, n2, removed, rows: int = 300) -> tuple[list, int]:
+    """Exact rows of the section operators on sigma ∩ [1, rows] whose entries are
+    not the forward preimages that their operator owns, and the number of exact rows."""
+    _, sigma = section_sets(n1, n2, removed)
+    forward = forward_preimages(gcmap, sigma)
+    ops = build_section_ops(gcmap, n1, n2, BasisWindow.section(sigma, rows), 1000, n2_removed=removed)
+    bad = []
+    for name, t, owns in (("T1", ops.t1, lambda m: m in n1), ("T2", ops.t2, lambda m: m not in n1)):
+        entries = t.adjoint().cols  # row r of T: {m: 1 for each column m with P(m) = r}
+        for r in sorted(t.exact_rows):
+            want = {m for m in forward.get(r, ()) if owns(m)}
+            if set(entries.get(r, {})) != want:
+                bad.append((name, r, sorted(entries.get(r, {})), sorted(want)))
+    return bad, len(ops.t1.exact_rows) + len(ops.t2.exact_rows)
+
+
+@pytest.mark.parametrize(
+    "ref",
+    ["collatz", "qx1:5", "3xd:1", "3xd:3", "3xd:5", "3xd:9", "3xd:17", "3xd:53", "mersenne:3", "mersenne:4"],
+)
+def test_closed_form_rows_match_first_return_on_preset_sections(ref):
+    sec = preset_section(ref)
+    bad, certified = closed_form_mismatches(sec.map, sec.n1, sec.n2, sec.n2_removed)
+    assert bad == [] and certified
+
+
+def test_closed_form_rows_match_first_return_on_random_sections():
+    # N1 a few odd classes, N2 = f(N1) with its punctures: (F1) holds and N1,
+    # N2 are disjoint, so T1 rows are certified; most fail (F2), and then no
+    # T2 row is
+    rng = random.Random(3)
+    maps = [preset_map(ref) for ref in ("collatz", "qx1:5", "3xd:7", "mersenne:3", "3xd:5")]
+    certified = 0
+    for _ in range(40):
+        gcmap, modulus = rng.choice(maps), rng.choice([6, 10, 14, 18, 30, 42, 54, 98])
+        odd = range(1, modulus, 2)
+        n1 = ResidueSet.of(modulus, rng.sample(odd, rng.randint(1, len(odd))))
+        n2, removed = residue_image_exceptions(gcmap, n1)
+        bad, count = closed_form_mismatches(gcmap, n1, n2, frozenset(removed), rows=150)
+        assert bad == [], n1
+        certified += count
+    assert certified

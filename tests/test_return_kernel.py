@@ -9,6 +9,7 @@ lowered far below int64 makes the call rerun on the scalar path, and on maps tha
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -284,3 +285,12 @@ def test_scalar_path_inputs():
         assert raised(lambda: return_times(collatz, sigma, xs, 10)) == want
     assert [a.tolist() for a in return_times(collatz, sigma, [], 10)] == [[], [], []]
     assert raised(lambda: return_times(collatz, sigma, [2], 10))[0] is DomainError
+
+
+def test_member_test_takes_exact_ints_beyond_int64():
+    # a scalar rerun can return values past int64 in an object array, and
+    # the section checks then test them against sigma
+    for sigma in (ResidueSet.of(18, [4, 16]), PuncturedResidueSet(ResidueSet.of(18, [2, 8]), frozenset({2}))):
+        values = [2, 4, 8, 20, 2**70 + 4, 2**70 + 6, 2**90 + 8]
+        got = dynamics._member_test(sigma)(np.array(values, dtype=object))
+        assert got.tolist() == [v in sigma for v in values]
