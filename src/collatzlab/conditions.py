@@ -15,7 +15,7 @@ import numpy as np
 
 from .dynamics import _member_test, return_times
 from .gcmap import INCONCLUSIVE, PASS, VIOLATION, Inconclusive, Report, verdict
-from .gcmap import AffineBranch, GCMap, ResidueSet, _check_positive, section_sets
+from .gcmap import GCMap, ResidueSet, _check_positive, section_sets
 
 
 def itinerary(gcmap: GCMap, x: int, length: int) -> tuple[int, ...]:
@@ -257,6 +257,14 @@ class WitnessTable:
             if e % (1 << j) == 0 and self.exponents.get((e >> j) % self.modulus) == j
         ]
 
+    def climb(self, e: int, sigma) -> int:
+        """The first value 2^j * e, j >= 0, in sigma, by jumps v <<= kappa(v) from e itself.
+        Under a proved table each jump lands in N2 or on a larger puncture."""
+        v = e
+        while v not in sigma:
+            v <<= self.exponents[v % self.modulus]
+        return v
+
 
 @dataclass(frozen=True)
 class SectionCKReport(Report):
@@ -276,11 +284,6 @@ class SectionCKReport(Report):
         }
 
 
-def _halving_branch(gcmap: GCMap) -> AffineBranch | None:
-    """The map's n -> n/2 branch, if it has one."""
-    return next((br for br in gcmap.branches if (br.a, br.b, br.c) == (1, 0, 2)), None)
-
-
 def ck_for_section(
     gcmap: GCMap,
     n1: ResidueSet,
@@ -294,21 +297,25 @@ def ck_for_section(
 
     Three ingredients, mirroring the case analysis of the source dynamics:
     (a) P(N1) = N2 symbolically, as a single affine step at the residue level;
-    (b) P(N2) = N1 ∪ N2 via the supplied power-of-two multiplier witnesses,
-        each checked exhaustively over its residue class, including the
-        minimality of the exponent;
+    (b) P(N2) = N1 ∪ N2 via the power-of-two multiplier witnesses: the
+        supplied table must equal the one :func:`halving_witnesses` proves on
+        residues (minimal exponents into N2, every even n halved by f);
     (c) empirical injectivity of P|N2 and membership of P values on the window.
     The verdict is labeled "witnessed", not symbolically proved: P has no
     uniform return time, so (b)+(c) stand in for a closed-form argument.
-    A first return or doubling search that runs out of fuel makes the
-    verdict inconclusive, unless a violation is found elsewhere.
+    ``fuel`` bounds the first returns of (c) only; one that runs out of fuel
+    makes the verdict inconclusive, unless a violation is found elsewhere.
 
     ``removed`` lists the punctures of N2 when it is a shifted set (classes
-    minus finitely many small values); each affected witness endpoint gets an
-    individual replacement verification.
+    minus finitely many small values).  A witness endpoint that is a puncture
+    climbs by further witness jumps (:meth:`WitnessTable.climb`), and the
+    value it reaches must lie in N2.
+
+    Two inputs that a walk over every doubling of every witness residue would
+    accept fail (b): a table at a multiple of the derived modulus, and a map
+    whose n/2 branch owns only the even classes that the doubling chains visit.
     """
     fail = lambda msg: SectionCKReport(VIOLATION, None, "failed", msg)
-    undecided: list[int] = []  # values whose first return ran out of fuel
 
     # (a) symbolic: one application of f sends N1 exactly onto N2 (with punctures)
     try:
@@ -319,55 +326,27 @@ def ck_for_section(
         return fail("f(N1) != N2 at the residue level")
     if frozenset(exc) != frozenset(removed):
         return fail(f"image punctures {sorted(exc)} do not match declared {sorted(removed)}")
-
     n2_set, sigma_set = section_sets(n1, n2, removed)
-    sigma = sigma_set.classes
-    mw = witnesses.modulus
-    if mw % sigma.modulus != 0 or mw % n2.modulus != 0:
-        return fail(f"witness modulus {mw} must be a multiple of the section moduli")
-    section_residues = sigma.at_modulus(mw).residues
-    if set(witnesses.exponents) != set(section_residues):
-        missing = sorted(section_residues - set(witnesses.exponents))
-        extra = sorted(set(witnesses.exponents) - section_residues)
-        return fail(f"witness table mismatch: missing residues {missing}, extra {extra}")
 
-    # (b) witnesses: 2^kappa * class ⊆ N2 with minimal kappa, intermediates outside
-    halving = _halving_branch(gcmap)
-    if halving is None:
-        return fail("map has no n/2 branch; witness descent undefined")
-    if mw % gcmap.modulus != 0:
-        return fail(f"witness modulus {mw} must be a multiple of the map modulus")
-    for r, kappa in sorted(witnesses.exponents.items()):
-        if kappa < 1:
-            return fail(f"residue {r}: exponent must be >= 1")
-        for j in range(1, kappa):
-            v = (r * pow(2, j)) % mw
-            if v in section_residues:
-                return fail(f"residue {r}: intermediate 2^{j}*n is inside the section")
-            r0 = v if v >= 1 else mw
-            if gcmap.branch_of(r0) is not halving:
-                return fail(f"residue {r}: intermediate 2^{j}*n is not halved by f")
-        if (r * pow(2, kappa)) % n2.modulus not in n2.residues:
-            return fail(f"residue {r}: 2^{kappa}*n does not land in N2")
-        top = (r * pow(2, kappa)) % mw
-        top0 = top if top >= 1 else mw
-        if gcmap.branch_of(top0) is not halving:
-            return fail(f"residue {r}: 2^{kappa}*n is not halved by f")
-
+    # (b) witnesses: the supplied table is the proved one
+    try:
+        proved = halving_witnesses(gcmap, n1, n2)
+    except ValueError as err:
+        return fail(str(err))
+    if witnesses.modulus != proved.modulus:
+        return fail(f"witness modulus {witnesses.modulus}, derived is {proved.modulus}")
+    have, want = witnesses.exponents, proved.exponents
+    wrong = sorted(r for r in have.keys() | want.keys() if have.get(r) != want.get(r))
+    if wrong:
+        r = wrong[0]
+        minimal = f"minimal is {want[r]}" if r in want else "not a section residue"
+        return fail(f"residue {r}: exponent {have.get(r, 'missing')}, {minimal}")
     # punctured witness endpoints: 2^kappa * n is a removed value for finitely
-    # many n; each of those needs its own, larger doubling exponent into N2
+    # many n; each of those climbs on to its own preimage, which must be in N2
     for e in sorted(removed):
-        for n in witnesses.bases(e):
-            if n in sigma_set:
-                v = e
-                for _ in range(fuel):
-                    v *= 2
-                    if v in sigma_set:
-                        if v not in n2_set:
-                            return fail(f"punctured witness {n}: doubling re-enters via {v} outside N2")
-                        break
-                else:
-                    undecided.append(e)
+        n = next((n for n in proved.bases(e) if n in sigma_set), None)
+        if n is not None and (v := proved.climb(e, sigma_set)) not in n2_set:
+            return fail(f"punctured witness {n}: doubling re-enters via {v} outside N2")
 
     # (c) empirical: P on the window; the first failing label is reported
     members = np.arange(1, window + 1, dtype=np.int64)
@@ -389,7 +368,7 @@ def ck_for_section(
         if in_n1[i]:
             return fail(f"P({n}) = {v} with {n} in N1 but value outside N2")
         return fail(f"P({n}) = {v} outside the section")
-    undecided += members[unknown].tolist()
+    undecided = members[unknown].tolist()
     # empirical surjectivity through the witnesses, within the window
     inside, m = witnesses.tiles(members, window)
     s, keep = members[inside], _member_test(sigma_set)(m)
@@ -405,6 +384,25 @@ def ck_for_section(
         detail = f"{len(undecided)} first returns undecided within fuel {fuel}, from {undecided[0]}"
         return SectionCKReport(INCONCLUSIVE, None, "inconclusive", detail)
     return SectionCKReport(PASS, CKMatrix(((0, 1), (1, 1))), "witnessed")
+
+
+def halving_witnesses(gcmap: GCMap, n1: ResidueSet, n2: ResidueSet) -> WitnessTable:
+    """The doubling witnesses of a section, proved: P(2^kappa(s) * s) = s unless that tile is a puncture.
+
+    :func:`derive_witnesses` gives each section class its minimal exponent
+    into N2 with every doubling before it outside the section, and the map's
+    n/2 branch, owning every even residue, halves each tile straight back to
+    s.  Raises ValueError naming the reason when there is no n/2 branch,
+    another branch owns an even residue, or some class never doubles into N2.
+    """
+    m = gcmap.modulus
+    halving = next((br for br in gcmap.branches if (br.a, br.b, br.c) == (1, 0, 2)), None)
+    if halving is None:
+        raise ValueError("map has no n/2 branch; witness descent undefined")
+    unhalved = [r % m for r in range(0, 2 * m, 2) if gcmap._branch_at[r % m] is not halving]
+    if unhalved:
+        raise ValueError(f"even residue {min(unhalved)} mod {m} is not on the n/2 branch")
+    return derive_witnesses(n1, n2)
 
 
 def derive_witnesses(n1: ResidueSet, n2: ResidueSet) -> WitnessTable:

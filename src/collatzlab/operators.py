@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .conditions import SeparatingResult, WitnessTable, _halving_branch, derive_witnesses
+from .conditions import SeparatingResult, WitnessTable, halving_witnesses
 from .conditions import residue_image_exceptions, separating_condition
 from .dynamics import _member_test, classes, return_time, return_times
 from .gcmap import INCONCLUSIVE, DomainError, GCMap, Inconclusive, PuncturedResidueSet, Report
@@ -353,15 +353,13 @@ def _halving_tiles(gcmap: GCMap, n1: ResidueSet, n2: ResidueSet) -> WitnessTable
     """(F2) The doubling witnesses, when they prove that P halves every n in N2 down to
     its s, with n = 2^kappa(s) * s; else None.
 
-    The map must halve every even n, and the tiles 2^kappa(r) * (class r mod
-    mw) must fill N2.  They lie in N2 and are disjoint, because kappa is
-    minimal, so equal density leaves no class of N2 uncovered.
+    :func:`halving_witnesses` proves P(2^kappa(s) * s) = s, and the tiles
+    2^kappa(r) * (class r mod mw) must fill N2.  They lie in N2 and are
+    disjoint, because kappa is minimal, so equal density leaves no class of N2
+    uncovered.
     """
-    halving, m = _halving_branch(gcmap), gcmap.modulus
-    if halving is None or any(gcmap._branch_at[r % m] is not halving for r in range(0, 2 * m, 2)):
-        return None
     try:
-        witnesses = derive_witnesses(n1, n2)
+        witnesses = halving_witnesses(gcmap, n1, n2)
     except ValueError:
         return None
     # density: sum_r 2^-kappa(r) / mw = |N2| / n2.modulus.  Summed exactly by
@@ -424,9 +422,7 @@ def _section_rows(gcmap, n1, n2, sigma, labels, undecided):
     lost &= ~np.isin(labels, [n for e in sigma.removed for n in witnesses.bases(e)])
     rows2 &= ~lost
     for e in sigma.removed:
-        v = e
-        while v not in sigma:  # the value that halves down to e through punctures only
-            v <<= witnesses.exponents[v % witnesses.modulus]
+        v = witnesses.climb(e, sigma)  # the value that halves down to e through punctures only
         if v <= top and not missing(np.array([v]))[0]:
             continue  # a label with a decided column, so in its row
         ret = return_time(gcmap, sigma, v, v.bit_length() + _PUNCTURE_FUEL)

@@ -13,7 +13,6 @@ import math
 
 import numpy as np
 
-from collatzlab.conditions import _halving_branch
 from collatzlab.dynamics import return_times
 from collatzlab.gcmap import GCMap, PuncturedResidueSet, ResidueSet
 
@@ -38,7 +37,7 @@ class PreimageSearch:
         punctured = isinstance(sigma, PuncturedResidueSet)
         self.classes = sigma.classes if punctured else sigma
         self.max_puncture = max(sigma.removed if punctured else (), default=0)
-        self.halving = _halving_branch(gcmap)
+        self.halving = next((br for br in gcmap.branches if (br.a, br.b, br.c) == (1, 0, 2)), None)
         self.affine = [br for br in gcmap.branches if br is not self.halving]
         z = math.lcm(gcmap.modulus, sigma.modulus)
         for br in self.affine:

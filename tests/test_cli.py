@@ -97,11 +97,13 @@ def test_verify_ck_section_and_partition(capsys):
     assert code == PASS and rep["level"] == "partition" and rep["matrix"] == [[1]]
 
 
-def test_verify_ck_section_beyond_exponent_512(capsys):
+@pytest.mark.parametrize("ref, window", [("mersenne:8", "300"), ("mersenne:9", "1000")])
+def test_verify_ck_section_beyond_exponent_512(capsys, ref, window):
     # the minimal doubling exponent of the mersenne:8 section is 1024
-    code, out = run(capsys, "verify", "mersenne:8", "--suite", "ck", "--window", "300", "--fuel", "100000")
+    code, out = run(capsys, "verify", ref, "--suite", "ck", "--window", window, "--fuel", "100000")
     rep = json.loads(out)
     assert code == PASS and rep["level"] == "section" and rep["passed"]
+    assert rep["verdict_kind"] == "witnessed"
 
 
 def test_verify_ck_partition_violation_on_map_file_exits_1(tmp_path, capsys):

@@ -192,7 +192,7 @@ def test_ck_for_section_rejects_nonminimal_witness():
     rep = ck_for_section(
         sec.map, sec.n1, sec.n2, WitnessTable(18, bad), 2000, 10**5
     )
-    assert not rep.passed
+    assert not rep.passed and rep.detail == "residue 11: exponent 2, minimal is 1"
 
 
 def test_ck_for_section_rejects_wrong_n2():

@@ -17,7 +17,8 @@ import pytest
 
 import collatzlab.conditions as conditions
 from collatzlab import BasisWindow, FirstReturnMap, build_section_ops, collatz, preset_section
-from collatzlab.conditions import ck_for_section, derive_witnesses, residue_image
+from collatzlab.conditions import WitnessTable, ck_for_section, derive_witnesses, halving_witnesses
+from collatzlab.conditions import residue_image
 from collatzlab.gcmap import AffineBranch, GCMap, ResidueSet, section_sets
 from collatzlab.operators import _f_returns_on_n1, _halving_tiles
 from preimage_oracle import PreimageSearch, search_rows, undecided_labels
@@ -55,11 +56,19 @@ def test_closed_form_rows_equal_the_search(ref):
     assert_rows_match_search(sec.map, sec.n1, sec.n2, sec.n2_removed, WIDE.get(ref, 10**4))
 
 
-@pytest.mark.parametrize("d", range(7, 60, 2))
+@pytest.mark.parametrize("d", range(5, 60, 2))
 def test_closed_form_rows_equal_the_search_on_punctured_sections(d):
-    # 3x+d sections with d > 5 lose up to seven values of N2; on 3xd:23, 35,
+    # 3x+d sections with d >= 5 lose up to seven values of N2; on 3xd:23, 35,
     # 41, 53 and 59 the puncture 2 doubles into another (8 or 32) on its way to 128
     sec = preset_section(f"3xd:{d}")
+    n2_set, sigma = section_sets(sec.n1, sec.n2, sec.n2_removed)
+    for e in sec.n2_removed:  # the witness jumps reach the first doubling of e in sigma
+        v = 2 * e
+        while v not in sigma:
+            v *= 2
+        assert e not in sigma and sec.witnesses.climb(e, sigma) == v and v in n2_set
+    rep = ck_for_section(sec.map, sec.n1, sec.n2, sec.witnesses, 3000, 10**4, removed=sec.n2_removed)
+    assert rep.verdict_kind == "witnessed"
     assert_rows_match_search(sec.map, sec.n1, sec.n2, sec.n2_removed, 3000)
 
 
@@ -126,6 +135,24 @@ def test_map_that_does_not_halve_every_even_n_fails_f2():
     assert ops.t1.exact_rows
     for r in ops.t1.exact_rows:
         assert set(entries.get(r, {})) == {m for m in sec.n1.members(1, 4000) if P.apply(m, 100) == r}
+
+
+def test_map_splitting_the_even_classes_over_two_halving_branches_fails_f2_and_ck():
+    # n ≡ 0 and n ≡ 2 (mod 4) both go to n/2, but through two branches
+    gcmap = GCMap(4, (
+        AffineBranch(1, ResidueSet.of(4, [1, 3]), 3, 1, 1),
+        AffineBranch(2, ResidueSet.of(4, [0]), 1, 0, 2),
+        AffineBranch(3, ResidueSet.of(4, [2]), 1, 0, 2),
+    ))
+    sec = preset_section("collatz")
+    assert gcmap.validate().ok
+    with pytest.raises(ValueError, match="even residue 2 mod 4 is not on the n/2 branch"):
+        halving_witnesses(gcmap, sec.n1, sec.n2)
+    rep = ck_for_section(gcmap, sec.n1, sec.n2, sec.witnesses, 300, 10**4)
+    assert (rep.verdict_kind, rep.detail) == ("failed", "even residue 2 mod 4 is not on the n/2 branch")
+    assert _halving_tiles(gcmap, sec.n1, sec.n2) is None
+    ops = build_section_ops(gcmap, sec.n1, sec.n2, BasisWindow.section(sec.sigma, 300), 10**4)
+    assert not ops.t2.exact_rows and ops.t1.exact_rows
 
 
 def test_section_missing_part_of_f_n1_certifies_no_row():
@@ -246,3 +273,110 @@ def test_ck_part_c_reports_what_the_label_loop_reports(ref, monkeypatch):
             assert rep.detail == f"{len(want)} first returns undecided within fuel {fuel}, from {want[0]}"
             kinds.add("undecided")
     assert kinds == {"outside N2", "outside the section", "collision", "witness", "undecided"}
+
+
+# --- ck_for_section part (b) against the walk over every doubling -------------------
+
+
+def walk_part_b(gcmap, n1, n2, removed, witnesses, fuel):
+    """Part (b) of ``ck_for_section`` as it walked every doubling of every witness
+    residue: the failure message, "undecided" when a puncture ran out of fuel, or None."""
+    n2_set, sigma_set = section_sets(n1, n2, removed)
+    sigma, mw = sigma_set.classes, witnesses.modulus
+    if mw % sigma.modulus or mw % n2.modulus:
+        return f"witness modulus {mw} must be a multiple of the section moduli"
+    section_residues = sigma.at_modulus(mw).residues
+    if set(witnesses.exponents) != set(section_residues):
+        return "witness table mismatch"
+    halving = next((br for br in gcmap.branches if (br.a, br.b, br.c) == (1, 0, 2)), None)
+    if halving is None:
+        return "map has no n/2 branch"
+    if mw % gcmap.modulus:
+        return f"witness modulus {mw} must be a multiple of the map modulus"
+    halved = {r for r in range(mw) if gcmap.branch_of(r or mw) is halving}
+    n2_residues = n2.at_modulus(mw).residues
+    for r, kappa in sorted(witnesses.exponents.items()):
+        if kappa < 1:
+            return f"residue {r}: exponent must be >= 1"
+        v = r
+        for j in range(1, kappa):
+            v = 2 * v % mw
+            if v in section_residues:
+                return f"residue {r}: intermediate 2^{j}*n is inside the section"
+            if v not in halved:
+                return f"residue {r}: intermediate 2^{j}*n is not halved by f"
+        v = 2 * v % mw
+        if v not in n2_residues:
+            return f"residue {r}: 2^{kappa}*n does not land in N2"
+        if v not in halved:
+            return f"residue {r}: 2^{kappa}*n is not halved by f"
+    undecided = None
+    for e in sorted(removed):
+        for n in witnesses.bases(e):
+            if n in sigma_set:
+                v = e
+                for _ in range(fuel):
+                    v *= 2
+                    if v in sigma_set:
+                        if v not in n2_set:
+                            return f"punctured witness {n}: doubling re-enters via {v} outside N2"
+                        break
+                else:
+                    undecided = "undecided"
+    return undecided
+
+
+def part_b_presets():
+    yield from (ref for ref in section_presets() if ref.startswith("qx1"))
+    yield from (f"mersenne:{k}" for k in range(3, 9))
+    yield from (f"3xd:{d}" for d in range(1, 60, 2))
+
+
+@pytest.mark.parametrize("ref", list(part_b_presets()))
+def test_ck_part_b_passes_where_the_doubling_walk_passes(ref):
+    sec = preset_section(ref)
+    assert walk_part_b(sec.map, sec.n1, sec.n2, sec.n2_removed, sec.witnesses, 10**4) is None
+    rep = ck_for_section(sec.map, sec.n1, sec.n2, sec.witnesses, 1, 10**4, removed=sec.n2_removed)
+    assert rep.verdict_kind == "witnessed"
+
+
+def corrupt_table(rng, witnesses, kind):
+    """A copy of the table with one exponent moved by one, one residue dropped or
+    one added, and the failure that names it."""
+    exponents = dict(witnesses.exponents)
+    r = rng.choice(sorted(exponents))
+    if kind == "add":
+        r = rng.choice([v for v in range(witnesses.modulus) if v not in exponents])
+        exponents[r] = rng.randint(1, 3)
+        detail = f"residue {r}: exponent {exponents[r]}, not a section residue"
+        return WitnessTable(witnesses.modulus, exponents), detail
+    if kind == "drop":
+        del exponents[r]
+    else:
+        exponents[r] += 1 if kind == "+1" else -1
+    detail = f"residue {r}: exponent {exponents.get(r, 'missing')}, minimal is {witnesses.exponents[r]}"
+    return WitnessTable(witnesses.modulus, exponents), detail
+
+
+@pytest.mark.parametrize(
+    "ref", ["collatz", "qx1:5", "qx1:7", "mersenne:4", "3xd:3", "3xd:5", "3xd:17", "3xd:53"]
+)
+def test_ck_part_b_fails_where_the_doubling_walk_fails(ref):
+    sec = preset_section(ref)
+    rng = random.Random(ref)
+    for kind in ("+1", "-1", "drop", "add") * 10:
+        table, detail = corrupt_table(rng, sec.witnesses, kind)
+        assert walk_part_b(sec.map, sec.n1, sec.n2, sec.n2_removed, table, 10**4) is not None
+        rep = ck_for_section(sec.map, sec.n1, sec.n2, table, 1, 10**4, removed=sec.n2_removed)
+        assert (rep.verdict_kind, rep.detail) == ("failed", detail)
+
+
+def test_ck_part_b_rejects_a_table_at_a_multiple_of_the_derived_modulus():
+    # the walk accepts this lift of the table; the proof compares tables as derived
+    sec = preset_section("qx1:5")
+    mw = sec.witnesses.modulus
+    exponents = sec.witnesses.exponents
+    lifted = WitnessTable(2 * mw, {r: exponents[r % mw] for r in range(2 * mw) if r % mw in exponents})
+    assert walk_part_b(sec.map, sec.n1, sec.n2, sec.n2_removed, lifted, 10**4) is None
+    rep = ck_for_section(sec.map, sec.n1, sec.n2, lifted, 1000, 10**4)
+    assert (rep.verdict_kind, rep.detail) == ("failed", f"witness modulus {2 * mw}, derived is {mw}")
