@@ -21,7 +21,6 @@ from .gcmap import (
 from .dynamics import (
     ClassesReport,
     EquivalenceVerdict,
-    FirstReturnMap,
     Related,
     Unrelated,
     check_reduction_necessary,

@@ -1,4 +1,4 @@
-"""Orbit equivalence, window partitioning, and first-return (Poincare) maps.
+"""Orbit equivalence, window partitioning, and first returns to a section.
 
 Everything here is three-valued by design: fuel exhaustion is a normal
 outcome (:class:`~collatzlab.gcmap.Inconclusive`), never an error, because
@@ -18,10 +18,8 @@ import numpy as np
 
 from .gcmap import (
     DomainError,
-    EnteredCycle,
     GCMap,
     Inconclusive,
-    OrbitRecord,
     PuncturedResidueSet,
     Report,
     ResidueSet,
@@ -111,7 +109,8 @@ def classes(gcmap: GCMap, window: int, fuel: int, interior_only: bool = False) -
     """
     _check_positive(window, "window")
     labels = np.arange(1, window + 1, dtype=np.int64)
-    steps = 1 if interior_only else max(fuel, 1)
+    _check_positive(fuel, "fuel")
+    steps = 1 if interior_only else fuel
     value, _, flagged = return_times(gcmap, range(1, window + 1), labels, steps)
     rep = _component_minima(np.where(flagged, labels, value) - 1)
     # a representative is one of these int objects, so rep makes no new ints
@@ -274,43 +273,6 @@ def return_times(gcmap: GCMap, sigma: Container[int], xs, fuel: int):
     return value, tau, undecided
 
 
-class FirstReturnMap:
-    """The first-return map P for ``gcmap`` on ``sigma``, as a fuel-threaded evaluator.
-
-    P is generally not itself a GCMap; this object mirrors the orbit API with
-    fuel passed through each evaluation.  The fuel here bounds raw f-steps per
-    P-step.
-    """
-
-    def __init__(self, gcmap: GCMap, sigma: Container[int]) -> None:
-        self.map = gcmap
-        self.sigma = sigma
-
-    def apply(self, x: int, fuel: int) -> int | Inconclusive:
-        r = return_time(self.map, self.sigma, x, fuel)
-        return r if isinstance(r, Inconclusive) else r.value
-
-    def orbit(self, x: int, fuel: int) -> OrbitRecord:
-        """Orbit under P; fuel bounds the total number of raw f-steps."""
-        if x not in self.sigma:
-            raise DomainError(f"{x} is not in the section")
-        seen: dict[int, int] = {}
-        prefix: list[int] = []
-        v = x
-        budget = fuel
-        while True:
-            if v in seen:
-                i = seen[v]
-                return OrbitRecord(x, tuple(prefix), EnteredCycle(i, tuple(prefix[i:])))
-            seen[v] = len(prefix)
-            prefix.append(v)
-            r = return_time(self.map, self.sigma, v, budget)
-            if isinstance(r, Inconclusive):
-                return OrbitRecord(x, tuple(prefix), Inconclusive(fuel))
-            budget -= r.tau
-            v = r.value
-
-
 # --- transformation propositions (section reductions) -------------------------
 
 
@@ -375,11 +337,17 @@ def check_reduction_necessary(
         return ReductionReport(1, (), (x0,), f"orbit of {x0} does not close within fuel")
     if orb_f.outcome.entry_index != 0:
         return ReductionReport(1, (x0,), (), f"{x0} is not periodic under f")
-    P = FirstReturnMap(gcmap, sigma)
-    orb_p = P.orbit(x0, fuel)
-    if not orb_p.entered_cycle:
-        return ReductionReport(1, (), (x0,), "P-orbit inconclusive within fuel")
-    lhs = set(orb_p.prefix)
+    # the P-orbit of x0 until it repeats; fuel bounds its raw f-steps in total
+    lhs, v, budget = {x0}, x0, fuel
+    while True:
+        ret = return_time(gcmap, sigma, v, budget)
+        if isinstance(ret, Inconclusive):
+            return ReductionReport(1, (), (x0,), "P-orbit inconclusive within fuel")
+        budget -= ret.tau
+        v = ret.value
+        if v in lhs:
+            break
+        lhs.add(v)
     rhs = {v for v in orb_f.prefix if v in sigma}
     if lhs == rhs:
         return ReductionReport(1, (), ())

@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -42,20 +43,23 @@ from .conditions import SeparatingResult, WitnessTable, halving_witnesses
 from .conditions import residue_image_exceptions, separating_condition
 from .dynamics import _member_test, classes, return_time, return_times
 from .gcmap import INCONCLUSIVE, DomainError, GCMap, Inconclusive, PuncturedResidueSet, Report
-from .gcmap import ResidueSet, combine, section_sets, verdict
+from .gcmap import ResidueSet, _check_positive, combine, section_sets, verdict
 
 
 @dataclass(frozen=True)
 class BasisWindow:
-    """An ordered finite set of basis labels e_n."""
+    """An ordered finite set of basis labels e_n: positive integers, sorted, each once.
+
+    A label's position is its index in ``elements``, found by binary search.
+    """
 
     elements: tuple[int, ...]
-    position: dict[int, int] = field(compare=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         elems = tuple(sorted(set(self.elements)))
+        if elems:
+            _check_positive(elems[0], "window label")
         object.__setattr__(self, "elements", elems)
-        object.__setattr__(self, "position", {n: i for i, n in enumerate(elems)})
 
     @classmethod
     def range(cls, lo: int, hi: int) -> "BasisWindow":
@@ -66,7 +70,8 @@ class BasisWindow:
         return cls(tuple(sigma.members(1, hi)))
 
     def __contains__(self, n: int) -> bool:
-        return n in self.position
+        i = bisect_left(self.elements, n)
+        return self.elements[i : i + 1] == (n,)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -87,10 +92,9 @@ def _check_bound(bound: int, what: str) -> None:
 
 
 def _position(window: BasisWindow, n: int) -> int:
-    p = window.position.get(n)
-    if p is None:
+    if n not in window:
         raise ValueError(f"label {n} is not in the window")
-    return p
+    return bisect_left(window.elements, n)
 
 
 def _combine(n: int, col: np.ndarray, row: np.ndarray, val: np.ndarray):
@@ -283,14 +287,41 @@ def _positions(labels: np.ndarray, value: np.ndarray) -> np.ndarray:
     return np.where(labels[at] == value, at, -1)
 
 
-def _window_image(gcmap: GCMap, labels: tuple[int, ...]) -> np.ndarray:
-    """f(n) for each label n of a window, or 0 where f(n) is past the window's top.
+def _window_image(gcmap: GCMap, labels: np.ndarray) -> np.ndarray:
+    """f(n) for each int64 label n of a window, or 0 where f(n) is past the window's top.
 
     One fuel-1 step of the first-return kernel, which raises as ``gcmap.apply``
-    does on a label the map cannot step.
+    does at the first label the map cannot step.
     """
-    top = labels[-1] if labels else 0
-    return return_times(gcmap, range(1, top + 1), np.array(labels, dtype=np.int64), 1)[0]
+    top = int(labels[-1]) if len(labels) else 0
+    return return_times(gcmap, range(1, top + 1), labels, 1)[0]
+
+
+def _branch_preimages(gcmap: GCMap, labels: np.ndarray) -> list[np.ndarray]:
+    """Per branch, the preimage m >= 1 in its guard of every int64 label, or 0 where none.
+
+    -1 stands for preimages that are no label: one past int64, or the
+    infinitely many of a constant branch at its value.  Where c * top + |b|
+    could leave int64 the preimages are computed on exact ints.
+    """
+    top, out = int(labels[-1]) if len(labels) else 0, []
+    for br in gcmap.branches:
+        if not br.a:
+            hit = br.b % br.c == 0 and not br.guard.is_empty()
+            out.append(np.where(hit & (labels == br.b // br.c), -1, 0))
+            continue
+        exact = max(br.a, br.c * top + abs(br.b)) <= _INT64_MAX
+        v = (labels if exact else labels.astype(object)) * br.c - br.b
+        m, ok = v // br.a, v % br.a == 0
+        ok &= m >= 1
+        ok[ok] = _member_test(br.guard)(m[ok])
+        out.append(np.where(ok, np.where(m > _INT64_MAX, -1, m), 0).astype(np.int64))
+    return out
+
+
+def _rows_in_window(gcmap: GCMap, labels: np.ndarray) -> list[np.ndarray]:
+    """Per branch, whether each label's preimage under it is none or a label."""
+    return [(m == 0) | (_positions(labels, m) >= 0) for m in _branch_preimages(gcmap, labels)]
 
 
 # --- map-induced operators ------------------------------------------------------
@@ -298,23 +329,19 @@ def _window_image(gcmap: GCMap, labels: tuple[int, ...]) -> np.ndarray:
 
 def build_T(gcmap: GCMap, window: BasisWindow) -> TruncatedOperator:
     """T e_n = e_{f(n)}, truncated to the window."""
-    pos = window.position
-    image = _positions(np.array(window.elements), _window_image(gcmap, window.elements))
-    exact_row = [all(m in pos for m in gcmap.preimage(n)) for n in window.elements]
+    labels = np.array(window.elements, dtype=np.int64)
+    image = _positions(labels, _window_image(gcmap, labels))
+    exact_row = np.logical_and.reduce(_rows_in_window(gcmap, labels))
     return _functional(window, image, image >= 0, exact_row)
 
 
 def build_branch_ops(gcmap: GCMap, window: BasisWindow) -> list[TruncatedOperator]:
     """T_i e_n = e_{f(n)} for n in X_i, 0 elsewhere; sum over i recovers T entrywise."""
-    pos = window.position
-    branch = np.array([gcmap.branch_of(n).index for n in window.elements], dtype=np.int64)
-    image = _positions(np.array(window.elements), _window_image(gcmap, window.elements))
+    labels = np.array(window.elements, dtype=np.int64)
+    image = _positions(labels, _window_image(gcmap, labels))
     ops = []
-    for br in gcmap.branches:
-        mine = branch == br.index
-        exact_row = [
-            br.a >= 1 and ((m := br.preimage_of(n)) is None or m in pos) for n in window.elements
-        ]
+    for br, exact_row in zip(gcmap.branches, _rows_in_window(gcmap, labels)):
+        mine = _member_test(br.guard)(labels)
         # leaves (images outside the window) are the only inexact columns; every zero column is exact
         ops.append(_functional(window, np.where(mine, image, -1), ~(mine & (image < 0)), exact_row))
     return ops
@@ -403,12 +430,11 @@ def _section_rows(gcmap, n1, n2, sigma, labels, undecided):
         return (at < 0) | undecided[at]
 
     # the branch preimages in N1, where P = f by (F1); (F1) also rules out constant branches
-    for br in (br for br in gcmap.branches if br.a):
-        if max(br.a, br.c * top + abs(br.b)) > _INT64_MAX:  # c * r - b could leave int64
+    for m in _branch_preimages(gcmap, labels):
+        if (m < 0).any():  # a preimage past int64, whose class is not known here
             return np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-        m, rem = np.divmod(labels * br.c - br.b, br.a)
-        at = np.flatnonzero((rem == 0) & (m >= 1))
-        at = at[_member_test(br.guard)(m[at]) & _member_test(n1)(m[at])]
+        at = np.flatnonzero(m)
+        at = at[_member_test(n1)(m[at])]
         at = at[missing(m[at])]
         rows1[at] = False
         rows2[at[_member_test(n2)(m[at])]] = False
@@ -536,12 +562,12 @@ def verify_branch_relations(gcmap: GCMap, window: BasisWindow) -> RelationReport
     ops = build_branch_ops(gcmap, window)
     t = build_T(gcmap, window)
     eye = identity_operator(window)
-    branch = np.array([gcmap.branch_of(n).index for n in window.elements], dtype=np.int64)
+    labels = np.array(window.elements, dtype=np.int64)
     checks = []
     total = None
     sum_t = None
     for br, op in zip(gcmap.branches, ops):
-        proj = _diagonal(window, branch == br.index)
+        proj = _diagonal(window, _member_test(br.guard)(labels))
         tt = op.adjoint() @ op
         checks.append(compare_certified(f"T{br.index}*T{br.index} = proj(X{br.index})", tt, proj))
         total = tt if total is None else total + tt
@@ -680,8 +706,8 @@ def span_vs_class(
     is inconclusive, not a failure; a span that leaves its class still fails.
     """
     _check_depth(depth)
-    hi = window.elements[-1]
-    if window.elements != tuple(range(1, hi + 1)):
+    hi = len(window)
+    if not hi or window.elements != tuple(range(1, hi + 1)):
         raise ValueError("span_vs_class expects a contiguous window [1, hi]")
     full = classes(gcmap, hi, fuel)
     certified = classes(gcmap, hi, fuel, interior_only=True)
@@ -863,8 +889,10 @@ def norm_bound_check(gcmap: GCMap, window: BasisWindow, trials: int) -> NormBoun
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    e = window.elements
-    image = {n: v for n, v in zip(e, _window_image(gcmap, e).tolist()) if v in window}
+    labels = np.array(window.elements, dtype=np.int64)
+    value = _window_image(gcmap, labels)
+    stays = _positions(labels, value) >= 0
+    image = dict(zip(labels[stays].tolist(), value[stays].tolist()))
     support_pool = list(image)  # in label order
     if not support_pool:
         raise ValueError("norm bound: no column of T stays in the window, so no vector can be drawn")

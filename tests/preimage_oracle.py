@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from collatzlab.dynamics import return_times
-from collatzlab.gcmap import GCMap, PuncturedResidueSet, ResidueSet
+from collatzlab.dynamics import return_time, return_times
+from collatzlab.gcmap import GCMap, Inconclusive, PuncturedResidueSet, ResidueSet
 
 
 #: recursion depth of the first-return preimage search; deeper rows stay non-exact
@@ -127,13 +127,13 @@ def search_rows(n1: ResidueSet, n2: ResidueSet, window, preimages: dict, fuel_un
     A row is exact unless the search gave up on it, or a preimage that its
     operator owns is outside the window or undecided.
     """
-    pos = window.position
+    labels = frozenset(window.elements)
     rows1, rows2 = set(), set()
     for r in window.elements:
         pre = preimages[r]
         ok1 = ok2 = pre is not None
         for m in pre or ():
-            if m not in pos or m in fuel_undecided:
+            if m not in labels or m in fuel_undecided:
                 ok1, ok2 = ok1 and m not in n1, ok2 and m not in n2
         if ok1:
             rows1.add(r)
@@ -146,3 +146,9 @@ def undecided_labels(gcmap: GCMap, sigma, window, fuel: int) -> frozenset[int]:
     """The window labels whose first return to sigma runs out of fuel."""
     _, _, undecided = return_times(gcmap, sigma, np.array(window.elements, dtype=np.int64), fuel)
     return frozenset(n for n, u in zip(window.elements, undecided.tolist()) if u)
+
+
+def first_return(gcmap: GCMap, sigma, m: int, fuel: int) -> int | None:
+    """P(m), the first return of m to sigma, or None when fuel runs out first."""
+    ret = return_time(gcmap, sigma, m, fuel)
+    return None if isinstance(ret, Inconclusive) else ret.value

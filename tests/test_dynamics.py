@@ -1,4 +1,4 @@
-"""Orbit equivalence, window classes, first-return maps, reduction checks."""
+"""Orbit equivalence, window classes, first returns, reduction checks."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from collatzlab import (
     DomainError,
-    FirstReturnMap,
     Inconclusive,
     Related,
     Unrelated,
@@ -23,7 +22,9 @@ from collatzlab import (
     return_time,
     three_x_d,
 )
-from collatzlab.gcmap import ResidueSet
+import collatzlab.dynamics as dynamics
+from collatzlab.dynamics import SectionReturn
+from collatzlab.gcmap import INCONCLUSIVE, ResidueSet
 
 
 # --- equivalence -------------------------------------------------------------
@@ -91,6 +92,15 @@ def test_classes_identity_all_singletons():
     assert sorted((len(v) for v in rep.classes().values()), reverse=True) == [1] * 64
 
 
+@pytest.mark.parametrize("fuel", [0, -5])
+def test_classes_rejects_fuel_below_one(fuel):
+    for interior_only in (False, True):
+        with pytest.raises(DomainError, match=f"fuel must be a positive integer, got {fuel}"):
+            classes(collatz(), 10, fuel, interior_only=interior_only)
+    with pytest.raises(DomainError, match="fuel must be a positive integer"):
+        equivalent(collatz(), 5, 7, fuel)
+
+
 def test_classes_interior_only_flags_excursions():
     rep = classes(collatz(), 10, 10**4, interior_only=True)
     # 7 -> 22 leaves the window, so 7 cannot merge with its successor
@@ -111,22 +121,26 @@ def test_return_time_collatz():
         return_time(m, sigma, 2, 100)
 
 
+def p_orbit(gcmap, sigma, x, fuel) -> list[int]:
+    """The orbit of x under the first-return map P, up to its first repeat."""
+    orbit = [x]
+    while (v := return_time(gcmap, sigma, orbit[-1], fuel).value) not in orbit:
+        orbit.append(v)
+    return orbit
+
+
 def test_first_return_orbit_and_equivalence():
     sec = preset_section("collatz")
-    P = FirstReturnMap(sec.map, sec.sigma)
-    rec = P.orbit(1, 1000)
-    assert rec.prefix[:3] == (1, 4, 1)[:2]
-    assert rec.entered_cycle
-    v = equivalent(P, 5, 7, 10**4)
-    assert isinstance(v, Related)
+    assert p_orbit(sec.map, sec.sigma, 1, 1000) == [1, 4]
+    # 5 and 7 are f-equivalent, and their P-orbits meet
+    assert isinstance(equivalent(sec.map, 5, 7, 10**4), Related)
+    assert set(p_orbit(sec.map, sec.sigma, 5, 10**4)) & set(p_orbit(sec.map, sec.sigma, 7, 10**4))
 
 
 def test_first_return_apply_matches_stepping():
     sec = preset_section("collatz")
-    P = FirstReturnMap(sec.map, sec.sigma)
     for n in sec.sigma.members(1, 500):
-        v = P.apply(n, 10**4)
-        assert isinstance(v, int)
+        v = return_time(sec.map, sec.sigma, n, 10**4).value
         # recompute by raw stepping
         w = sec.map.apply(n)
         while w not in sec.sigma:
@@ -150,6 +164,25 @@ def test_reduction_necessary_3xd5():
     assert rec.outcome.entry_index == 0 and set(rec.outcome.cycle) == {5, 20, 10}
     rep = check_reduction_necessary(sec.map, sec.sigma, 5, 10**4)
     assert rep.passed, rep.detail
+
+
+def test_reduction_necessary_reports_a_wrong_first_return(monkeypatch):
+    # negative control: a first return that goes back to x0 at once hides 20
+    sec = preset_section("3xd:5")
+    monkeypatch.setattr(dynamics, "return_time", lambda g, s, x, fuel: SectionReturn(1, 5))
+    rep = check_reduction_necessary(sec.map, sec.sigma, 5, 10**4)
+    assert rep.failures == (5,) and rep.detail == "orb(x0;P)=[5] != orb(x0;f) ∩ sigma=[5, 20]"
+
+
+def test_reduction_necessary_is_inconclusive_when_the_p_orbit_runs_out_of_fuel(monkeypatch):
+    # the P-orbit of a periodic x0 spends exactly the f-period, which the
+    # f-orbit needed too; each first return granted one f-step less starves it
+    sec = preset_section("3xd:5")
+    real = dynamics.return_time
+    monkeypatch.setattr(dynamics, "return_time", lambda g, s, x, fuel: real(g, s, x, fuel - 1))
+    rep = check_reduction_necessary(sec.map, sec.sigma, 5, 3)
+    assert rep.inconclusive == (5,) and rep.detail == "P-orbit inconclusive within fuel"
+    assert rep.status == INCONCLUSIVE
 
 
 def test_reduction_necessary_mersenne():

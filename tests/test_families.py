@@ -7,7 +7,6 @@ import pytest
 from collatzlab import (
     BasisWindow,
     DomainError,
-    FirstReturnMap,
     ResidueSet,
     build_section_ops,
     collatz,
@@ -22,7 +21,7 @@ from collatzlab import (
     verify_mersenne_identities,
     verify_q5_group,
 )
-from preimage_oracle import PreimageSearch
+from preimage_oracle import PreimageSearch, first_return
 
 
 # --- maps -------------------------------------------------------------------
@@ -114,9 +113,9 @@ def test_3x5_puncture_reaches_every_consumer():
     # 2 is in the class 2 mod 18 of N2, but no n in N1 maps to it; without the
     # puncture 2 would be a section point with P(2) = 1
     sec = section_3xd(5)
-    assert FirstReturnMap(sec.map, sec.sigma.classes).apply(2, 100) == 1
+    assert first_return(sec.map, sec.sigma.classes, 2, 100) == 1
     with pytest.raises(DomainError):
-        FirstReturnMap(sec.map, sec.sigma).apply(2, 100)
+        first_return(sec.map, sec.sigma, 2, 100)
     win = BasisWindow(tuple(sec.sigma.members(1, 50)) + (2,))
     with pytest.raises(DomainError, match="window element 2 "):
         build_section_ops(sec.map, sec.n1, sec.n2, win, 10**4, n2_removed=sec.n2_removed)

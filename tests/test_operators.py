@@ -17,7 +17,6 @@ from collatzlab import (
     AffineBranch,
     BasisWindow,
     DomainError,
-    FirstReturnMap,
     GCMap,
     ResidueSet,
     TruncatedOperator,
@@ -39,6 +38,7 @@ from collatzlab import (
     verify_section_relations,
 )
 from collatzlab.operators import compare_certified, zero_operator
+from preimage_oracle import first_return
 
 
 def _random_op(window: BasisWindow, rng: random.Random) -> TruncatedOperator:
@@ -212,9 +212,8 @@ def test_section_rows_reached_by_inconclusive_columns_are_not_exact():
     win = BasisWindow.section(sec.sigma, 600)
     ops = build_section_ops(sec.map, sec.n1, sec.n2, win, 3, n2_removed=sec.n2_removed)
     assert ops.inconclusive_columns
-    P = FirstReturnMap(sec.map, sec.sigma)
     for m in ops.inconclusive_columns:
-        r = P.apply(m, 10**4)
+        r = first_return(sec.map, sec.sigma, m, 10**4)
         assert r in win
         assert r not in (ops.t1 if m in sec.n1 else ops.t2).exact_rows
     assert verify_section_relations(ops).ok
@@ -355,6 +354,20 @@ def test_window_image_raises_as_apply_does():
     for gcmap, first in ((halves_odds, 1), (gap, 2)):
         with pytest.raises((ArithmeticError, ValueError)) as want:
             gcmap.apply(first)
-        for build in (build_T, lambda g, w: norm_bound_check(g, w, 5)):
+        for build in (build_T, build_branch_ops, lambda g, w: norm_bound_check(g, w, 5)):
             with pytest.raises(type(want.value), match=re.escape(str(want.value))):
                 build(gcmap, window)
+
+
+def test_window_label_below_one_is_rejected_when_the_window_is_built():
+    for labels in ((0, 1, 2), (3, -1), (0,)):
+        with pytest.raises(DomainError, match="window label must be a positive integer"):
+            BasisWindow(labels)
+    assert BasisWindow(()).elements == ()
+    assert 2 in BasisWindow((5, 2, 2)) and 3 not in BasisWindow((5, 2)) and 9 not in BasisWindow(())
+
+
+def test_span_vs_class_rejects_an_empty_or_gapped_window():
+    for window in (BasisWindow(()), BasisWindow((1, 3)), BasisWindow((2, 3))):
+        with pytest.raises(ValueError, match=re.escape("contiguous window [1, hi]")):
+            span_vs_class(collatz(), window, 100)

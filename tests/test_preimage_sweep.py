@@ -20,10 +20,10 @@ import random
 
 import pytest
 
-from collatzlab import BasisWindow, FirstReturnMap, build_section_ops, preset_map, preset_section
+from collatzlab import BasisWindow, build_section_ops, preset_map, preset_section
 from collatzlab.conditions import residue_image_exceptions
-from collatzlab.gcmap import AffineBranch, GCMap, Inconclusive, PuncturedResidueSet, ResidueSet, section_sets
-from preimage_oracle import PreimageSearch
+from collatzlab.gcmap import AffineBranch, GCMap, PuncturedResidueSet, ResidueSet, section_sets
+from preimage_oracle import PreimageSearch, first_return
 
 
 def class_reaches_sigma(search: PreimageSearch, c0: int, cache: dict[int, bool]) -> bool:
@@ -96,14 +96,19 @@ def test_sweep_matches_walk_on_random_sections():
     assert pruned  # some sections leave classes that provably never reach them
 
 
-def preimage_mismatches(gcmap: GCMap, sigma, rows: int = 300, window: int = 4000, fuel: int = 1000):
-    """Rows r <= ``rows`` whose complete preimage set disagrees with P on sigma ∩ [1, window]."""
-    P = FirstReturnMap(gcmap, sigma)
+def forward_preimages(gcmap: GCMap, sigma, window: int = 4000, fuel: int = 1000) -> dict[int, set[int]]:
+    """{r: {m in sigma ∩ [1, window] : P(m) = r}} over the decided first returns."""
     forward: dict[int, set[int]] = {}
     for m in sigma.members(1, window):
-        v = P.apply(m, fuel)
-        if not isinstance(v, Inconclusive):
+        v = first_return(gcmap, sigma, m, fuel)
+        if v is not None:
             forward.setdefault(v, set()).add(m)
+    return forward
+
+
+def preimage_mismatches(gcmap: GCMap, sigma, rows: int = 300, window: int = 4000, fuel: int = 1000):
+    """Rows r <= ``rows`` whose complete preimage set disagrees with P on sigma ∩ [1, window]."""
+    forward = forward_preimages(gcmap, sigma, window, fuel)
     search = PreimageSearch(gcmap, sigma)
     bad = []
     for r in sigma.members(1, rows):
@@ -111,7 +116,7 @@ def preimage_mismatches(gcmap: GCMap, sigma, rows: int = 300, window: int = 4000
         if pre is None:
             continue
         missed = forward.get(r, set()) - pre
-        wrong = [m for m in pre if P.apply(m, fuel) != r]
+        wrong = [m for m in pre if first_return(gcmap, sigma, m, fuel) != r]
         if missed or wrong:
             bad.append((r, sorted(missed), sorted(wrong)))
     return bad
@@ -141,7 +146,7 @@ def test_preimages_match_first_return_on_preset_sections(ref):
 def test_residue_cycle_ends_a_chain_only_when_nothing_can_follow(ref, modulus, residues, removed, r, m):
     gcmap = preset_map(ref)
     sigma = PuncturedResidueSet(ResidueSet.of(modulus, residues), frozenset(removed))
-    assert FirstReturnMap(gcmap, sigma).apply(m, 1000) == r
+    assert first_return(gcmap, sigma, m, 1000) == r
     pre = PreimageSearch(gcmap, sigma).preimages(r)
     assert pre is None or m in pre
     assert preimage_mismatches(gcmap, sigma) == []
@@ -169,17 +174,6 @@ def test_odd_state_modulus_is_rejected():
     assert gcmap.validate().ok
     with pytest.raises(ValueError, match="even state modulus"):
         PreimageSearch(gcmap, ResidueSet.of(3, [1]))
-
-
-def forward_preimages(gcmap: GCMap, sigma, window: int = 4000, fuel: int = 1000) -> dict[int, set[int]]:
-    """{r: {m in sigma ∩ [1, window] : P(m) = r}} over the decided first returns."""
-    P = FirstReturnMap(gcmap, sigma)
-    forward: dict[int, set[int]] = {}
-    for m in sigma.members(1, window):
-        v = P.apply(m, fuel)
-        if not isinstance(v, Inconclusive):
-            forward.setdefault(v, set()).add(m)
-    return forward
 
 
 def closed_form_mismatches(gcmap: GCMap, n1, n2, removed, rows: int = 300) -> tuple[list, int]:

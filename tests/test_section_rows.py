@@ -16,12 +16,12 @@ import numpy as np
 import pytest
 
 import collatzlab.conditions as conditions
-from collatzlab import BasisWindow, FirstReturnMap, build_section_ops, collatz, preset_section
+from collatzlab import BasisWindow, build_section_ops, collatz, preset_section
 from collatzlab.conditions import WitnessTable, ck_for_section, derive_witnesses, halving_witnesses
 from collatzlab.conditions import residue_image
 from collatzlab.gcmap import AffineBranch, GCMap, ResidueSet, section_sets
 from collatzlab.operators import _f_returns_on_n1, _halving_tiles
-from preimage_oracle import PreimageSearch, search_rows, undecided_labels
+from preimage_oracle import PreimageSearch, first_return, search_rows, undecided_labels
 
 BENCH_PRESETS = (
     "collatz", "qx1:5", "mersenne:3", "mersenne:4", "mersenne:5", "3xd:1", "3xd:3", "3xd:5", "3xd:9",
@@ -110,7 +110,7 @@ def test_section_that_does_not_tile_certifies_no_t2_row():
     assert density(derive_witnesses(n1, n2)) == Fraction(22, 1152) < Fraction(64, 1152)
     # 40 -> 20 -> 10 -> 5 -> 16 -> 8 -> 4: an odd step on the way back to sigma
     _, sigma = section_sets(n1, n2)
-    assert FirstReturnMap(gcmap, sigma).apply(40, 100) == 4
+    assert first_return(gcmap, sigma, 40, 100) == 4
     assert _f_returns_on_n1(gcmap, n1, sigma) and _halving_tiles(gcmap, n1, n2) is None
     ops = assert_rows_match_search(gcmap, n1, n2, frozenset(), 2000, equal=False)
     assert not ops.t2.exact_rows
@@ -131,10 +131,11 @@ def test_map_that_does_not_halve_every_even_n_fails_f2():
     assert not ops.t2.exact_rows
     # (F1) still holds, f being 3n + 1 on N1, so T1 rows stay certified, and
     # each holds its forward preimages (here a search gives up on some rows)
-    P, entries = FirstReturnMap(gcmap, sec.sigma), ops.t1.adjoint().cols
+    entries = ops.t1.adjoint().cols
     assert ops.t1.exact_rows
     for r in ops.t1.exact_rows:
-        assert set(entries.get(r, {})) == {m for m in sec.n1.members(1, 4000) if P.apply(m, 100) == r}
+        forward = {m for m in sec.n1.members(1, 4000) if first_return(gcmap, sec.sigma, m, 100) == r}
+        assert set(entries.get(r, {})) == forward
 
 
 def test_map_splitting_the_even_classes_over_two_halving_branches_fails_f2_and_ck():
