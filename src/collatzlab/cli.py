@@ -135,9 +135,9 @@ def cmd_classes(args: argparse.Namespace) -> int:
         "window": args.window,
         "numClasses": rep.num_classes,
         "flagged": sorted(rep.flagged),
-        "classes": {str(k): v for k, v in sorted(rep.classes().items())},
+        "classes": {str(k): v for k, v in rep.classes().items()},
     }
-    rows = ((n, rep.class_of(n)) for n in range(1, args.window + 1))
+    rows = enumerate(rep.minima.tolist(), 1)
     _emit_table(payload, args.format, ("n", "representative"), rows)
     return verdict(inconclusive=bool(rep.flagged))
 

@@ -12,6 +12,7 @@ frontiers and agrees lane by lane with the scalar :func:`return_time`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Container
 
 import numpy as np
@@ -75,26 +76,47 @@ def equivalent(gcmap: GCMap, x: int, y: int, fuel: int) -> EquivalenceVerdict:
 # --- window partitioning ----------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class ClassesReport:
-    """Partition of {1..window} by fuel-bounded orbit evidence."""
+    """Partition of {1..window} by fuel-bounded orbit evidence.
+
+    Held as two arrays over the labels: ``minima[n - 1]`` is the least label
+    of n's class and ``flagged_mask[n - 1]`` marks an n whose orbit left the
+    window and did not return within fuel.  The label forms are built from
+    them when read.
+    """
 
     window: int
-    representative: dict[int, int]
-    flagged: frozenset[int]
+    minima: np.ndarray
+    flagged_mask: np.ndarray
+
+    @property
+    def flagged(self) -> frozenset[int]:
+        return frozenset((np.flatnonzero(self.flagged_mask) + 1).tolist())
 
     @property
     def num_classes(self) -> int:
-        return len(set(self.representative.values()))
+        return int(np.count_nonzero(np.bincount(self.minima)))
 
     def class_of(self, n: int) -> int:
-        return self.representative[n]
+        if not 1 <= n <= self.window:
+            raise KeyError(n)
+        return int(self.minima[n - 1])
 
     def classes(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for n in range(1, self.window + 1):
-            out.setdefault(self.representative[n], []).append(n)
-        return out
+        """Each class by its least label, in increasing order, with its members in order."""
+        order = np.argsort(self.minima, kind="stable")
+        least = self.minima[order]
+        head = np.flatnonzero(np.r_[True, least[1:] != least[:-1]])
+        members = (order + 1).tolist()
+        bounds = head.tolist() + [self.window]
+        return {k: members[i:j] for k, i, j in zip(least[head].tolist(), bounds, bounds[1:])}
+
+    @cached_property
+    def representative(self) -> dict[int, int]:
+        # a representative is one of the key int objects, so the dict makes no new ints
+        names = list(range(1, self.window + 1))
+        return dict(zip(names, map(names.__getitem__, (self.minima - 1).tolist())))
 
 
 def classes(gcmap: GCMap, window: int, fuel: int, interior_only: bool = False) -> ClassesReport:
@@ -112,11 +134,8 @@ def classes(gcmap: GCMap, window: int, fuel: int, interior_only: bool = False) -
     _check_positive(fuel, "fuel")
     steps = 1 if interior_only else fuel
     value, _, flagged = return_times(gcmap, range(1, window + 1), labels, steps)
-    rep = _component_minima(np.where(flagged, labels, value) - 1)
-    # a representative is one of these int objects, so rep makes no new ints
-    names = list(range(1, window + 1))
-    representative = dict(zip(names, map(names.__getitem__, rep.tolist())))
-    return ClassesReport(window, representative, frozenset(labels[flagged].tolist()))
+    minima = _component_minima(np.where(flagged, labels, value) - 1) + 1
+    return ClassesReport(window, minima, flagged)
 
 
 def _component_minima(parent: np.ndarray) -> np.ndarray:

@@ -383,8 +383,8 @@ class GCMap:
                 if m is not None:
                     out.add(m)
             else:
-                # constant branch: every guard member maps to b // c
-                if br.c != 0 and br.b % br.c == 0 and br.b // br.c == n:
+                # constant branch: every guard member, if it has one, maps to b // c
+                if not br.guard.is_empty() and br.b % br.c == 0 and br.b // br.c == n:
                     raise ValueError("constant branch has infinite preimage sets")
         return out
 

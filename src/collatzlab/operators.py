@@ -35,13 +35,14 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .conditions import SeparatingResult, WitnessTable, halving_witnesses
 from .conditions import residue_image_exceptions, separating_condition
-from .dynamics import _member_test, classes, return_time, return_times
+from .dynamics import ClassesReport, _member_test, classes, return_time, return_times
 from .gcmap import INCONCLUSIVE, DomainError, GCMap, Inconclusive, PuncturedResidueSet, Report
 from .gcmap import ResidueSet, _check_positive, combine, section_sets, verdict
 
@@ -602,27 +603,22 @@ def verify_section_relations(ops: SectionOperators) -> RelationReport:
 # --- reachable spans vs equivalence classes ------------------------------------------
 
 
-def _index_graph(edges: Iterable[tuple[int, int]]) -> dict[int, set[int]]:
-    """Adjacency sets of the undirected graph on labels with the given edges."""
-    adj: dict[int, set[int]] = {}
-    for n, r in edges:
-        adj.setdefault(n, set()).add(r)
-        adj.setdefault(r, set()).add(n)
-    return adj
+def _csr(n: int, a: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int]]:
+    """The undirected graph on positions 0..n-1 with the edges a[i] -- b[i], as
+    CSR lists ``(indptr, indices)``: the neighbours of p are
+    ``indices[indptr[p]:indptr[p + 1]]``.  Lists, because the walk reads them
+    one position at a time."""
+    src, dst = np.concatenate((a, b)), np.concatenate((b, a))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr.tolist(), dst[np.argsort(src, kind="stable")].tolist()
 
 
-def _t_graph(gcmap: GCMap, labels: tuple[int, ...]) -> dict[int, set[int]]:
-    """The index graph of T on the window [1, hi]: n -- f(n) where both lie in it.
-
-    A function of its own so that the label lists it builds are freed before
-    the span walks, which run at the peak of span_vs_class's memory.  It
-    takes the kernel step itself, not through ``_window_image``, to hold the
-    kernel's arrays until the graph is built: freeing them first raised that
-    peak by about 0.7 MB at window 10^5.
-    """
-    image, _, leaves = return_times(gcmap, range(1, len(labels) + 1), labels, 1)
-    edges = zip(labels, image.tolist(), leaves.tolist())
-    return _index_graph((n, v) for n, v, leaf in edges if not leaf)
+def _t_graph(gcmap: GCMap, hi: int) -> tuple[list[int], list[int]]:
+    """The index graph of T on the window [1, hi]: n - 1 -- f(n) - 1 where f(n) <= hi."""
+    image = _window_image(gcmap, np.arange(1, hi + 1, dtype=np.int64))
+    inside = np.flatnonzero(image)
+    return _csr(hi, inside, image[inside] - 1)
 
 
 def _check_depth(depth: int | None) -> None:
@@ -630,20 +626,22 @@ def _check_depth(depth: int | None) -> None:
         raise ValueError(f"depth must be >= 0, got {depth}")
 
 
-def _walk(adj: dict[int, set[int]], start: int, depth: int | None) -> frozenset[int]:
-    seen = {start}
-    frontier = [start]
-    d = 0
-    while frontier and (depth is None or d < depth):
-        nxt = []
-        for n in frontier:
-            for m in adj.get(n, ()):
-                if m not in seen:
-                    seen.add(m)
-                    nxt.append(m)
-        frontier = nxt
-        d += 1
-    return frozenset(seen)
+def _walk(graph: tuple[list[int], list[int]], start: int, depth: int | None) -> list[int]:
+    """Every position within ``depth`` edges of ``start`` (all it reaches when
+    depth is None), each once, in breadth-first order."""
+    indptr, indices = graph
+    seen, span = bytearray(len(indptr) - 1), [start]
+    seen[start] = 1
+    begin, d = 0, 0
+    while begin < len(span) and (depth is None or d < depth):
+        end = len(span)
+        for p in span[begin:end]:
+            for q in indices[indptr[p] : indptr[p + 1]]:
+                if not seen[q]:
+                    seen[q] = 1
+                    span.append(q)
+        begin, d = end, d + 1
+    return span
 
 
 def reachable_span(
@@ -655,12 +653,20 @@ def reachable_span(
     graph (n -> f(n), n -> each preimage), which agrees with materializing
     matrix products but is exponentially cheaper.
     """
-    if start not in ops[0].window:
+    window = ops[0].window
+    if start not in window:
         raise DomainError(f"start {start} not in window")
     _check_depth(depth)
-    # labels joined by a nonzero entry of an operator (hence also of its adjoint)
-    edges = ((n, r) for op in ops for r, n, _ in op._triplets())
-    return _walk(_index_graph(edges), start, depth)
+    for op in ops:
+        op._same_window(ops[0])
+    # positions joined by a nonzero entry of an operator (hence also of its adjoint)
+    graph = _csr(
+        len(window),
+        np.concatenate([op._row for op in ops]),
+        np.concatenate([op._col for op in ops]),
+    )
+    span = _walk(graph, _position(window, start), depth)
+    return frozenset(map(window.elements.__getitem__, span))
 
 
 @dataclass(frozen=True)
@@ -707,40 +713,51 @@ def span_vs_class(
     """
     _check_depth(depth)
     hi = len(window)
-    if not hi or window.elements != tuple(range(1, hi + 1)):
+    if not hi or (window.elements[0], window.elements[-1]) != (1, hi):
         raise ValueError("span_vs_class expects a contiguous window [1, hi]")
     full = classes(gcmap, hi, fuel)
     certified = classes(gcmap, hi, fuel, interior_only=True)
-    adj = _t_graph(gcmap, window.elements)
-    if starts is None:
-        starts = window.elements
-    cert_size = Counter(certified.representative.values())
-    full_size = Counter(full.representative.values())
+    graph = _t_graph(gcmap, hi)
+    starts = list(window.elements if starts is None else starts)
+    for s in starts:
+        if not 1 <= s <= hi:
+            raise DomainError(f"start {s} not in window")
+    at = np.array(starts, dtype=np.int64) - 1
     # The certified partition refines the full one, so each certified class
     # lies in one full class and boundary members are the size difference.
     # Without a depth the span is the whole connected component of the start,
     # which is its certified class, so one walk serves every start in it.
-    # Membership is read off the representatives: no class is built as a set.
-    done: dict = {}
-    entries = []
-    for s in starts:
-        if not 1 <= s <= hi:
-            raise DomainError(f"start {s} not in window")
-        rep, full_rep = certified.class_of(s), full.class_of(s)
-        key = (rep, full_rep) if depth is None else (rep, full_rep, s)
-        if key not in done:
-            span = _walk(adj, s, depth)
-            in_cert = all(certified.class_of(n) == rep for n in span)
-            done[key] = (
-                len(span),
-                full_size[full_rep],
-                all(full.class_of(n) == full_rep for n in span),
-                in_cert and len(span) == cert_size[rep],
-                full_size[full_rep] - cert_size[rep],
-                depth is not None and in_cert and len(span) < cert_size[rep],
-            )
-        entries.append(SpanClassEntry(s, *done[key]))
-    return SpanClassReport(tuple(entries))
+    keys = list(zip(certified.minima[at].tolist(), full.minima[at].tolist()))
+    if depth is not None:
+        keys = [(*key, s) for key, s in zip(keys, starts)]
+    spans: dict = {}
+    for key, p in zip(keys, at.tolist()):
+        if key not in spans:
+            spans[key] = _walk(graph, p, depth)
+    # every span is checked against the minima of both its classes in one pass
+    size = np.array([len(span) for span in spans.values()], dtype=np.int64)
+    members = np.fromiter(chain.from_iterable(spans.values()), np.int64, int(size.sum()))
+    owner = np.repeat(np.arange(len(spans)), size)
+    cert_rep = np.array([key[0] for key in spans], dtype=np.int64)
+    full_rep = np.array([key[1] for key in spans], dtype=np.int64)
+
+    def within(report: ClassesReport, rep: np.ndarray) -> np.ndarray:
+        left = owner[report.minima[members] != rep[owner]]
+        return np.bincount(left, minlength=len(spans)) == 0
+
+    in_full, in_cert = within(full, full_rep), within(certified, cert_rep)
+    cert = np.bincount(certified.minima)[cert_rep]
+    whole = np.bincount(full.minima)[full_rep]
+    rows = zip(
+        size.tolist(),
+        whole.tolist(),
+        in_full.tolist(),
+        (in_cert & (size == cert)).tolist(),
+        (whole - cert).tolist(),
+        (in_cert & (size < cert) & (depth is not None)).tolist(),
+    )
+    done = dict(zip(spans, rows))
+    return SpanClassReport(tuple(SpanClassEntry(s, *done[key]) for s, key in zip(starts, keys)))
 
 
 # --- finitistic cores of the commutant lemmas -----------------------------------------

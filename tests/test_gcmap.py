@@ -80,6 +80,21 @@ def test_branch_image_and_preimage():
     assert br.preimage_of(7) is None  # (7-1)/3 = 2 is even, outside the guard
 
 
+def test_constant_branch_preimage():
+    # a constant branch with an empty guard (a valid map) has no preimage at
+    # all; with a member in its guard its value has infinitely many
+    halve = AffineBranch(2, ResidueSet.of(2, [0]), 1, 0, 2)
+    triple = AffineBranch(1, ResidueSet.of(2, [1]), 3, 1, 1)
+    empty = GCMap(2, (triple, halve, AffineBranch(3, ResidueSet.of(2, []), 0, 6, 2)))
+    assert empty.validate().ok
+    assert empty.preimage(3) == {6}
+    assert [empty.preimage(n) for n in (1, 2, 4)] == [{2}, {4}, {8, 1}]
+    const = GCMap(2, (AffineBranch(1, ResidueSet.of(2, [1]), 0, 6, 2), halve))
+    assert const.preimage(4) == {8}
+    with pytest.raises(ValueError, match="constant branch has infinite preimage sets"):
+        const.preimage(3)
+
+
 @given(st.integers(1, 10**6))
 def test_preimage_apply_round_trip(n):
     m = collatz()

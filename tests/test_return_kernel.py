@@ -1,10 +1,12 @@
 """The array first-return kernel against the exact scalar path.
 
-``return_times`` must agree lane by lane with ``return_time``, and ``classes``
-field by field with the union-find partition it replaced, copied below as the
-oracle.  Maps come from the presets and from hypothesis; an overflow guard
-lowered far below int64 makes the call rerun on the scalar path, and on maps that
-``validate()`` rejects both paths must raise the same exception.
+``return_times`` must agree lane by lane with ``return_time``, and every read
+of a ``classes`` report (representatives, ``class_of``, the grouped classes,
+their number, the flagged labels) with the union-find partition it replaced,
+copied below as the oracle.  Maps come from the presets and from hypothesis; an
+overflow guard lowered far below int64 makes the call rerun on the scalar
+path, and on maps that ``validate()`` rejects both paths must raise the same
+exception.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 from collatzlab import DomainError, Inconclusive, classes, return_time
 from collatzlab import dynamics
-from collatzlab.dynamics import ClassesReport, return_times
+from collatzlab.dynamics import return_times
 from collatzlab.families import preset_map, preset_section
 from collatzlab.gcmap import AffineBranch, GCMap, PuncturedResidueSet, ResidueSet
 
@@ -48,8 +50,11 @@ class UnionFind:
             self.parent[rj] = ri  # keep the minimum as representative
 
 
-def scalar_classes(gcmap: GCMap, window: int, fuel: int, interior_only: bool = False) -> ClassesReport:
-    """The scalar union-find ``classes`` that the array kernel replaced."""
+def scalar_classes(
+    gcmap: GCMap, window: int, fuel: int, interior_only: bool = False
+) -> tuple[dict[int, int], frozenset[int]]:
+    """The scalar union-find ``classes`` that the array kernel replaced: the
+    least member of each label's class, and the flagged labels."""
     uf = UnionFind(window)
     flagged: set[int] = set()
     for n in range(1, window + 1):
@@ -68,8 +73,7 @@ def scalar_classes(gcmap: GCMap, window: int, fuel: int, interior_only: bool = F
             uf.union(n, v)
         else:
             flagged.add(n)
-    rep = {n: uf.find(n) for n in range(1, window + 1)}
-    return ClassesReport(window, rep, frozenset(flagged))
+    return {n: uf.find(n) for n in range(1, window + 1)}, frozenset(flagged)
 
 
 def assert_same_returns(gcmap, sigma, xs, fuel) -> None:
@@ -84,8 +88,16 @@ def assert_same_returns(gcmap, sigma, xs, fuel) -> None:
 
 def assert_same_classes(gcmap, window, fuel, interior_only) -> None:
     got = classes(gcmap, window, fuel, interior_only)
-    want = scalar_classes(gcmap, window, fuel, interior_only)
-    assert (got.window, got.representative, got.flagged) == (want.window, want.representative, want.flagged)
+    rep, flagged = scalar_classes(gcmap, window, fuel, interior_only)
+    grouped: dict[int, list[int]] = {}
+    for n, r in rep.items():
+        grouped.setdefault(r, []).append(n)
+    assert got.window == window
+    assert got.representative == rep
+    assert [got.class_of(n) for n in rep] == list(rep.values())
+    assert list(got.classes().items()) == sorted(grouped.items())
+    assert got.num_classes == len(grouped)
+    assert got.flagged == flagged
 
 
 def raised(fn):

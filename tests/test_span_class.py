@@ -1,17 +1,19 @@
-"""span_vs_class against a per-start oracle, and the verdict of a depth-capped span."""
+"""span_vs_class against a per-start oracle read off the map alone, on the presets
+at windows 1 to 3000 and depths None to 3, and the verdict of a depth-capped span."""
 
 from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from collatzlab import (
     BasisWindow,
     DomainError,
     build_T,
-    classes,
     collatz,
+    preset_map,
     reachable_span,
     span_vs_class,
 )
@@ -19,6 +21,7 @@ from collatzlab.cli import INCONCLUSIVE, INPUT_ERROR, PASS, VIOLATION, main
 from collatzlab import operators
 from collatzlab.dynamics import ClassesReport
 from collatzlab.operators import SpanClassEntry, SpanClassReport
+from test_return_kernel import scalar_classes
 
 
 def walk(gcmap, hi, start, depth):
@@ -36,40 +39,55 @@ def walk(gcmap, hi, start, depth):
     return frozenset(seen)
 
 
-def per_start_oracle(gcmap, window, fuel, depth, starts):
-    """Both class sets rebuilt and the span walked for each start on its own (the
-    span is shared only without a depth, where it is the start's whole certified
-    class)."""
-    hi = window.elements[-1]
-    full = classes(gcmap, hi, fuel)
-    certified = classes(gcmap, hi, fuel, interior_only=True)
-    span_cache = {}
-    cert_classes = certified.classes()
-    full_classes = full.classes()
-    entries = []
-    for s in starts:
-        rep = certified.class_of(s)
-        key = rep if depth is None else (rep, s)
-        if key not in span_cache:
-            span_cache[key] = walk(gcmap, hi, s, depth)
-        span = span_cache[key]
-        cert_set = set(cert_classes[rep])
-        full_set = set(full_classes[full.class_of(s)])
-        entries.append(
-            (s, len(span), len(full_set), span <= full_set, span == cert_set, len(full_set - cert_set))
-        )
-    return entries
+def per_start_oracle(gcmap, hi, fuel, depths):
+    """For each depth, the entry of every start in [1, hi] rebuilt from the map
+    alone: both partitions by the scalar union-find, and the span walked with
+    ``apply`` and ``preimage`` (shared by the starts of a class only without a
+    depth, where it is the start's whole certified class)."""
+    full, _ = scalar_classes(gcmap, hi, fuel)
+    certified, _ = scalar_classes(gcmap, hi, fuel, interior_only=True)
+    full_classes, cert_classes = {}, {}
+    for n in range(1, hi + 1):
+        full_classes.setdefault(full[n], set()).add(n)
+        cert_classes.setdefault(certified[n], set()).add(n)
+    boundary = {}  # per pair of classes, which the starts of a class share
+    for depth in depths:
+        done = {}
+        entries = []
+        for s in range(1, hi + 1):
+            cert_set, full_set = cert_classes[certified[s]], full_classes[full[s]]
+            pair = (certified[s], full[s])
+            if pair not in boundary:
+                boundary[pair] = len(full_set - cert_set)
+            key = pair if depth is None else (*pair, s)
+            if key not in done:
+                span = walk(gcmap, hi, s, depth)
+                done[key] = (
+                    len(span), len(full_set), span <= full_set, span == cert_set,
+                    boundary[pair], depth is not None and span < cert_set,
+                )
+            entries.append(SpanClassEntry(s, *done[key]))
+        yield depth, tuple(entries)
+
+
+# the divergent maps at small fuel only: the scalar reruns of their lanes grow big ints
+ORACLE_FUEL = {"collatz": 10**4, "identity": 10**4, "3xd:1": 10**4, "3xd:5": 10**4, "3xd:9": 10**4,
+               "qx1:5": 40, "mersenne:3": 40}
 
 
 @pytest.mark.parametrize("depth", [None, 3])
 def test_span_vs_class_matches_per_start_oracle(depth):
     gcmap, window, fuel = collatz(), BasisWindow.range(1, 3000), 10**4
-    rep = span_vs_class(gcmap, window, fuel, depth=depth)
-    got = [
-        (e.start, e.span_size, e.class_size, e.span_subset_of_class, e.span_equals_certified, e.boundary_members)
-        for e in rep.entries
-    ]
-    assert got == per_start_oracle(gcmap, window, fuel, depth, window.elements)
+    [(_, want)] = per_start_oracle(gcmap, 3000, fuel, (depth,))
+    assert span_vs_class(gcmap, window, fuel, depth=depth).entries == want
+
+
+@pytest.mark.parametrize("window", [1, 2, 500, 3000])
+@pytest.mark.parametrize("ref", list(ORACLE_FUEL))
+def test_span_vs_class_matches_oracle_on_presets(ref, window):
+    gcmap, fuel, w = preset_map(ref), ORACLE_FUEL[ref], BasisWindow.range(1, window)
+    for depth, want in per_start_oracle(gcmap, window, fuel, (None, 0, 1, 3)):
+        assert span_vs_class(gcmap, w, fuel, depth).entries == want, depth
 
 
 def test_depth_bounded_span_is_per_start():
@@ -109,7 +127,8 @@ def _replace_classes(monkeypatch, rep_of, full_too: bool):
         rep = real(gcmap, window, fuel, interior_only)
         if not (interior_only or full_too):
             return rep
-        return ClassesReport(window, {n: rep_of(n) for n in rep.representative}, rep.flagged)
+        minima = np.array([rep_of(n) for n in range(1, window + 1)], dtype=np.int64)
+        return ClassesReport(window, minima, rep.flagged_mask)
 
     monkeypatch.setattr(operators, "classes", fake)
 
@@ -135,6 +154,12 @@ def test_negative_depth_is_an_input_error():
         span_vs_class(collatz(), BasisWindow.range(1, 50), 100, depth=-1)
     with pytest.raises(ValueError, match="depth must be >= 0"):
         reachable_span([build_T(collatz(), BasisWindow.range(1, 50))], 1, -1)
+
+
+def test_reachable_span_needs_one_window():
+    ops = [build_T(collatz(), BasisWindow.range(1, hi)) for hi in (50, 60)]
+    with pytest.raises(ValueError, match="operators must share a window"):
+        reachable_span(ops, 1, None)
 
 
 @pytest.mark.parametrize("start", [51, 0])
