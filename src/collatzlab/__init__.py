@@ -69,8 +69,7 @@ from .families import (
     preset_map,
     preset_section,
     qx1,
-    section_3xd,
-    section_qx1,
+    section_of,
     three_x_d,
     verify_mersenne_identities,
     verify_q5_group,

@@ -65,10 +65,10 @@ def _resolve_map(ref: str, validate: bool = True) -> GCMap:
     return gcmap
 
 
-def _preset_section(ref: str) -> families.Section | None:
-    """The map's section, or None for a map without one; other errors propagate."""
+def _section(gcmap: GCMap) -> families.Section | None:
+    """The map's section by ``families.section_of``, or None for a map without one."""
     try:
-        return families.preset_section(ref)
+        return families.section_of(gcmap)
     except KeyError:
         return None
 
@@ -166,7 +166,7 @@ def _suite_separating(gcmap: GCMap, args) -> tuple[dict, int]:
 
 
 def _suite_ck(gcmap: GCMap, args) -> tuple[dict, int]:
-    section = _preset_section(args.map)
+    section = _section(gcmap)
     if section is None:
         ok, detail = cuntz_krieger_condition(gcmap)
         found = {"matrix": detail.as_lists()} if ok else asdict(detail)  # branch, witness, reason
@@ -185,9 +185,9 @@ def _suite_ck(gcmap: GCMap, args) -> tuple[dict, int]:
 
 def _suite_section(gcmap: GCMap, args) -> tuple[dict, int]:
     try:
-        section = families.preset_section(args.map)
+        section = families.section_of(gcmap)
     except KeyError as exc:  # its message names the reason
-        raise ValueError(exc.args[0]) from None
+        raise ValueError(f"no first-return section for {args.map!r}: {exc.args[0]}") from None
     suff = check_reduction_sufficient(gcmap, section.sigma, args.window, args.fuel)
     x0 = section.sigma.min_member()
     nec = check_reduction_necessary(gcmap, section.sigma, x0, args.fuel)
@@ -200,7 +200,7 @@ def _suite_relations(gcmap: GCMap, args) -> tuple[dict, int]:
     branch = verify_branch_relations(gcmap, window)
     payload = {"branch": branch.to_dict()}
     statuses = [branch.status]
-    section = _preset_section(args.map)
+    section = _section(gcmap)
     if section is not None:
         win = BasisWindow.section(section.sigma, args.window)
         ops = build_section_ops(
@@ -237,7 +237,7 @@ def _suite_span(gcmap: GCMap, args) -> tuple[dict, int]:
 
 
 def _suite_descent(gcmap: GCMap, args) -> tuple[dict, int]:
-    if args.map != "collatz":
+    if gcmap != families.collatz():
         raise ValueError("descent suite is specific to the collatz preset")
     rep = descent_check(args.window)
     payload = {
@@ -263,8 +263,8 @@ def _suite_modular(gcmap: GCMap, args) -> tuple[dict, int]:
 # Each suite returns its JSON payload and the combined status of its reports;
 # a ValueError it raises is an input error.  Next to it, the options it reads:
 # any other option given to it is an input error.  ck and relations read these
-# on a map with a section preset; on other maps ck reads neither and relations
-# only --window, which is not checked.
+# on any map with a section (``families.section_of``), map files included; on
+# other maps ck reads neither and relations only --window, which is not checked.
 SUITES = {
     "bounded": (_suite_bounded, ()),
     "separating": (_suite_separating, ("fuel",)),  # spelled separating:<x>

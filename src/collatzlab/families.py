@@ -1,9 +1,10 @@
 """Preset map families, their first-return sections, and modular identities.
 
-Every section is built one way: N1 is a set of residue classes, N2 the exact
-residue image f(N1), and the witnesses give, per residue class of the
-section, the minimal doubling exponent landing back in N2.  All qx+1 maps,
-collatz and mersenne:<k> among them, share one N1 recipe (``section_qx1``).
+Every section is built one way, by ``section_of``, from the shape of the map
+alone (n -> a*n + b on odds, n -> n/2 on evens, at any modulus), so presets
+and map files get the same section: N1 is a set of residue classes, N2 the
+exact residue image f(N1), and the witnesses give, per residue class of the
+section, the minimal doubling exponent landing back in N2.
 """
 
 from __future__ import annotations
@@ -31,30 +32,29 @@ def collatz() -> GCMap:
     return qx1(3)
 
 
+def _odd_even(a: int, b: int) -> GCMap:
+    """n -> a*n + b on odds (branch 1), n -> n/2 on evens (branch 2)."""
+    return GCMap(
+        2,
+        (
+            AffineBranch(1, ResidueSet.of(2, [1]), a, b, 1),
+            AffineBranch(2, ResidueSet.of(2, [0]), 1, 0, 2),
+        ),
+    )
+
+
 def qx1(q: int) -> GCMap:
     """n -> qn+1 on odds, n -> n/2 on evens; q odd >= 3."""
     if q < 3 or q % 2 == 0:
         raise ValueError("q must be an odd integer >= 3")
-    return GCMap(
-        2,
-        (
-            AffineBranch(1, ResidueSet.of(2, [1]), q, 1, 1),
-            AffineBranch(2, ResidueSet.of(2, [0]), 1, 0, 2),
-        ),
-    )
+    return _odd_even(q, 1)
 
 
 def three_x_d(d: int) -> GCMap:
     """n -> 3n+d on odds, n -> n/2 on evens; d odd >= 1."""
     if d < 1 or d % 2 == 0:
         raise ValueError("d must be an odd integer >= 1")
-    return GCMap(
-        2,
-        (
-            AffineBranch(1, ResidueSet.of(2, [1]), 3, d, 1),
-            AffineBranch(2, ResidueSet.of(2, [0]), 1, 0, 2),
-        ),
-    )
+    return _odd_even(3, d)
 
 
 def mersenne(k: int) -> GCMap:
@@ -95,44 +95,50 @@ class Section:
         return section_sets(self.n1, self.n2, self.n2_removed)[1]
 
 
-def _make_section(gcmap: GCMap, n1: ResidueSet) -> Section:
-    """N2 = f(N1) and derived witnesses; KeyError when some class never doubles into N2."""
+def section_of(gcmap: GCMap) -> Section:
+    """The first-return section of a map n -> a*n + b on odd n, n -> n/2 on even n.
+
+    At any even modulus M, every odd residue must lie on one branch with c = 1,
+    a odd >= 3 and b odd >= 1, and every even residue on one n/2 branch.  N1
+    is b times the odd n whose residue mod a is a power of 2, taken mod g*M1:
+    M1 is the smallest modulus of those odd n, and g the part of b made of
+    primes dividing a.  This is a section exactly when ord_{a^2}(2) equals
+    a * ord_a(2), that is, with 2^o = 1 + a*t for o = ord_a(2), when
+    gcd(t, a) = 1.  That holds for a = 3, 5 and every Mersenne a, and fails at
+    a = 21, 39, 55, 57, ... and at the Wieferich primes 1093 and 3511.  Every
+    other map raises KeyError naming why.
+    """
+    m = gcmap.modulus
+    if m % 2:
+        raise KeyError(f"odd and even n share residues mod {m}")
+    odd, even = (set(gcmap._branch_at[i::2]) for i in (1, 0))  # the branches owning them
+    if len(odd) != 1 or (br := odd.pop()) is None:
+        raise KeyError(f"the odd residues mod {m} are not on one branch")
+    if len(even) != 1 or (half := even.pop()) is None or (half.a, half.b, half.c) != (1, 0, 2):
+        raise KeyError(f"the even residues mod {m} are not on one n -> n/2 branch")
+    a, b, c = br.a, br.b, br.c
+    if c != 1 or a < 3 or a % 2 == 0 or b < 1 or b % 2 == 0:
+        raise KeyError(f"odd branch n -> ({a}*n + {b}) / {c} needs c = 1, a >= 3 and b >= 1 odd")
+    powers = [1]
+    while (v := 2 * powers[-1] % a) != 1:
+        powers.append(v)
+    o = len(powers)
+    lift = math.gcd((pow(2, o, a * a) - 1) // a, a)  # gcd(t, a)
+    if lift != 1:
+        raise KeyError(
+            f"the order of 2 does not lift: ord(2 mod {a * a}) = {a * o // lift}, "
+            f"not {a} * ord(2 mod {a}) = {a * o}"
+        )
+    # the odd lift mod 2a of each power (a is odd), at its smallest modulus, times b
+    base = ResidueSet.of(2 * a, [p if p % 2 else p + a for p in powers]).reduce()
+    g = math.gcd(b, a ** b.bit_length())  # no prime's exponent in b reaches b's bit length
+    n1 = ResidueSet.of(g * base.modulus, [b * r for r in base.residues])
     n2, removed = residue_image_exceptions(gcmap, n1)
     try:
         witnesses = derive_witnesses(n1, n2)
-    except ValueError as exc:
+    except ValueError as exc:  # some class never doubles into N2
         raise KeyError(str(exc)) from None
     return Section(gcmap, n1, n2, witnesses, frozenset(removed))
-
-
-def section_qx1(q: int) -> Section:
-    """N1 = the odd n whose residue mod q^2 is a power of 2, at its smallest modulus.
-
-    For q = 3 and 5 these are the odds coprime to q; for q = 2^k - 1, the odds
-    congruent to a power of 2 mod q.  The recipe yields a section exactly
-    when ord_{q^2}(2) = q * ord_q(2), as checked for every odd q <= 201: it
-    fails at 21, 39, 55, 57, 105, 111, 147, 155, 165, 171, 183, 195 and 201,
-    and at the Wieferich primes 1093 and 3511.  There some class never
-    doubles into N2, and this raises KeyError.
-    """
-    gcmap = qx1(q)  # rejects a bad q: the loop below needs 2 invertible mod q^2
-    m = q * q
-    powers, v = [1], 2
-    while v != 1:
-        powers.append(v)
-        v = 2 * v % m
-    # the odd lift mod 2m of each power (m is odd)
-    n1 = ResidueSet.of(2 * m, [p if p % 2 else p + m for p in powers]).reduce()
-    return _make_section(gcmap, n1)
-
-
-def section_3xd(d: int) -> Section:
-    """For d odd with 3-adic valuation k: N1 = {3^k, 5*3^k} (mod 6*3^k)."""
-    gcmap = three_x_d(d)  # rejects a bad d before the loop below can spin on it
-    p = 1
-    while d % (3 * p) == 0:
-        p *= 3
-    return _make_section(gcmap, ResidueSet.of(6 * p, [p, 5 * p]))
 
 
 # --- preset references ---------------------------------------------------------
@@ -157,17 +163,11 @@ def preset_map(ref: str) -> GCMap:
 
 
 def preset_section(ref: str) -> Section:
-    """The section of a preset: collatz, qx1:<q> and mersenne:<k> by ``section_qx1``,
-    3xd:<d> by ``section_3xd``.  Every map without one raises KeyError naming why."""
-    no_section = f"no first-return section preset for {ref!r}"
-    kind = ref.partition(":")[0]
-    if kind not in ("collatz", "qx1", "mersenne", "3xd"):
-        raise KeyError(no_section)
-    odd = preset_map(ref).branches[0]  # n -> a*n + b on odd n
+    """The section of a preset's map by :func:`section_of`; KeyError naming why there is none."""
     try:
-        return section_3xd(odd.b) if kind == "3xd" else section_qx1(odd.a)
+        return section_of(preset_map(ref))
     except KeyError as exc:
-        raise KeyError(f"{no_section}: {exc.args[0]}") from None
+        raise KeyError(f"no first-return section preset for {ref!r}: {exc.args[0]}") from None
 
 
 # --- modular identities behind the Mersenne sections ------------------------------

@@ -15,8 +15,7 @@ from collatzlab import (
     preset_map,
     preset_section,
     qx1,
-    section_3xd,
-    section_qx1,
+    section_of,
     three_x_d,
     verify_mersenne_identities,
     verify_q5_group,
@@ -50,7 +49,7 @@ def test_preset_rejections():
     with pytest.raises(KeyError):
         preset_map("nonsense")
     with pytest.raises(KeyError):
-        section_qx1(21)
+        section_of(qx1(21))
     with pytest.raises(KeyError):
         preset_section("identity")
 
@@ -71,7 +70,7 @@ def test_section_collatz_sets():
 
 
 def test_section_q5_sets():
-    sec = section_qx1(5)
+    sec = section_of(qx1(5))
     assert sec.n1.same_set(ResidueSet.of(10, [1, 3, 7, 9]))
     assert sec.n2.same_set(ResidueSet.of(50, [6, 16, 36, 46]))
     assert 13 in sec.n1
@@ -94,14 +93,14 @@ def test_section_mersenne_k3():
 
 
 def test_section_3xd_sets():
-    assert section_3xd(9).n1.same_set(ResidueSet.of(54, [9, 45]))
-    assert 5 in section_3xd(5).n1
-    a, b = section_3xd(1), preset_section("collatz")
+    assert section_of(three_x_d(9)).n1.same_set(ResidueSet.of(54, [9, 45]))
+    assert 5 in section_of(three_x_d(5)).n1
+    a, b = section_of(three_x_d(1)), preset_section("collatz")
     assert a.n1.same_set(b.n1) and a.n2.same_set(b.n2)
 
 
 def test_section_3x5_puncture():
-    sec = section_3xd(5)
+    sec = section_of(three_x_d(5))
     assert sec.n2_removed == frozenset({2})
     assert 2 not in sec.n2_set and 20 in sec.n2_set
     assert 2 not in sec.sigma
@@ -112,7 +111,7 @@ def test_section_3x5_puncture():
 def test_3x5_puncture_reaches_every_consumer():
     # 2 is in the class 2 mod 18 of N2, but no n in N1 maps to it; without the
     # puncture 2 would be a section point with P(2) = 1
-    sec = section_3xd(5)
+    sec = section_of(three_x_d(5))
     assert first_return(sec.map, sec.sigma.classes, 2, 100) == 1
     with pytest.raises(DomainError):
         first_return(sec.map, sec.sigma, 2, 100)

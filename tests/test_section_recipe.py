@@ -1,4 +1,4 @@
-"""One section recipe for every qx+1 map: the condition on q, a differential
+"""The section rule on every qx+1 map: the condition on q, a differential
 oracle of the hand-written sections it replaced, and the CLI on the new q."""
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from collatzlab import (
     preset_section,
     qx1,
     residue_image_exceptions,
-    section_qx1,
+    section_of,
 )
 from collatzlab.cli import INPUT_ERROR, INCONCLUSIVE, PASS, VIOLATION, main
 
@@ -37,7 +37,7 @@ def test_section_builds_iff_order_of_2_lifts():
     for q in range(3, 102, 2):
         lifts = _order(2, q * q) == q * _order(2, q)
         try:
-            section_qx1(q)
+            section_of(qx1(q))
         except KeyError:
             failed.append(q)
             assert not lifts, q
@@ -147,11 +147,12 @@ def test_cli_negative_control_q21(capsys):
     code, rep = run(capsys, "verify", "qx1:21", "--suite", "section", "--window", "300")
     assert code == INPUT_ERROR
     assert rep["error"] == (
-        "no first-return section preset for 'qx1:21': residue 1 mod 2646: no power of two lands in N2"
+        "no first-return section for 'qx1:21': the order of 2 does not lift: "
+        "ord(2 mod 441) = 42, not 21 * ord(2 mod 21) = 126"
     )
 
 
-def test_cli_identity_section_message_keeps_its_bytes(capsys):
+def test_cli_identity_section_message_names_the_shape(capsys):
     code, rep = run(capsys, "verify", "identity", "--suite", "section")
     assert code == INPUT_ERROR
-    assert rep["error"] == "no first-return section preset for 'identity'"
+    assert rep["error"] == "no first-return section for 'identity': odd and even n share residues mod 1"
