@@ -95,19 +95,8 @@ class Section:
         return section_sets(self.n1, self.n2, self.n2_removed)[1]
 
 
-def section_of(gcmap: GCMap) -> Section:
-    """The first-return section of a map n -> a*n + b on odd n, n -> n/2 on even n.
-
-    At any even modulus M, every odd residue must lie on one branch with c = 1,
-    a odd >= 3 and b odd >= 1, and every even residue on one n/2 branch.  N1
-    is b times the odd n whose residue mod a is a power of 2, taken mod g*M1:
-    M1 is the smallest modulus of those odd n, and g the part of b made of
-    primes dividing a.  This is a section exactly when ord_{a^2}(2) equals
-    a * ord_a(2), that is, with 2^o = 1 + a*t for o = ord_a(2), when
-    gcd(t, a) = 1.  That holds for a = 3, 5 and every Mersenne a, and fails at
-    a = 21, 39, 55, 57, ... and at the Wieferich primes 1093 and 3511.  Every
-    other map raises KeyError naming why.
-    """
+def _odd_even_shape(gcmap: GCMap) -> tuple[int, int]:
+    """(a, b) of n -> a*n + b (a, b odd, a >= 3, b >= 1) on odd n, n/2 on even n; KeyError naming why not."""
     m = gcmap.modulus
     if m % 2:
         raise KeyError(f"odd and even n share residues mod {m}")
@@ -119,9 +108,31 @@ def section_of(gcmap: GCMap) -> Section:
     a, b, c = br.a, br.b, br.c
     if c != 1 or a < 3 or a % 2 == 0 or b < 1 or b % 2 == 0:
         raise KeyError(f"odd branch n -> ({a}*n + {b}) / {c} needs c = 1, a >= 3 and b >= 1 odd")
+    return a, b
+
+
+_MAX_SECTION_RESIDUES = 1 << 20  # at the witness modulus
+
+
+def section_of(gcmap: GCMap) -> Section:
+    """The first-return section of a map n -> a*n + b on odd n, n -> n/2 on even n.
+
+    The map may be given at any even modulus (``_odd_even_shape``).  N1 is b
+    times the odd n whose residue mod a is a power of 2, taken mod g*M1: M1 is
+    the smallest modulus of those odd n, and g the part of b made of primes
+    dividing a.  This is a section exactly when ord_{a^2}(2) equals
+    a * ord_a(2), that is, with 2^o = 1 + a*t for o = ord_a(2), when
+    gcd(t, a) = 1.  That holds for a = 3, 5 and every Mersenne a, and fails at
+    a = 21, 39, 55, 57, ... and at the Wieferich primes 1093 and 3511.  The
+    witnesses span o * (a + 1) residues; past 2^20 (qx1:10007) none is built.
+    Every other map raises KeyError naming why.
+    """
+    a, b = _odd_even_shape(gcmap)
     powers = [1]
     while (v := 2 * powers[-1] % a) != 1:
         powers.append(v)
+        if (size := len(powers) * (a + 1)) > _MAX_SECTION_RESIDUES:
+            raise KeyError(f"ord(2 mod {a}) * {a + 1} >= {size:,} residues, past the bound 2^20")
     o = len(powers)
     lift = math.gcd((pow(2, o, a * a) - 1) // a, a)  # gcd(t, a)
     if lift != 1:

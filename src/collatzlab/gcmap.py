@@ -5,8 +5,8 @@ union of residue classes modulo the map's modulus.  All arithmetic here is
 exact Python integers, because orbits of 5x+1-style maps grow without known
 bound.  The checked int64 paths live elsewhere and fall back to this one:
 first returns and window classes step the map's per-residue tables in
-:func:`collatzlab.dynamics.return_times`, and bulk 3x+1 range scans run in
-:mod:`collatzlab.rangecheck`.
+:func:`collatzlab.dynamics.return_times`, and range scans of the maps
+n -> a*n + b (odd), n/2 (even) run in :mod:`collatzlab.rangecheck`.
 """
 
 from __future__ import annotations

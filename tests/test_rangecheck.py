@@ -1,27 +1,62 @@
-"""Range convergence scans: fast vectorized path vs generic orbit path."""
+"""Range convergence scans: the sieve and int64 frontier against a pure-Python scan."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from collatzlab import collatz, rangecheck, verify_range, verify_range_collatz
-from collatzlab.rangecheck import _INT64_GUARD, _drops_below_start_exact, _sieve
+from collatzlab import (
+    AffineBranch,
+    GCMap,
+    ResidueSet,
+    collatz,
+    identity_map,
+    qx1,
+    rangecheck,
+    three_x_d,
+    verify_range,
+    verify_range_collatz,
+)
+from collatzlab.families import _odd_even
+from collatzlab.rangecheck import _drop_step, _guard, _sieve
+
+# the guard of 3v + 1 under the real int64 bound
+COLLATZ_GUARD = (2**63 - 2) // 3 + 1
+
+# the maps of the differential, as (a, b) of n -> a*n + b (odd), n/2 (even)
+MAPS = [(3, 1), (3, 5), (3, 7), (5, 1), (7, 1), (31, 1), (127, 1)]
 
 
-def drop_scan(limit, step_cap):
-    """Pure-Python drops-below-start scan of [2, limit]: (inconclusive, max steps to drop)."""
+def lower_guard(monkeypatch, guard):
+    """Lower the scan's int64 bound so that the guard of 3v + 1 is ``guard``."""
+    monkeypatch.setattr(rangecheck, "_INT64_MAX", 3 * guard - 2)
+    assert _guard(3, 1) == guard
+
+
+def drop_scan(limit, step_cap, a=3, b=1):
+    """Pure-Python drops-below-start scan of [2, limit] under n -> a*n + b (odd),
+    n/2 (even): (inconclusive, max steps to drop)."""
     inconclusive, max_steps = [], 0
     for n in range(2, limit + 1):
         v = n
         for step in range(1, step_cap + 1):
-            v = 3 * v + 1 if v % 2 else v // 2
+            v = a * v + b if v % 2 else v // 2
             if v < n:
                 max_steps = max(max_steps, step)
                 break
         else:
             inconclusive.append(n)
     return tuple(inconclusive), max_steps
+
+
+def base_inconclusive(step_cap, a=3, b=1):
+    """(1,) unless the orbit of 1 comes back to 1 within step_cap steps."""
+    v = 1
+    for _ in range(step_cap):
+        v = a * v + b if v % 2 else v // 2
+        if v == 1:
+            return ()
+    return (1,)
 
 
 def test_small_range_verified():
@@ -37,9 +72,19 @@ def test_agrees_with_generic_scan():
     assert fast.max_steps_to_drop == slow.max_steps_to_drop == 132
 
 
+@pytest.mark.parametrize("limit", [1, 2, 3, 30, 1000, 5000])
+@pytest.mark.parametrize("step_cap", [1, 2, 3, 10, 10_000])
+def test_collatz_scan_is_the_map_scan_on_collatz(limit, step_cap):
+    fast, generic = verify_range_collatz(limit, step_cap), verify_range(collatz(), limit, step_cap)
+    assert fast.limit == generic.limit == limit
+    assert fast.verified == generic.verified
+    assert fast.inconclusive == generic.inconclusive
+    assert fast.max_steps_to_drop == generic.max_steps_to_drop
+
+
 def test_exact_fallback_matches_vectorized():
     # 27 has the famously long excursion; both paths must agree on the drop step
-    steps = _drops_below_start_exact(27, 10_000)
+    steps = _drop_step(collatz(), 27, 27, 1, 10_000)
     v, s = 27, 0
     while v >= 27:
         v = 3 * v + 1 if v & 1 else v >> 1
@@ -53,28 +98,58 @@ def test_step_cap_reports_inconclusive():
     assert 27 in rep.inconclusive
 
 
+@pytest.mark.parametrize("step_cap, inconclusive", [(1, (1,)), (2, (1,)), (3, ()), (10_000, ())])
+def test_induction_base_gets_step_cap_steps(step_cap, inconclusive):
+    # the orbit 1 -> 4 -> 2 -> 1 takes 3 steps, no more than any other start gets
+    for rep in (verify_range_collatz(1, step_cap), verify_range(collatz(), 1, step_cap)):
+        assert rep.inconclusive == inconclusive
+        assert rep.verified == (not inconclusive)
+
+
+@pytest.mark.parametrize("step_cap", [3, 20, 10_000])
+def test_one_off_the_cycle_is_never_a_pass(step_cap):
+    # under 3x+7, 1 -> 10 enters the cycle (5, 22, 11, 40, 20, 10) and never returns
+    rep = verify_range(three_x_d(7), 50, step_cap)
+    assert rep.inconclusive[0] == 1 and not rep.verified
+
+
+def test_other_cycles_are_inconclusive():
+    # under 3x+5, 1 comes back (1, 8, 4, 2) but the starts on other cycles never drop
+    rep = verify_range(three_x_d(5), 3_000, 2_000)
+    assert rep.inconclusive == drop_scan(3_000, 2_000, 3, 5)[0]
+    assert len(rep.inconclusive) == 11 and rep.inconclusive[:4] == (3, 5, 7, 11)
+
+
 def test_int64_guard_is_the_exact_overflow_bound():
     # every v below the guard has 3v+1 <= 2^63 - 1; the guard itself (odd) overflows
-    assert 3 * (_INT64_GUARD - 1) + 1 == 2**63 - 1
-    assert _INT64_GUARD % 2 == 1 and 3 * _INT64_GUARD + 1 > 2**63 - 1
-    wrapped = 3 * np.array([_INT64_GUARD - 2, _INT64_GUARD], dtype=np.int64) + 1
-    assert wrapped[0] == 3 * (_INT64_GUARD - 2) + 1 and wrapped[1] < 0
+    guard = _guard(3, 1)
+    assert guard == COLLATZ_GUARD
+    assert 3 * (guard - 1) + 1 == 2**63 - 1
+    assert guard % 2 == 1 and 3 * guard + 1 > 2**63 - 1
+    wrapped = 3 * np.array([guard - 2, guard], dtype=np.int64) + 1
+    assert wrapped[0] == 3 * (guard - 2) + 1 and wrapped[1] < 0
 
 
-@pytest.mark.parametrize("guard", [_INT64_GUARD, 1000])
+@pytest.mark.parametrize("a, b", MAPS + [(3, 2**40 + 1), (2**61 + 1, 2**61 - 1)])
+def test_guard_is_the_overflow_bound_of_every_map(a, b):
+    guard = _guard(a, b)
+    assert a * (guard - 1) + b <= 2**63 - 1 < a * guard + b
+
+
+@pytest.mark.parametrize("guard", [COLLATZ_GUARD, 1000])
 @pytest.mark.parametrize("step_cap", [3, 10, 10_000])
 def test_compacting_kernel_matches_python_scan(monkeypatch, guard, step_cap):
     # batches of 7 make the maximum run across many batches; a guard of 1000
     # sends every frontier that climbs past it to the exact pass
     monkeypatch.setattr(rangecheck, "_BATCH", 7)
-    monkeypatch.setattr(rangecheck, "_INT64_GUARD", guard)
+    lower_guard(monkeypatch, guard)
     exact_calls = []
 
-    def exact(n, cap):
+    def exact(gcmap, n, v, step, cap):
         exact_calls.append(n)
-        return _drops_below_start_exact(n, cap)
+        return _drop_step(gcmap, n, v, step, cap)
 
-    monkeypatch.setattr(rangecheck, "_drops_below_start_exact", exact)
+    monkeypatch.setattr(rangecheck, "_drop_step", exact)
     rep = verify_range_collatz(3000, step_cap=step_cap)
     inconclusive, max_steps = drop_scan(3000, step_cap)
     assert rep.verified == (not inconclusive)
@@ -86,8 +161,8 @@ def test_compacting_kernel_matches_python_scan(monkeypatch, guard, step_cap):
         assert not exact_calls  # a frontier that outlives the step cap is not replayed
 
 
-@pytest.mark.parametrize("sieve_bits", [1, 2, 3, 8])
-@pytest.mark.parametrize("guard", [_INT64_GUARD, 1000])
+@pytest.mark.parametrize("sieve_bits", [1, 2, 3, 8, 12])
+@pytest.mark.parametrize("guard", [COLLATZ_GUARD, 1000])
 @pytest.mark.parametrize("step_cap", [3, 10, 10_000])
 def test_sieved_scan_matches_python_scan(monkeypatch, sieve_bits, guard, step_cap):
     # small moduli leave a short first block, so sieved classes and advanced
@@ -95,7 +170,7 @@ def test_sieved_scan_matches_python_scan(monkeypatch, sieve_bits, guard, step_ca
     # comes from a sieved class alone
     monkeypatch.setattr(rangecheck, "_SIEVE_BITS", sieve_bits)
     monkeypatch.setattr(rangecheck, "_BATCH", 7)
-    monkeypatch.setattr(rangecheck, "_INT64_GUARD", guard)
+    lower_guard(monkeypatch, guard)
     rep = verify_range_collatz(3000, step_cap=step_cap)
     inconclusive, max_steps = drop_scan(3000, step_cap)
     assert rep.inconclusive == inconclusive
@@ -108,24 +183,42 @@ def test_sieved_scan_matches_python_scan(monkeypatch, sieve_bits, guard, step_ca
 def test_sieve_table_matches_exact_drop_steps(monkeypatch, sieve_bits, step_cap):
     monkeypatch.setattr(rangecheck, "_SIEVE_BITS", sieve_bits)
     m = 1 << sieve_bits
-    drop, q, base, slope = _sieve(10**6, step_cap)
+    drop, q, base, slope = _sieve(3, 1, COLLATZ_GUARD, 10**6, step_cap)
     survivors = np.flatnonzero(drop == 0)
     for r in np.flatnonzero(drop).tolist():
         for t in range(1, 6):
-            assert _drops_below_start_exact(r + t * m, step_cap) == drop[r]
+            assert _drop_step(collatz(), r + t * m, r + t * m, 1, step_cap) == drop[r]
     for r, b, s in zip(survivors.tolist(), base.tolist(), slope.tolist()):
         for t in range(1, 6):
             n = v = r + t * m
             for _ in range(q):
                 v = 3 * v + 1 if v & 1 else v >> 1
-            assert _drops_below_start_exact(n, q) is None
+            assert _drop_step(collatz(), n, n, 1, q) is None
             assert b + s * (t - 1) == v
     if sieve_bits == 12 and step_cap == 10_000:
         assert (len(survivors), q, drop.max()) == (226, 20, 19)
 
 
+@pytest.mark.parametrize("a, b", MAPS)
+def test_sieve_table_of_every_map_is_exact(a, b):
+    # at 12 bits the sieve of 127x+1 reaches int64's edge: those classes stop as survivors
+    gcmap, m = _odd_even(a, b), 1 << rangecheck._SIEVE_BITS
+    drop, q, base, slope = _sieve(a, b, _guard(a, b), 10**6, 60)
+    survivors = np.flatnonzero(drop == 0)
+    for r in np.flatnonzero(drop).tolist()[::7]:
+        for t in (1, 2, 5):
+            assert _drop_step(gcmap, r + t * m, r + t * m, 1, 60) == drop[r]
+    for r, b0, s in zip(survivors.tolist()[::7], base.tolist()[::7], slope.tolist()[::7]):
+        for t in (1, 2, 5):
+            n = v = r + t * m
+            for _ in range(q):
+                v = gcmap.apply(v)
+            assert _drop_step(gcmap, n, n, 1, q) is None
+            assert b0 + s * (t - 1) == v
+
+
 def test_sieve_does_not_advance_where_int64_would_wrap():
-    drop, q, base, slope = _sieve(2**62, 10_000)
+    drop, q, base, slope = _sieve(3, 1, COLLATZ_GUARD, 2**62, 10_000)
     survivors = np.flatnonzero(drop == 0)
     m = len(drop)
     assert q == 0
@@ -139,6 +232,60 @@ def test_small_limits_match_python_scan(limit, step_cap):
     inconclusive, max_steps = drop_scan(limit, step_cap)
     assert rep.inconclusive == inconclusive
     assert rep.max_steps_to_drop == max_steps
+
+
+@pytest.mark.parametrize("a, b", MAPS)
+@pytest.mark.parametrize("step_cap", [20, 60])
+def test_scan_matches_python_scan_on_every_map(a, b, step_cap):
+    rep = verify_range(_odd_even(a, b), 40_000, step_cap)
+    inconclusive, max_steps = drop_scan(40_000, step_cap, a, b)
+    assert rep.inconclusive == base_inconclusive(step_cap, a, b) + inconclusive
+    assert rep.verified == (not rep.inconclusive)
+    assert rep.max_steps_to_drop == max_steps
+
+
+@pytest.mark.parametrize("a, b", MAPS)
+@pytest.mark.parametrize("sieve_bits", [2, 8])
+def test_lowered_guard_on_every_map(monkeypatch, a, b, sieve_bits):
+    # a bound of 10^5 stops sieve classes and sends frontiers to the exact pass
+    monkeypatch.setattr(rangecheck, "_SIEVE_BITS", sieve_bits)
+    monkeypatch.setattr(rangecheck, "_BATCH", 7)
+    monkeypatch.setattr(rangecheck, "_INT64_MAX", 10**5)
+    rep = verify_range(_odd_even(a, b), 3000, 60)
+    inconclusive, max_steps = drop_scan(3000, 60, a, b)
+    assert rep.inconclusive == base_inconclusive(60, a, b) + inconclusive
+    assert rep.max_steps_to_drop == max_steps
+
+
+def test_127x_plus_1_lists_every_start_that_does_not_drop(monkeypatch):
+    # a 12-bit sieve that steps past int64 wraps here and passes 70 of these, the first at 4395
+    exact_calls = []
+
+    def exact(gcmap, n, v, step, cap):
+        exact_calls.append(n)
+        return _drop_step(gcmap, n, v, step, cap)
+
+    monkeypatch.setattr(rangecheck, "_drop_step", exact)
+    rep = verify_range(qx1(127), 40_000, 60)
+    assert len(rep.inconclusive) == 19_667 and 4395 in rep.inconclusive
+    assert exact_calls  # the frontier of 127x+1 reaches int64's edge within 60 steps
+
+
+@pytest.mark.parametrize(
+    "gcmap, why",
+    [
+        (identity_map(), "odd and even n share residues mod 1"),
+        (
+            GCMap(3, (AffineBranch(1, ResidueSet.of(3, [0]), 1, 0, 3), AffineBranch(2, ResidueSet.of(3, [1, 2]), 1, 2, 1))),
+            "odd and even n share residues mod 3",
+        ),
+        (_odd_even(3, -1), r"needs c = 1, a >= 3 and b >= 1 odd"),
+        (qx1(2**63 - 1), r"leaves int64 at n = 1"),
+    ],
+)
+def test_other_shapes_are_a_value_error(gcmap, why):
+    with pytest.raises(ValueError, match=why):
+        verify_range(gcmap, 100)
 
 
 @pytest.mark.parametrize(

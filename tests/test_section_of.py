@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from collatzlab import (
     identity_map,
     map_to_dict,
     preset_map,
+    qx1,
     residue_image_exceptions,
     section_of,
     three_x_d,
@@ -150,6 +152,35 @@ def test_other_shapes_raise_and_ck_stays_at_partition_level(tmp_path, capsys, na
     assert rep["level"] == "partition" and code in (PASS, VIOLATION)
     code, rep = run(capsys, "verify", path, "--suite", "section")
     assert code == INPUT_ERROR and why in rep["error"]
+
+
+# --- the size bound ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("ref", ["collatz", "qx1:5", "qx1:7", "3xd:9", "mersenne:3", "mersenne:8"])
+def test_witnesses_span_ord_times_a_plus_1_residues(ref):
+    # the closed form the bound is checked against is the real residue count
+    sec = section_of(preset_map(ref))
+    a = sec.map.branches[0].a
+    order = next(o for o in range(1, a) if pow(2, o, a) == 1)
+    assert len(sec.witnesses.exponents) == order * (a + 1)
+
+
+def test_qx1_1021_builds_under_the_bound():
+    # ord(2 mod 1021) = 340: 340 * 1022 = 347,480 residues, the largest section the tests build
+    assert len(section_of(qx1(1021)).witnesses.exponents) == 347_480
+
+
+def test_qx1_10007_is_refused_before_any_residue_set(capsys):
+    # ord(2 mod 10007) = 5003, about 5 * 10^7 residues; the count stops the power loop
+    t0 = time.perf_counter()
+    with pytest.raises(KeyError, match=r"past the bound 2\^20"):
+        section_of(qx1(10007))
+    assert time.perf_counter() - t0 < 1
+    code, rep = run(capsys, "verify", "qx1:10007", "--suite", "section", "--window", "100", "--fuel", "100")
+    assert code == INPUT_ERROR and "past the bound 2^20" in rep["error"]
+    code, rep = run(capsys, "verify", "qx1:10007", "--suite", "ck", "--window", "100", "--fuel", "100")
+    assert rep["level"] == "partition" and code == VIOLATION
 
 
 def test_a21_map_file_has_no_section(tmp_path, capsys):
