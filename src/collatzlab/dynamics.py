@@ -6,7 +6,10 @@ termination of these orbits is exactly the open conjecture.
 
 Windowed first returns (the classes of a window, and P on a section window)
 all go through one array kernel, :func:`return_times`, which steps int64
-frontiers and agrees lane by lane with the scalar :func:`return_time`.
+frontiers and agrees lane by lane with the scalar :func:`return_time`.  A
+lane about to pass the int64 guard leaves the frontier alone and finishes on
+exact ints, k steps at a time through a jump table on a window; only what
+the branch tables cannot step reruns the whole call on the scalar path.
 """
 
 from __future__ import annotations
@@ -182,19 +185,20 @@ def return_time(
 
 
 def _step_tables(gcmap: GCMap):
-    """(A, B, C, guard): the branch n -> (A[r]*n + B[r]) // C[r] at each residue r.
+    """(rows, A, B, C, guard): the branch n -> (A[r]*n + B[r]) // C[r] at each residue r.
 
-    A residue whose class the tables cannot step exactly (no branch or more
+    ``rows[r]`` is that branch's (a, b, c) in Python ints, or None for a
+    residue whose class the tables cannot step exactly (no branch or more
     than one, or a branch that leaves a remainder or an image below 1
-    somewhere on the class) gets (0, int64 max, 1), whose image lies past
-    ``guard``, so a lane that reaches it sends the call to the scalar path.
-    From values up to ``guard`` no int64 numerator can wrap.  None when a
-    coefficient does not fit int64.
+    somewhere on the class).  In the int64 arrays such a residue gets
+    (0, int64 max, 1), whose image lies past ``guard``, so a lane that
+    reaches it leaves the frontier.  From values up to ``guard`` no int64
+    numerator can wrap.  None when a coefficient does not fit int64.
     """
-    m, coef = gcmap.modulus, []
+    m, rows = gcmap.modulus, []
     for r, br in enumerate(gcmap._branch_at):
         if br is None:
-            coef.append(None)
+            rows.append(None)
             continue
         if max(br.a, abs(br.b), br.c) > _INT64_MAX:
             return None
@@ -202,20 +206,100 @@ def _step_tables(gcmap: GCMap):
         # for r = 0) and the step a*m settle divisibility and positivity
         low = br.a * (r or m) + br.b
         exact = low % br.c == 0 and br.a * m % br.c == 0 and low >= br.c
-        coef.append((br.a, br.b, br.c) if exact else None)
-    steppable = [row for row in coef if row is not None]
+        rows.append((br.a, br.b, br.c) if exact else None)
+    steppable = [row for row in rows if row is not None]
     max_a = max((a for a, _, _ in steppable), default=1)
     max_b = max((b for _, b, _ in steppable), default=0)
     guard = min((_INT64_MAX - max(max_b, 0)) // max(max_a, 1), _INT64_MAX - 1)
-    A, B, C = np.array([row or (0, _INT64_MAX, 1) for row in coef], dtype=np.int64).T
-    return A, B, C, guard
+    A, B, C = np.array([row or (0, _INT64_MAX, 1) for row in rows], dtype=np.int64).T
+    return rows, A, B, C, guard
+
+
+#: a jump takes k steps through a table of m^k <= 2^_JUMP_DEPTH entries
+_JUMP_DEPTH = 12
+
+
+def _jump_depth(m: int) -> int:
+    """The most steps k with m^k <= 2^_JUMP_DEPTH; _JUMP_DEPTH when m = 1."""
+    k = _JUMP_DEPTH
+    while m**k > 2**_JUMP_DEPTH:
+        k -= 1
+    return k
+
+
+def _jump_table(rows: list, m: int, hi: int, k: int) -> list:
+    """k steps at once on the window ``range(1, hi)``, for each residue r mod m^k.
+
+    For n = m^k*q + r >= 1 and ``table[r] = (L, c, q0)``, f^k(n) = L*q + c,
+    and every iterate f^j(n), 0 < j < k, is at least hi exactly when q >= q0.
+    Each step is exact: where the branch is n -> (a*n + b)/d,
+    f(m*q + r) = (a*m/d)*q + (a*r + b)/d with both quotients whole
+    (``_step_tables`` proves it), so the table is built a level at a time: f^j on the
+    residues mod m^j gives f^(j+1) on those mod m^(j+1).  q0 is None when
+    a class on the way is not stepped exactly or no q keeps an iterate in
+    front of hi.  Python ints throughout, so nothing wraps.
+    """
+    level = [(1, 0, 0)]  # f^0(n) = n on the one residue mod m^0
+    for j in range(k):
+        nxt = []
+        for t in range(m):
+            for L, c, q0 in level:
+                # residue r + m^j*t: n = m^j*(m*q + t) + r, so f^j(n) = L*m*q + s
+                s = L * t + c
+                if q0 is not None:
+                    q0 = -((t - q0) // m)
+                    if j and L:  # f^j(n) is an iterate inside the jump
+                        q0 = max(q0, -((s - hi) // (L * m)))
+                    elif j and s < hi:
+                        q0 = None
+                row = rows[s % m]
+                if row is None:
+                    nxt.append((0, 0, None))
+                    continue
+                a, b, d = row
+                nxt.append((a * L * m // d, (a * s + b) // d, q0))
+        level = nxt
+    return level
+
+
+class _Unstepped(Exception):
+    """A lane reached a residue class the tables do not step exactly."""
+
+
+def _exact_return(rows: list, m: int, sigma: Container[int], jump, v: int, step: int, fuel: int):
+    """Finish one lane on exact ints from the value v reached after ``step``
+    steps: ``(value, tau)`` of its return to sigma, or None when fuel runs
+    out.  With a jump ``(k, table)`` (a window sigma) the lane takes k steps
+    at once wherever the table proves every iterate inside the jump misses
+    sigma and the jump ends within fuel; otherwise it takes one step and
+    tests sigma as ``return_time`` does.  Raises ``_Unstepped`` at a class
+    the rows cannot step."""
+    k, table = jump or (0, None)
+    size = m**k
+    while step < fuel:
+        if table is not None and step + k <= fuel:
+            q, r = divmod(v, size)
+            L, c, q0 = table[r]
+            if q0 is not None and q >= q0:
+                v, step = L * q + c, step + k
+                if v in sigma:
+                    return v, step
+                continue
+        row = rows[v % m]
+        if row is None:
+            raise _Unstepped
+        a, b, d = row
+        v, step = (a * v + b) // d, step + 1
+        if v in sigma:
+            return v, step
+    return None
 
 
 def _member_test(sigma: Container[int]):
     """A vectorised ``v in sigma`` for a window ``range(1, hi)`` or a (punctured)
     residue set, else None.  The residue tests also take exact ints in an
     object array."""
-    if isinstance(sigma, range) and sigma.step == 1 and sigma.start <= 1:
+    if _window_top(sigma) is not None:
         hi = sigma.stop
         return lambda v: v < hi  # every value the kernel tests is at least 1
     if not isinstance(sigma, (ResidueSet, PuncturedResidueSet)):
@@ -226,6 +310,13 @@ def _member_test(sigma: Container[int]):
         removed = np.array(sorted(sigma.removed), dtype=np.int64)
         return lambda v: table[(v % m).astype(np.int64, copy=False)] & ~np.isin(v, removed)
     return lambda v: table[(v % m).astype(np.int64, copy=False)]
+
+
+def _window_top(sigma: Container[int]) -> int | None:
+    """hi when sigma is a window ``range(1, hi)`` (or one from 0), else None."""
+    if isinstance(sigma, range) and sigma.step == 1 and sigma.start <= 1:
+        return sigma.stop
+    return None
 
 
 def _int_array(values: list[int]) -> np.ndarray:
@@ -254,31 +345,40 @@ def return_times(gcmap: GCMap, sigma: Container[int], xs, fuel: int):
     tau of the return, or ``undecided[i]`` (value and tau 0) when fuel ran
     out.  sigma is a window ``range(1, hi)``, a residue set or a punctured
     one.  Each step reads the map's per-residue tables on int64 arrays and
-    carries only the frontier, the lanes that have not returned.  Anything
-    the tables cannot step reruns the whole call through ``return_time``,
-    which raises as it does: a value past the overflow guard, a residue
-    class that is not stepped exactly (see ``_step_tables``), a start outside
-    sigma or below 1, a coefficient beyond int64, another kind of sigma.
-    On that path ``value`` is an object array if a return does not fit int64.
+    carries only the frontier, the lanes that have not returned.  A step
+    that takes some lanes past the overflow guard (or into a class the
+    tables do not step) takes only those lanes off the frontier, with their
+    value and step from before it; each finishes alone on exact ints in
+    ``_exact_return``, k steps at a time through a jump table when sigma is
+    a window.  ``value`` is an object array if a return does not fit int64.
+    What the tables cannot step reruns the whole call through
+    ``return_time``, which raises as it does: a lane that reaches a class
+    not stepped exactly (see ``_step_tables``), a start past the guard,
+    outside sigma or below 1, a coefficient beyond int64, another kind of
+    sigma.
     """
     xs = np.asarray(xs, dtype=np.int64)
     tables, member = _step_tables(gcmap), _member_test(sigma)
     if tables is None or member is None:
         return _scalar_returns(gcmap, sigma, xs, fuel)
-    A, B, C, guard = tables
+    rows, A, B, C, guard = tables
     if len(xs) and (xs.min() < 1 or xs.max() > guard or not member(xs).all()):
         return _scalar_returns(gcmap, sigma, xs, fuel)
     m = np.int64(gcmap.modulus)
     lanes, vals = np.arange(len(xs)), xs
     returned = []  # (lanes, values, step) of each step's returns
+    left = []  # (lanes, values, steps taken) of the lanes that left the frontier
     # argmax and count_nonzero: the cheapest reductions on a short frontier
     for step in range(1, fuel + 1):
         if not len(vals):
             break
         r = vals % m
-        vals = (A[r] * vals + B[r]) // C[r]
+        before, vals = vals, (A[r] * vals + B[r]) // C[r]
         if vals[vals.argmax()] > guard:
-            return _scalar_returns(gcmap, sigma, xs, fuel)
+            over = vals > guard
+            left.append((lanes[over], before[over], step - 1))
+            stay = ~over
+            lanes, vals = lanes[stay], vals[stay]
         hit = member(vals)
         if np.count_nonzero(hit):
             returned.append((lanes[hit], vals[hit], step))
@@ -289,6 +389,27 @@ def return_times(gcmap: GCMap, sigma: Container[int], xs, fuel: int):
         value[done], tau[done] = v, step
     undecided = np.zeros(len(xs), dtype=bool)
     undecided[lanes] = True
+    if left:
+        modulus, hi = gcmap.modulus, _window_top(sigma)
+        k = _jump_depth(modulus)
+        # the first lanes left first: the table pays only if one can still jump
+        can_jump = hi is not None and k > 1 and left[0][2] + k <= fuel
+        jump = (k, _jump_table(rows, modulus, hi, k)) if can_jump else None
+        try:
+            finished = [
+                (lane, _exact_return(rows, modulus, sigma, jump, v, step, fuel))
+                for done, before, step in left
+                for lane, v in zip(done.tolist(), before.tolist())
+            ]
+        except _Unstepped:
+            return _scalar_returns(gcmap, sigma, xs, fuel)
+        undecided[[lane for lane, ret in finished if ret is None]] = True
+        back = [(lane, *ret) for lane, ret in finished if ret is not None]
+        if back:
+            done, v, t = (list(col) for col in zip(*back))
+            v = _int_array(v)
+            value = value.astype(v.dtype, copy=False)
+            value[done], tau[done] = v, t
     return value, tau, undecided
 
 

@@ -3,13 +3,17 @@
 ``return_times`` must agree lane by lane with ``return_time``, and every read
 of a ``classes`` report (representatives, ``class_of``, the grouped classes,
 their number, the flagged labels) with the union-find partition it replaced,
-copied below as the oracle.  Maps come from the presets and from hypothesis; an
-overflow guard lowered far below int64 makes the call rerun on the scalar
-path, and on maps that ``validate()`` rejects both paths must raise the same
-exception.
+copied below as the oracle.  Maps come from the presets and from hypothesis.
+An overflow guard lowered far below int64 sends lanes off the int64 frontier
+to finish on exact ints, k steps at a time through the jump tables on a
+window, and each jump table entry is checked against k scalar steps.  On maps
+that ``validate()`` rejects both paths must raise the same exception.
 """
 
 from __future__ import annotations
+
+import functools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -76,14 +80,19 @@ def scalar_classes(
     return {n: uf.find(n) for n in range(1, window + 1)}, frozenset(flagged)
 
 
-def assert_same_returns(gcmap, sigma, xs, fuel) -> None:
-    value, tau, undecided = return_times(gcmap, sigma, xs, fuel)
-    got = list(zip(value.tolist(), tau.tolist(), undecided.tolist()))
+def scalar_lanes(gcmap, sigma, xs, fuel) -> list[tuple[int, int, bool]]:
+    """(value, tau, undecided) of each start through the scalar ``return_time``."""
     want = []
     for x in xs:
         r = return_time(gcmap, sigma, x, fuel)
         want.append((0, 0, True) if isinstance(r, Inconclusive) else (r.value, r.tau, False))
-    assert got == want
+    return want
+
+
+def assert_same_returns(gcmap, sigma, xs, fuel, oracle=scalar_lanes) -> None:
+    value, tau, undecided = return_times(gcmap, sigma, xs, fuel)
+    got = list(zip(value.tolist(), tau.tolist(), undecided.tolist()))
+    assert got == oracle(gcmap, sigma, tuple(xs), fuel)
 
 
 def assert_same_classes(gcmap, window, fuel, interior_only) -> None:
@@ -207,17 +216,42 @@ def test_kernel_matches_scalar_on_random_maps(mf, sigma, window):
 
 @pytest.fixture
 def low_guard(monkeypatch):
-    """int64 lowered to 10^4, and a log of the calls that reran on the scalar path."""
+    """int64 lowered to 10^4, and a log of the calls that reran on the scalar path
+    (``reran``) and of the lanes that finished on exact ints (``exact``: the value
+    and step each left the int64 frontier with)."""
     monkeypatch.setattr(dynamics, "_INT64_MAX", 10**4)
-    reran = []
-    scalar = dynamics._scalar_returns
+    log = SimpleNamespace(reran=[], exact=[])
+    scalar, exact = dynamics._scalar_returns, dynamics._exact_return
 
-    def logged(*args):
-        reran.append(args)
+    def rerun(*args):
+        log.reran.append(args)
         return scalar(*args)
 
-    monkeypatch.setattr(dynamics, "_scalar_returns", logged)
-    return reran
+    def finish(rows, m, sigma, jump, v, step, fuel):
+        log.exact.append((v, step))
+        return exact(rows, m, sigma, jump, v, step, fuel)
+
+    monkeypatch.setattr(dynamics, "_scalar_returns", rerun)
+    monkeypatch.setattr(dynamics, "_exact_return", finish)
+    return log
+
+
+def frontier_exits(gcmap, sigma, guard, fuel) -> list[tuple[int, int]]:
+    """(value, step) with which each start in sigma leaves the int64 frontier: the
+    iterate before its first step past ``guard``, when that step comes before its
+    return and within fuel."""
+    exits = []
+    for x in sigma:
+        v = x
+        for step in range(fuel):
+            w = gcmap.apply(v)
+            if w > guard:
+                exits.append((v, step))
+                break
+            if w in sigma:
+                break
+            v = w
+    return sorted(exits)
 
 
 @pytest.mark.parametrize("fuel", FUELS)
@@ -225,20 +259,25 @@ def test_guard_reruns_the_call_exactly(low_guard, fuel):
     for ref in ("collatz", "qx1:5", "3xd:5"):
         sec = preset_section(ref)
         xs = list(sec.sigma.members(1, 3000))
-        low_guard.clear()
+        low_guard.reran.clear()
         return_times(sec.map, sec.sigma, xs, fuel)
         if ref == "qx1:5":
             # the window starts past the guard (10^4 - 1) // 5
-            assert low_guard
+            assert low_guard.reran
         assert_same_returns(sec.map, sec.sigma, xs, fuel)
 
 
 @pytest.mark.parametrize("interior_only", [False, True])
 @pytest.mark.parametrize("fuel", FUELS)
 def test_guard_in_classes(low_guard, fuel, interior_only):
-    assert_same_classes(preset_map("collatz"), 3000, fuel, interior_only)
-    # 3x+1 takes the window past the guard (10^4 - 1) // 3 at the first step
-    assert low_guard
+    gcmap = preset_map("collatz")
+    assert_same_classes(gcmap, 3000, fuel, interior_only)
+    # 3x+1 takes the window past the guard (10^4 - 1) // 3 at the first step:
+    # only those lanes leave the frontier, each finishes on exact ints, and
+    # nothing reruns on the scalar path
+    exits = frontier_exits(gcmap, range(1, 3001), (10**4 - 1) // 3, 1 if interior_only else fuel)
+    assert exits and sorted(low_guard.exact) == exits
+    assert not low_guard.reran
 
 
 def test_returns_beyond_int64_stay_exact():
@@ -306,3 +345,125 @@ def test_member_test_takes_exact_ints_beyond_int64():
         values = [2, 4, 8, 20, 2**70 + 4, 2**70 + 6, 2**90 + 8]
         got = dynamics._member_test(sigma)(np.array(values, dtype=object))
         assert got.tolist() == [v in sigma for v in values]
+
+
+# --- exact lanes and jump tables ------------------------------------------------------------
+
+K = 12  # the jump depth at modulus 2: a table of 2^12 entries
+# the divergent lanes of these cost the scalar oracle up to a second a call at
+# fuel 10^4, so each (map, sigma, starts, fuel) runs it once (mersenne:3 is qx1:7)
+cached_lanes = functools.lru_cache(maxsize=None)(scalar_lanes)
+# 3n - 1 on odd n: a negative b
+THREE_N_MINUS_1 = _map(2, ([1], 3, -1, 1), ([0], 1, 0, 2))
+# a bijection mod 3 whose orbits grow: n = 3t -> 2t - 1, 3t + 1 -> 4t + 2,
+# 3t + 2 -> 4t + 4; its branch on 0 mod 3 has a negative offset
+MOD3 = _map(3, ([0], 2, -3, 3), ([1], 4, 2, 3), ([2], 4, 4, 3))
+# qx1:1023 steps past int64 in a jump: 1023^6 * 2^6 > 2^63
+JUMP_MAPS = {ref: preset_map(ref) for ref in ("qx1:5", "qx1:7", "mersenne:3", "3xd:5", "mersenne:10")}
+JUMP_MAPS.update({"3n-1": THREE_N_MINUS_1, "mod3": MOD3})
+
+
+def test_jump_depth_keeps_the_table_at_4096_entries():
+    depths = {1: 12, 2: 12, 3: 7, 4: 6, 6: 4, 16: 3, 64: 2, 65: 1, 4096: 1, 4097: 0}
+    assert {m: dynamics._jump_depth(m) for m in depths} == depths
+
+
+@pytest.mark.parametrize("ref", ["qx1:5", "qx1:7", "mersenne:3", "3xd:5"])
+@pytest.mark.parametrize("fuel", [K - 1, K, K + 1, 777, 10**4])
+@pytest.mark.parametrize("low", [False, True])
+def test_exact_lanes_match_scalar_on_divergent_presets(ref, fuel, low, monkeypatch):
+    if low:
+        monkeypatch.setattr(dynamics, "_INT64_MAX", 10**4)
+    # at fuel 10^4 the 7n+1 oracle takes every third start: all 500 cost it 1.2 s
+    xs = range(1, 501, 3 if fuel == 10**4 and ref in ("qx1:7", "mersenne:3") else 1)
+    assert_same_returns(JUMP_MAPS[ref], range(1, 501), list(xs), fuel, cached_lanes)
+
+
+@pytest.mark.parametrize("ref", ["3n-1", "mod3", "mersenne:10"])
+@pytest.mark.parametrize("low", [False, True])
+def test_exact_lanes_match_scalar_on_other_maps(ref, low, monkeypatch):
+    gcmap = JUMP_MAPS[ref]
+    if low:
+        monkeypatch.setattr(dynamics, "_INT64_MAX", 10**4)
+    k = dynamics._jump_depth(gcmap.modulus)
+    for fuel in (k - 1, k, k + 1, 2 * k + 1, 60):
+        assert_same_returns(gcmap, range(1, 501), list(range(1, 501)), fuel, cached_lanes)
+
+
+@pytest.mark.parametrize(
+    "ref, hi", [("qx1:5", 501), ("mersenne:10", 501), ("3n-1", 2), ("3n-1", 501), ("mod3", 2), ("mod3", 501)]
+)
+def test_jump_table_against_k_scalar_steps(ref, hi):
+    """Every entry: f^k(m^k q + r) = L q + c at its threshold q0, each iterate inside
+    the jump at least hi there, and some iterate below hi one q before it."""
+    gcmap = JUMP_MAPS[ref]
+    m = gcmap.modulus
+    k = dynamics._jump_depth(m)
+    table = dynamics._jump_table(dynamics._step_tables(gcmap)[0], m, hi, k)
+    assert len(table) == m**k
+
+    def iterates(n):
+        out = [n]
+        for _ in range(k):
+            out.append(gcmap.apply(out[-1]))
+        return out
+
+    jumps = 0
+    for r, (L, c, q0) in enumerate(table):
+        if q0 is None:
+            # no q keeps every iterate inside the jump at least hi
+            assert all(min(iterates(m**k * q + r)[1:k]) < hi for q in range(r == 0, 5))
+            continue
+        jumps += 1
+        for q in {max(q0, r == 0), max(q0, 0) + 10**30}:
+            orbit = iterates(m**k * q + r)
+            assert orbit[k] == L * q + c and min(orbit[1:k]) >= hi
+        if q0 - 1 >= (r == 0):
+            assert min(iterates(m**k * (q0 - 1) + r)[1:k]) < hi
+    assert jumps
+
+
+def test_a_lane_entering_the_window_right_after_a_jump(low_guard):
+    """Under the guard 3333, 1119 leaves the frontier at once (3*1119 + 1 = 3358); one
+    jump takes it through 12 steps at or above 1125 to 2126, and step 13 enters the
+    window at 1063.  Fuel 11 allows no jump, fuel 12 ends on the jump."""
+    collatz = preset_map("collatz")
+    window = range(1, 1125)
+    L, c, q0 = dynamics._jump_table(dynamics._step_tables(collatz)[0], 2, 1125, K)[1119]
+    assert (c, 1119 // 2**K) == (2126, 0) and q0 is not None and q0 <= 0
+    for fuel, want in ((K - 1, (0, 0, True)), (K, (0, 0, True)), (K + 1, (1063, K + 1, False))):
+        low_guard.exact.clear()
+        value, tau, undecided = return_times(collatz, window, [1119], fuel)
+        assert (value[0], tau[0], undecided[0]) == want
+        assert low_guard.exact == [(1119, 0)] and not low_guard.reran
+        assert_same_returns(collatz, window, list(window), fuel)
+
+
+@pytest.mark.parametrize("ref", ["qx1:5", "mersenne:3"])
+def test_exact_lanes_on_a_section_take_single_steps(low_guard, ref, monkeypatch):
+    monkeypatch.setattr(dynamics, "_jump_table", None)  # a section builds no jump table
+    sec = preset_section(ref)
+    xs = list(sec.sigma.members(1, 1000))  # below both guards (10^4 - 1) // 5 and // 7
+    for fuel in (K - 1, K, K + 1, 200):
+        low_guard.exact.clear()
+        assert_same_returns(sec.map, sec.sigma, xs, fuel)
+        assert low_guard.exact and not low_guard.reran
+
+
+@st.composite
+def expanding_map_and_fuel(draw):
+    """Any map with fuel around its jump depth k or up to 200 steps."""
+    gcmap = draw(maps(contracting=False))
+    k = dynamics._jump_depth(gcmap.modulus)
+    return gcmap, draw(st.sampled_from([k - 1, k, k + 1, 2 * k + 1, 200]))
+
+
+@given(expanding_map_and_fuel(), sections(), st.sampled_from([1, 2, 100, 200]))
+@settings(max_examples=30, deadline=None)
+def test_exact_lanes_match_scalar_on_random_maps(mf, sigma, window):
+    gcmap, fuel = mf
+    with pytest.MonkeyPatch.context() as mp:
+        # every start stays below the lowered guard: a <= 18 and b <= 17
+        mp.setattr(dynamics, "_INT64_MAX", 10**4)
+        assert_same_returns(gcmap, sigma, list(sigma.members(1, window)), fuel)
+        assert_same_returns(gcmap, range(1, window + 1), list(range(1, window + 1)), fuel)
