@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -336,9 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# ``main`` parses with one tree, built on its first call and kept for the life
+# of the process; ``build_parser`` still hands each caller a tree of its own.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on bad usage; report 3 per our contract
         code = exc.code if isinstance(exc.code, int) else INPUT_ERROR
         return PASS if code == 0 else INPUT_ERROR

@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -42,7 +41,7 @@ import numpy as np
 
 from .conditions import SeparatingResult, WitnessTable, halving_witnesses
 from .conditions import residue_image_exceptions, separating_condition
-from .dynamics import ClassesReport, _member_test, classes, return_time, return_times
+from .dynamics import ClassesReport, _member_test, _partition, classes, return_time, return_times
 from .gcmap import INCONCLUSIVE, DomainError, GCMap, Inconclusive, PuncturedResidueSet, Report
 from .gcmap import ResidueSet, _check_positive, combine, section_sets, verdict
 
@@ -614,11 +613,13 @@ def _csr(n: int, a: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int]]:
     return indptr.tolist(), dst[np.argsort(src, kind="stable")].tolist()
 
 
-def _t_graph(gcmap: GCMap, hi: int) -> tuple[list[int], list[int]]:
-    """The index graph of T on the window [1, hi]: n - 1 -- f(n) - 1 where f(n) <= hi."""
+def _interior(gcmap: GCMap, hi: int) -> tuple[ClassesReport, tuple[list[int], list[int]]]:
+    """The certified classes on the window [1, hi], those of
+    ``classes(..., interior_only=True)``, and the index graph of T there, from
+    one step of the map: n joins f(n), and n - 1 -- f(n) - 1, where f(n) <= hi."""
     image = _window_image(gcmap, np.arange(1, hi + 1, dtype=np.int64))
     inside = np.flatnonzero(image)
-    return _csr(hi, inside, image[inside] - 1)
+    return _partition(image, image == 0), _csr(hi, inside, image[inside] - 1)
 
 
 def _check_depth(depth: int | None) -> None:
@@ -716,8 +717,7 @@ def span_vs_class(
     if not hi or (window.elements[0], window.elements[-1]) != (1, hi):
         raise ValueError("span_vs_class expects a contiguous window [1, hi]")
     full = classes(gcmap, hi, fuel)
-    certified = classes(gcmap, hi, fuel, interior_only=True)
-    graph = _t_graph(gcmap, hi)
+    certified, graph = _interior(gcmap, hi)
     starts = list(window.elements if starts is None else starts)
     for s in starts:
         if not 1 <= s <= hi:
@@ -902,7 +902,10 @@ def norm_bound_check(gcmap: GCMap, window: BasisWindow, trials: int) -> NormBoun
     Vectors are supported on columns whose image stays inside the window, so
     the truncated action agrees with the infinite operator.  Each vector is
     scaled by the lcm of its denominators, which leaves the ratio unchanged,
-    so the arithmetic is exact in integers and one Fraction per trial.
+    so the arithmetic is exact in integers: the largest ratio is kept as a
+    pair (num, den), compared by cross-multiplication, and one Fraction is
+    made at the end.  ``randrange`` makes the draws ``randint`` would, with
+    fewer frames around them.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -914,23 +917,24 @@ def norm_bound_check(gcmap: GCMap, window: BasisWindow, trials: int) -> NormBoun
     if not support_pool:
         raise ValueError("norm bound: no column of T stays in the window, so no vector can be drawn")
     rng = random.Random(0)
-    k = gcmap.k
-    max_ratio = Fraction(0)
+    draw, sample = rng.randrange, rng.sample
+    cap, k = min(12, len(support_pool)), gcmap.k
+    num, den = 0, 1  # the largest ratio so far
     violations = 0
     for _ in range(trials):
-        size = rng.randint(1, min(12, len(support_pool)))
-        support = rng.sample(support_pool, size)
-        coeffs = [(rng.randint(-9, 9) or 1, rng.randint(1, 9)) for _ in support]
+        support = sample(support_pool, 1 + draw(cap))
+        coeffs = [(draw(19) - 9 or 1, 1 + draw(9)) for _ in support]
         scale = math.lcm(*[q for _, q in coeffs])
-        out: Counter = Counter()
+        out: dict[int, int] = {}
         norm = 0
         for n, (p, q) in zip(support, coeffs):
             x = p * (scale // q)  # the entry p/q of v, times scale
-            out[image[n]] += x
+            y = image[n]
+            out[y] = out.get(y, 0) + x
             norm += x * x
-        ratio = Fraction(sum(v * v for v in out.values()), norm)
-        if ratio > max_ratio:
-            max_ratio = ratio
-        if ratio > k:
+        s = sum(v * v for v in out.values())
+        if s * den > num * norm:
+            num, den = s, norm
+        if s > k * norm:
             violations += 1
-    return NormBoundReport(trials, k, max_ratio, violations)
+    return NormBoundReport(trials, k, Fraction(num, den), violations)

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from collatzlab import preset_map
+from collatzlab import cli, preset_map
 from collatzlab.cli import INCONCLUSIVE, INPUT_ERROR, PASS, VIOLATION, build_parser, main
 
 
@@ -336,3 +340,81 @@ def test_directory_as_map_exits_3(tmp_path, capsys, argv):
     code, out = run(capsys, *(arg.format(tmp_path) for arg in argv))
     assert code == INPUT_ERROR
     assert "Is a directory" in json.loads(out)["error"]
+
+
+# --- one parser per process ------------------------------------------------------
+
+# usage errors, help, an unknown suite and input errors, each followed by a valid request
+INTERLEAVED = [
+    ["verify", "collatz", "--suite", "bounded"],
+    ["orbit", "collatz", "5", "--threads", "2"],
+    ["orbit", "collatz", "27", "--fuel", "5"],
+    ["--help"],
+    ["classes", "qx1:5", "--window", "30"],
+    ["verify", "--help"],
+    ["verify", "collatz", "--suite", "span", "--window", "40", "--depth", "2"],
+    ["verify", "collatz", "--suite", "bogus"],
+    ["verify", "qx1:5", "--suite", "relations", "--window", "50", "--fuel", "100"],
+    ["orbit"],
+    ["classes", "collatz", "--window", "30", "--format", "csv"],
+    ["orbit", "collatz", "six"],
+    ["orbit", "collatz", "6", "--format", "csv"],
+    [],
+    ["verify", "collatz", "--suite", "separating:1", "--fuel", "50"],
+    ["classes", "collatz", "--window", "0"],
+    ["orbit", "collatz", "6"],
+]
+
+
+def test_reused_parser_answers_as_a_fresh_one(capsys, monkeypatch):
+    def replay():
+        return [(main(list(argv)), *capsys.readouterr()) for argv in INTERLEAVED]
+
+    cli._parser.cache_clear()
+    reused = replay()
+    monkeypatch.setattr(cli, "_parser", build_parser)  # a fresh tree for every request
+    assert replay() == reused
+    assert [code for code, _, _ in reused] == [
+        PASS, INPUT_ERROR, INCONCLUSIVE, PASS, INCONCLUSIVE, PASS, INCONCLUSIVE, INPUT_ERROR,
+        PASS, INPUT_ERROR, PASS, INPUT_ERROR, PASS, INPUT_ERROR, PASS, INPUT_ERROR, PASS,
+    ]
+
+
+def test_main_builds_one_parser_tree(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    build_parser()
+    one_tree = len(built)  # the root parser and one per subcommand
+    assert one_tree == 4
+    built.clear()
+    cli._parser.cache_clear()
+    for _ in range(10):
+        for argv in INTERLEAVED:
+            main(list(argv))
+    capsys.readouterr()
+    assert len(built) == one_tree
+
+
+def _single_shot(*argv):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "collatzlab.cli", *argv], capture_output=True, env=env, timeout=120
+    )
+
+
+def test_single_shot_process_parses_as_before():
+    helped = _single_shot("--help")
+    assert helped.returncode == PASS and helped.stdout.startswith(b"usage: collatzlab")
+    assert _single_shot("orbit", "collatz", "5", "--threads", "2").returncode == INPUT_ERROR
+    golden = json.loads((Path(__file__).resolve().parents[1] / "bench" / "golden.json").read_text())
+    key = "verify collatz --suite relations --window 600 --fuel 100000"
+    done = _single_shot(*key.split())
+    out = done.stdout
+    assert [done.returncode, hashlib.sha256(out).hexdigest(), len(out)] == golden["preset-sweep"]["requests"][key]

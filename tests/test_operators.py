@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import random
 import re
 from collections import Counter
@@ -11,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from norm_bound_oracle import norm_bound_oracle
 
 from collatzlab import (
     INCONCLUSIVE,
@@ -306,26 +306,6 @@ def test_zero_operator_certified():
 # --- one window-image step for build_T, build_branch_ops and norm_bound_check ---
 
 
-def scalar_norm_bound(gcmap, window, trials):
-    """norm_bound_check with one ``gcmap.apply`` per label, as it was written before."""
-    image = {n: v for n in window.elements if (v := gcmap.apply(n)) in window}
-    pool = list(image)
-    rng, worst, violations = random.Random(0), Fraction(0), 0
-    for _ in range(trials):
-        support = rng.sample(pool, rng.randint(1, min(12, len(pool))))
-        coeffs = [(rng.randint(-9, 9) or 1, rng.randint(1, 9)) for _ in support]
-        scale = math.lcm(*[q for _, q in coeffs])
-        out, norm = Counter(), 0
-        for n, (p, q) in zip(support, coeffs):
-            x = p * (scale // q)
-            out[image[n]] += x
-            norm += x * x
-        ratio = Fraction(sum(v * v for v in out.values()), norm)
-        worst = max(worst, ratio)
-        violations += ratio > gcmap.k
-    return worst, violations
-
-
 @pytest.mark.parametrize("ref", ["collatz", "qx1:5", "3xd:5", "mersenne:3", "identity"])
 def test_window_image_agrees_with_scalar_apply(ref):
     gcmap, rng = preset_map(ref), random.Random(4)
@@ -339,8 +319,7 @@ def test_window_image_agrees_with_scalar_apply(ref):
         for br, op in zip(gcmap.branches, build_branch_ops(gcmap, window)):
             assert op.cols == {n: c for n, c in cols.items() if gcmap.branch_of(n) is br}
         if cols:
-            rep = norm_bound_check(gcmap, window, trials=40)
-            assert (rep.max_ratio, rep.violations) == scalar_norm_bound(gcmap, window, 40)
+            assert norm_bound_check(gcmap, window, trials=40) == norm_bound_oracle(gcmap, window, 40)
 
 
 def test_window_image_raises_as_apply_does():

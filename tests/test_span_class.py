@@ -18,7 +18,7 @@ from collatzlab import (
     span_vs_class,
 )
 from collatzlab.cli import INCONCLUSIVE, INPUT_ERROR, PASS, VIOLATION, main
-from collatzlab import operators
+from collatzlab import dynamics, operators
 from collatzlab.dynamics import ClassesReport
 from collatzlab.operators import SpanClassEntry, SpanClassReport
 from test_return_kernel import scalar_classes
@@ -121,16 +121,15 @@ def test_span_status_precedence():
 def _replace_classes(monkeypatch, rep_of, full_too: bool):
     """Give span_vs_class the certified partition n -> rep_of(n) (and, with
     ``full_too``, the same full partition), so that spans leave their classes."""
-    real = operators.classes
+    def fake(rep):
+        minima = np.array([rep_of(n) for n in range(1, rep.window + 1)], dtype=np.int64)
+        return ClassesReport(rep.window, minima, rep.flagged_mask)
 
-    def fake(gcmap, window, fuel, interior_only=False):
-        rep = real(gcmap, window, fuel, interior_only)
-        if not (interior_only or full_too):
-            return rep
-        minima = np.array([rep_of(n) for n in range(1, window + 1)], dtype=np.int64)
-        return ClassesReport(window, minima, rep.flagged_mask)
-
-    monkeypatch.setattr(operators, "classes", fake)
+    # span_vs_class builds the certified partition with _partition, the full one with classes
+    partition, full = operators._partition, operators.classes
+    monkeypatch.setattr(operators, "_partition", lambda *args: fake(partition(*args)))
+    if full_too:
+        monkeypatch.setattr(operators, "classes", lambda *args: fake(full(*args)))
 
 
 @pytest.mark.parametrize("depth", [None, 3])
@@ -193,3 +192,26 @@ def test_cli_span_large_depth_passes(capsys):
     code, body = _verify_span(capsys, "--depth", "1000")
     assert code == body["exitCode"] == PASS
     assert body["depthCapped"] == 0
+
+
+@pytest.mark.parametrize("depth", [None, 2])
+@pytest.mark.parametrize("ref", ["collatz", "3xd:5", "qx1:5"])
+def test_one_window_image_gives_both_certified_classes_and_graph(monkeypatch, ref, depth):
+    """The entries equal those of the certified classes from
+    ``classes(interior_only=True)`` and T's graph from ``build_T``, at the
+    sizes of ``verify --suite span``, from two first-return calls, not three."""
+    gcmap, hi, fuel = preset_map(ref), 1000, 10**4
+    window = BasisWindow.range(1, hi)
+    calls = []
+
+    def counted(real):
+        return lambda *args: calls.append(args[3]) or real(*args)
+
+    for module in (operators, dynamics):
+        monkeypatch.setattr(module, "return_times", counted(module.return_times))
+    got = span_vs_class(gcmap, window, fuel, depth).entries
+    assert sorted(calls) == [1, fuel]  # the fuel of each return_times call
+    t = build_T(gcmap, window)
+    old = (operators.classes(gcmap, hi, fuel, interior_only=True), operators._csr(hi, t._col, t._row))
+    monkeypatch.setattr(operators, "_interior", lambda *_: old)
+    assert span_vs_class(gcmap, window, fuel, depth).entries == got
