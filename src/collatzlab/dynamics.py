@@ -7,15 +7,15 @@ termination of these orbits is exactly the open conjecture.
 Windowed first returns (the classes of a window, and P on a section window)
 all go through one array kernel, :func:`return_times`, which steps int64
 frontiers and agrees lane by lane with the scalar :func:`return_time`.  A
-lane about to pass the int64 guard leaves the frontier alone and finishes on
-exact ints, k steps at a time through a jump table on a window; only what
-the branch tables cannot step reruns the whole call on the scalar path.
+lane the int64 tables cannot step (past the guard, or at a class without an
+exact row) leaves the frontier alone and finishes on exact ints, k steps at
+a time through a jump table on a window and one ``GCMap.apply`` step
+elsewhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Container
 
 import numpy as np
@@ -115,28 +115,21 @@ class ClassesReport:
         bounds = head.tolist() + [self.window]
         return {k: members[i:j] for k, i, j in zip(least[head].tolist(), bounds, bounds[1:])}
 
-    @cached_property
-    def representative(self) -> dict[int, int]:
-        # a representative is one of the key int objects, so the dict makes no new ints
-        names = list(range(1, self.window + 1))
-        return dict(zip(names, map(names.__getitem__, (self.minima - 1).tolist())))
 
-
-def classes(gcmap: GCMap, window: int, fuel: int, interior_only: bool = False) -> ClassesReport:
+def classes(gcmap: GCMap, window: int, fuel: int) -> ClassesReport:
     """Partition of {1..window} by the first return of each n to the window.
 
     Each n is joined with its first orbit iterate that re-enters the window
     (at least one step, at most ``fuel``); n whose orbit leaves and never
-    returns within fuel is flagged, not guessed.  With ``interior_only`` the
-    fuel is one step, so n joins f(n) only when f(n) <= window (no
-    out-of-window excursions), which is the certified regime for span/class
-    comparisons.  Each class is represented by its minimum.
+    returns within fuel is flagged, not guessed.  At fuel 1, n joins f(n)
+    only when f(n) <= window (no out-of-window excursions), which is the
+    certified regime for span/class comparisons.  Each class is represented
+    by its minimum.
     """
     _check_positive(window, "window")
-    labels = np.arange(1, window + 1, dtype=np.int64)
     _check_positive(fuel, "fuel")
-    steps = 1 if interior_only else fuel
-    value, _, flagged = return_times(gcmap, range(1, window + 1), labels, steps)
+    labels = np.arange(1, window + 1, dtype=np.int64)
+    value, _, flagged = return_times(gcmap, range(1, window + 1), labels, fuel)
     return _partition(value, flagged)
 
 
@@ -196,19 +189,17 @@ def _step_tables(gcmap: GCMap):
 
     ``rows[r]`` is that branch's (a, b, c) in Python ints, or None for a
     residue whose class the tables cannot step exactly (no branch or more
-    than one, or a branch that leaves a remainder or an image below 1
-    somewhere on the class).  In the int64 arrays such a residue gets
-    (0, int64 max, 1), whose image lies past ``guard``, so a lane that
-    reaches it leaves the frontier.  From values up to ``guard`` no int64
-    numerator can wrap.  None when a coefficient does not fit int64.
+    than one, a coefficient past int64, or a branch that leaves a remainder
+    or an image below 1 somewhere on the class).  In the int64 arrays such a
+    residue gets (0, int64 max, 1), whose image lies past ``guard``, so a
+    lane that reaches it leaves the frontier.  From values up to ``guard``
+    no int64 numerator can wrap.
     """
     m, rows = gcmap.modulus, []
     for r, br in enumerate(gcmap._branch_at):
-        if br is None:
+        if br is None or max(br.a, abs(br.b), br.c) > _INT64_MAX:
             rows.append(None)
             continue
-        if max(br.a, abs(br.b), br.c) > _INT64_MAX:
-            return None
         # a >= 0, so a*n + b grows along the class: its least member (r, or m
         # for r = 0) and the step a*m settle divisibility and positivity
         low = br.a * (r or m) + br.b
@@ -269,22 +260,19 @@ def _jump_table(rows: list, m: int, hi: int, k: int) -> list:
     return level
 
 
-class _Unstepped(Exception):
-    """A lane reached a residue class the tables do not step exactly."""
-
-
-def _exact_return(rows: list, m: int, sigma: Container[int], jump, v: int, step: int, fuel: int):
+def _exact_return(gcmap: GCMap, sigma: Container[int], jump, v: int, step: int, fuel: int):
     """Finish one lane on exact ints from the value v reached after ``step``
     steps: ``(value, tau)`` of its return to sigma, or None when fuel runs
     out.  With a jump ``(k, table)`` (a window sigma) the lane takes k steps
     at once wherever the table proves every iterate inside the jump misses
-    sigma and the jump ends within fuel; otherwise it takes one step and
-    tests sigma as ``return_time`` does.  Raises ``_Unstepped`` at a class
-    the rows cannot step."""
+    sigma and the jump ends within fuel; otherwise it takes one step of
+    ``gcmap.apply`` and tests sigma as ``return_time`` does, so it raises
+    what that raises."""
     k, table = jump or (0, None)
-    size = m**k
+    size = gcmap.modulus**k
     # a shift and a mask split a long v several times faster than divmod
     shift = size.bit_length() - 1 if size & (size - 1) == 0 else None
+    apply = gcmap.apply
     while step < fuel:
         if table is not None and step + k <= fuel:
             q, r = divmod(v, size) if shift is None else (v >> shift, v & (size - 1))
@@ -294,11 +282,7 @@ def _exact_return(rows: list, m: int, sigma: Container[int], jump, v: int, step:
                 if v in sigma:
                     return v, step
                 continue
-        row = rows[v % m]
-        if row is None:
-            raise _Unstepped
-        a, b, d = row
-        v, step = (a * v + b) // d, step + 1
+        v, step = apply(v), step + 1
         if v in sigma:
             return v, step
     return None
@@ -354,29 +338,29 @@ def return_times(gcmap: GCMap, sigma: Container[int], xs, fuel: int):
     tau of the return, or ``undecided[i]`` (value and tau 0) when fuel ran
     out.  sigma is a window ``range(1, hi)``, a residue set or a punctured
     one.  Each step reads the map's per-residue tables on int64 arrays and
-    carries only the frontier, the lanes that have not returned.  A step
-    that takes some lanes past the overflow guard (or into a class the
-    tables do not step) takes only those lanes off the frontier, with their
-    value and step from before it; each finishes alone on exact ints in
-    ``_exact_return``, k steps at a time through a jump table when sigma is
-    a window.  ``value`` is an object array if a return does not fit int64.
-    What the tables cannot step reruns the whole call through
-    ``return_time``, which raises as it does: a lane that reaches a class
-    not stepped exactly (see ``_step_tables``), a start past the guard,
-    outside sigma or below 1, a coefficient beyond int64, another kind of
-    sigma.
+    carries only the frontier, the lanes that have not returned.  A lane the
+    tables cannot step leaves the frontier with its value and step from
+    before that step: a start past the overflow guard at step 0, and a lane
+    that a step takes past the guard or into a class without an exact row
+    (see ``_step_tables``).  The lanes that left finish one by one, in lane
+    order, on exact ints in ``_exact_return``, which raises at the first
+    lane where ``return_time`` raises.  ``value`` is an object array if a
+    return does not fit int64.  Only a start outside sigma or below 1, and a
+    sigma of another kind, take the scalar path through ``return_time``.
     """
     xs = np.asarray(xs, dtype=np.int64)
-    tables, member = _step_tables(gcmap), _member_test(sigma)
-    if tables is None or member is None:
+    member = _member_test(sigma)
+    if member is None or len(xs) and (xs.min() < 1 or not member(xs).all()):
         return _scalar_returns(gcmap, sigma, xs, fuel)
-    rows, A, B, C, guard = tables
-    if len(xs) and (xs.min() < 1 or xs.max() > guard or not member(xs).all()):
-        return _scalar_returns(gcmap, sigma, xs, fuel)
+    rows, A, B, C, guard = _step_tables(gcmap)
     m = np.int64(gcmap.modulus)
-    lanes, vals = np.arange(len(xs)), xs
     returned = []  # (lanes, values, step) of each step's returns
     left = []  # (lanes, values, steps taken) of the lanes that left the frontier
+    lanes, vals = np.arange(len(xs)), xs
+    if len(xs) and xs.max() > guard:
+        over = xs > guard
+        left.append((lanes[over], xs[over], 0))
+        lanes, vals = lanes[~over], xs[~over]
     # argmax and count_nonzero: the cheapest reductions on a short frontier
     for step in range(1, fuel + 1):
         if not len(vals):
@@ -404,14 +388,13 @@ def return_times(gcmap: GCMap, sigma: Container[int], xs, fuel: int):
         # the first lanes left first: the table pays only if one can still jump
         can_jump = hi is not None and k > 1 and left[0][2] + k <= fuel
         jump = (k, _jump_table(rows, modulus, hi, k)) if can_jump else None
-        try:
-            finished = [
-                (lane, _exact_return(rows, modulus, sigma, jump, v, step, fuel))
-                for done, before, step in left
-                for lane, v in zip(done.tolist(), before.tolist())
-            ]
-        except _Unstepped:
-            return _scalar_returns(gcmap, sigma, xs, fuel)
+        # in lane order, so the first lane to raise is the one return_time raises at
+        exits = sorted(
+            (lane, v, step)
+            for done, before, step in left
+            for lane, v in zip(done.tolist(), before.tolist())
+        )
+        finished = [(lane, _exact_return(gcmap, sigma, jump, v, step, fuel)) for lane, v, step in exits]
         undecided[[lane for lane, ret in finished if ret is None]] = True
         back = [(lane, *ret) for lane, ret in finished if ret is not None]
         if back:

@@ -20,6 +20,7 @@ from .gcmap import (
     GCMap,
     PuncturedResidueSet,
     ResidueSet,
+    _MAX_RESIDUES,
     section_sets,
 )
 
@@ -87,10 +88,6 @@ class Section:
     n2_removed: frozenset[int] = frozenset()
 
     @property
-    def n2_set(self) -> ResidueSet | PuncturedResidueSet:
-        return section_sets(self.n1, self.n2, self.n2_removed)[0]
-
-    @property
     def sigma(self) -> ResidueSet | PuncturedResidueSet:
         return section_sets(self.n1, self.n2, self.n2_removed)[1]
 
@@ -111,9 +108,6 @@ def _odd_even_shape(gcmap: GCMap) -> tuple[int, int]:
     return a, b
 
 
-_MAX_SECTION_RESIDUES = 1 << 20  # at the witness modulus
-
-
 def section_of(gcmap: GCMap) -> Section:
     """The first-return section of a map n -> a*n + b on odd n, n -> n/2 on even n.
 
@@ -131,7 +125,7 @@ def section_of(gcmap: GCMap) -> Section:
     powers = [1]
     while (v := 2 * powers[-1] % a) != 1:
         powers.append(v)
-        if (size := len(powers) * (a + 1)) > _MAX_SECTION_RESIDUES:
+        if (size := len(powers) * (a + 1)) > _MAX_RESIDUES:  # at the witness modulus
             raise KeyError(f"ord(2 mod {a}) * {a + 1} >= {size:,} residues, past the bound 2^20")
     o = len(powers)
     lift = math.gcd((pow(2, o, a * a) - 1) // a, a)  # gcd(t, a)
@@ -195,6 +189,8 @@ def verify_mersenne_identities(k: int) -> CheckReport:
     if k < 2:
         raise ValueError("k must be >= 2")
     q = 2**k - 1
+    if q > _MAX_RESIDUES:  # the checks list q powers
+        raise ValueError(f"q = 2^{k} - 1 is past the bound 2^20 on residue tables")
     m = 2 * q * q
     u = (1 + q) % m
     checks = []

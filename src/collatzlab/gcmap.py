@@ -488,6 +488,10 @@ class GCMap:
 _MAP_FIELDS = {"modulus", "branches"}
 _BRANCH_FIELDS = {"residues", "a", "b", "c"}
 
+#: the most residues one table may hold: a map file's modulus and each
+#: lcm(modulus, c), which ``validate`` walks, and a section's witnesses
+_MAX_RESIDUES = 1 << 20
+
 
 def _typed(value, kind: type, what: str):
     # bool is an int subclass, but true/false is never a valid number here
@@ -503,6 +507,8 @@ def map_from_dict(doc: dict) -> GCMap:
     modulus = _typed(doc["modulus"], int, "modulus")
     if modulus < 1:
         raise ValueError("modulus must be a positive integer")
+    if modulus > _MAX_RESIDUES:
+        raise ValueError(f"modulus {modulus} is past the bound 2^20 on residue tables")
     branches = []
     for i, bdoc in enumerate(_typed(doc["branches"], list, "branches"), start=1):
         unknown = set(_typed(bdoc, dict, f"branch {i}")) - _BRANCH_FIELDS
@@ -512,6 +518,10 @@ def map_from_dict(doc: dict) -> GCMap:
         guard = ResidueSet.of(modulus, [_typed(r, int, f"branch {i} residue") for r in residues])
         a, b, c = (_typed(bdoc[k], int, f"branch {i} field {k}") for k in "abc")
         branches.append(AffineBranch(i, guard, a, b, c))
+        if (size := math.lcm(modulus, c)) > _MAX_RESIDUES:
+            raise ValueError(
+                f"branch {i}: lcm(modulus, c) = {size} is past the bound 2^20 on residue tables"
+            )
     return GCMap(modulus, tuple(branches))
 
 

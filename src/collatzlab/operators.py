@@ -41,7 +41,7 @@ import numpy as np
 
 from .conditions import SeparatingResult, WitnessTable, halving_witnesses
 from .conditions import residue_image_exceptions, separating_condition
-from .dynamics import ClassesReport, _member_test, _partition, classes, return_time, return_times
+from .dynamics import ClassesReport, _member_test, _partition, return_time, return_times
 from .gcmap import INCONCLUSIVE, DomainError, GCMap, Inconclusive, PuncturedResidueSet, Report
 from .gcmap import ResidueSet, _check_positive, combine, section_sets, verdict
 
@@ -613,13 +613,17 @@ def _csr(n: int, a: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int]]:
     return indptr.tolist(), dst[np.argsort(src, kind="stable")].tolist()
 
 
-def _interior(gcmap: GCMap, hi: int) -> tuple[ClassesReport, tuple[list[int], list[int]]]:
-    """The certified classes on the window [1, hi], those of
-    ``classes(..., interior_only=True)``, and the index graph of T there, from
-    one step of the map: n joins f(n), and n - 1 -- f(n) - 1, where f(n) <= hi."""
-    image = _window_image(gcmap, np.arange(1, hi + 1, dtype=np.int64))
-    inside = np.flatnonzero(image)
-    return _partition(image, image == 0), _csr(hi, inside, image[inside] - 1)
+def _window_classes(gcmap: GCMap, hi: int, fuel: int):
+    """(full, certified, edges): the classes of the window [1, hi] at ``fuel``,
+    the certified ones (those of fuel 1) and the edges of T's index graph
+    there, from one first-return call.  n returns at step 1 exactly when
+    f(n) <= hi, and then n joins f(n) in the certified classes and
+    n - 1 -- f(n) - 1 is an edge.  Only these outlive the kernel's arrays."""
+    _check_positive(fuel, "fuel")
+    labels = np.arange(1, hi + 1, dtype=np.int64)
+    value, tau, flagged = return_times(gcmap, range(1, hi + 1), labels, fuel)
+    inside = np.flatnonzero(tau == 1)
+    return _partition(value, flagged), _partition(value, tau != 1), (inside, value[inside] - 1)
 
 
 def _check_depth(depth: int | None) -> None:
@@ -716,8 +720,8 @@ def span_vs_class(
     hi = len(window)
     if not hi or (window.elements[0], window.elements[-1]) != (1, hi):
         raise ValueError("span_vs_class expects a contiguous window [1, hi]")
-    full = classes(gcmap, hi, fuel)
-    certified, graph = _interior(gcmap, hi)
+    full, certified, edges = _window_classes(gcmap, hi, fuel)
+    graph = _csr(hi, *edges)  # its lists once the kernel's arrays are gone
     starts = list(window.elements if starts is None else starts)
     for s in starts:
         if not 1 <= s <= hi:
@@ -803,6 +807,10 @@ def descent_check(limit: int) -> DescentReport:
 
 @dataclass(frozen=True)
 class WordCheckReport(Report):
+    """``fixed_vector_ok`` and ``annihilations_ok`` read only columns of T_I the
+    window certifies exact; ``uncertified`` lists the columns x and f^j(x)
+    it does not, and each of those leaves the check inconclusive."""
+
     period: int
     word: tuple[int, ...]
     fixed_vector_ok: bool
@@ -810,11 +818,12 @@ class WordCheckReport(Report):
     contraction_failures: tuple[int, ...]
     contraction_inconclusive: tuple[int, ...]
     sampled: int
+    uncertified: tuple[int, ...]
 
     @property
     def status(self) -> int:
         violation = self.contraction_failures or not (self.fixed_vector_ok and self.annihilations_ok)
-        return verdict(bool(violation), bool(self.contraction_inconclusive))
+        return verdict(bool(violation), bool(self.contraction_inconclusive or self.uncertified))
 
 
 def _word_step(gcmap: GCMap, word: Sequence[int], y: int) -> int | None:
@@ -850,19 +859,17 @@ def separating_word_check(
     for letter in word:  # rightmost factor T_{i_1} acts first
         op = ops[letter]
         t_word = op if t_word is None else op @ t_word
-    cols = t_word.cols
-    fixed_ok = cols.get(x) == {x: 1}
-    annihilations_ok = True
-    v = x
-    for _ in range(1, n):
-        v = gcmap.apply(v)
-        if v in cols:
-            annihilations_ok = False
+    # the columns x, f(x), ..., f^(n-1)(x); one cut off at the window edge
+    # says nothing, so only those certified exact are read
+    orb = gcmap.orbit(x, fuel)
+    cols, exact = t_word.cols, t_word.exact_cols
+    uncertified = tuple(v for v in orb.prefix if v not in exact)
+    fixed_ok = x in uncertified or cols.get(x) == {x: 1}
+    annihilations_ok = not any(v in cols for v in orb.prefix[1:] if v in exact)
 
     # contraction on sampled equivalent y: T_I^m e_y must reach 0, never e_x
     failures: list[int] = []
     inconclusive: list[int] = []
-    orb = gcmap.orbit(x, fuel)
     candidates = [y for y in orb.prefix if y != x]
     extra = [y for y in window.elements if y != x and y not in orb.values()]
     for y in (candidates + extra)[:samples]:
@@ -877,7 +884,7 @@ def separating_word_check(
             inconclusive.append(y)
     return WordCheckReport(
         n, word, fixed_ok, annihilations_ok, tuple(failures), tuple(inconclusive),
-        len((candidates + extra)[:samples]),
+        len((candidates + extra)[:samples]), uncertified,
     )
 
 

@@ -17,8 +17,8 @@ value they reach after the steps their residue fixes.
 Batches run through numpy int64 arithmetic and carry only the frontier, the
 starts that have not dropped yet.  No value is stepped where a*v + b could
 pass 2^63 - 1: a sieve class stops there as a survivor, and a frontier is
-finished there with exact Python integers.  A start that outlives the step
-cap is inconclusive.
+finished there with exact Python integers by the first-return kernel's
+``_exact_return``.  A start that outlives the step cap is inconclusive.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _exact_return
 from .families import _odd_even_shape, collatz
 from .gcmap import GCMap, _check_positive
 
@@ -61,15 +62,6 @@ class RangeReport:
             "seconds": round(self.seconds, 3),
             "maxStepsToDrop": self.max_steps_to_drop,
         }
-
-
-def _drop_step(gcmap: GCMap, n: int, v: int, step: int, step_cap: int) -> int | None:
-    """The step from ``step`` on (v is n's value before it) that first takes n's orbit below n, or None."""
-    for s in range(step, step_cap + 1):
-        v = gcmap.apply(v)
-        if v < n:
-            return s
-    return None
 
 
 def _sieve(a: int, b: int, guard: int, limit: int, step_cap: int):
@@ -177,11 +169,12 @@ def verify_range(gcmap: GCMap, limit: int, step_cap: int = 10_000) -> RangeRepor
             inconclusive += starts.tolist()
             continue
         for n, v in zip(starts.tolist(), vals.tolist()):  # only a guard hit gets here with a frontier
-            s = _drop_step(gcmap, n, v, step, step_cap)
-            if s is None:
+            # n drops at the step that first takes its orbit into [1, n)
+            ret = _exact_return(gcmap, range(1, n), None, v, step - 1, step_cap)
+            if ret is None:
                 inconclusive.append(n)
             else:
-                max_steps = max(max_steps, s)
+                max_steps = max(max_steps, ret[1])
 
     return RangeReport(
         limit,

@@ -148,6 +148,41 @@ def test_verify_modular(capsys):
     assert code == INPUT_ERROR
 
 
+@pytest.mark.parametrize(
+    "modulus, c, why",
+    [
+        (10**8, 2, "modulus 100000000 is past the bound 2^20"),
+        (2, 2 * 10**8, "branch 2: lcm(modulus, c) = 200000000 is past the bound 2^20"),
+    ],
+    ids=["modulus", "lcm"],
+)
+def test_map_file_past_the_residue_bound_is_refused_before_any_table(tmp_path, capsys, monkeypatch, modulus, c, why):
+    # before the bound, GCMap and validate() built lists of modulus or lcm(modulus, c)
+    # entries: a MemoryError traceback and exit 1 under a memory limit
+    def no_table(self):
+        raise AssertionError("a GCMap was built")
+
+    monkeypatch.setattr(cli.GCMap, "__post_init__", no_table)
+    path = tmp_path / "big.json"
+    branches = [{"residues": [1], "a": 3, "b": 1, "c": 1}, {"residues": [0], "a": 1, "b": 0, "c": c}]
+    path.write_text(json.dumps({"modulus": modulus, "branches": branches}))
+    for argv in (["orbit", str(path), "7"], ["verify", str(path), "--suite", "bounded"], ["classes", str(path)]):
+        code, out = run(capsys, *argv)
+        assert code == INPUT_ERROR and why in json.loads(out)["error"]
+
+
+def test_modular_suite_past_the_residue_bound_is_refused_before_any_power(capsys, monkeypatch):
+    # each +2 on k cost about 4.5x more: k = 20 took 17.6 s, k = 21 and up were refused by nothing
+    def no_power(*args):
+        raise AssertionError("a power was taken")
+
+    monkeypatch.setattr(cli.families, "pow", no_power, raising=False)
+    for k in (21, 40):
+        code, out = run(capsys, "verify", f"mersenne:{k}", "--suite", "modular")
+        assert code == INPUT_ERROR
+        assert json.loads(out)["error"] == f"q = 2^{k} - 1 is past the bound 2^20 on residue tables"
+
+
 def test_verify_section_suite(capsys):
     code, out = run(capsys, "verify", "qx1:5", "--suite", "section", "--window", "300")
     assert code == PASS

@@ -94,15 +94,14 @@ def test_classes_identity_all_singletons():
 
 @pytest.mark.parametrize("fuel", [0, -5])
 def test_classes_rejects_fuel_below_one(fuel):
-    for interior_only in (False, True):
-        with pytest.raises(DomainError, match=f"fuel must be a positive integer, got {fuel}"):
-            classes(collatz(), 10, fuel, interior_only=interior_only)
+    with pytest.raises(DomainError, match=f"fuel must be a positive integer, got {fuel}"):
+        classes(collatz(), 10, fuel)
     with pytest.raises(DomainError, match="fuel must be a positive integer"):
         equivalent(collatz(), 5, 7, fuel)
 
 
 def test_classes_interior_only_flags_excursions():
-    rep = classes(collatz(), 10, 10**4, interior_only=True)
+    rep = classes(collatz(), 10, 1)  # fuel 1: n joins f(n) only inside the window
     # 7 -> 22 leaves the window, so 7 cannot merge with its successor
     assert 7 in rep.flagged
 

@@ -20,7 +20,13 @@ from collatzlab import (
     verify_mersenne_identities,
     verify_q5_group,
 )
+from collatzlab.gcmap import section_sets
 from preimage_oracle import PreimageSearch, first_return
+
+
+def n2_set(sec):
+    """N2 as a point set: its classes less the punctures f(N1) misses."""
+    return section_sets(sec.n1, sec.n2, sec.n2_removed)[0]
 
 
 # --- maps -------------------------------------------------------------------
@@ -102,10 +108,10 @@ def test_section_3xd_sets():
 def test_section_3x5_puncture():
     sec = section_of(three_x_d(5))
     assert sec.n2_removed == frozenset({2})
-    assert 2 not in sec.n2_set and 20 in sec.n2_set
+    assert 2 not in n2_set(sec) and 20 in n2_set(sec)
     assert 2 not in sec.sigma
     # 8 = f(1) is the smallest N2 member
-    assert sec.n2_set.min_member() == 8
+    assert n2_set(sec).min_member() == 8
 
 
 def test_3x5_puncture_reaches_every_consumer():
@@ -132,8 +138,9 @@ def test_3x5_puncture_reaches_every_consumer():
 def test_sigma_members_are_consistent():
     for ref in ("collatz", "qx1:5", "mersenne:4", "3xd:5"):
         sec = preset_section(ref)
+        n2 = n2_set(sec)
         for n in sec.sigma.members(1, 500):
-            assert (n in sec.n1) or (n in sec.n2_set)
+            assert (n in sec.n1) or (n in n2)
 
 
 # --- modular identities ------------------------------------------------------------

@@ -14,6 +14,7 @@ from norm_bound_oracle import norm_bound_oracle
 
 from collatzlab import (
     INCONCLUSIVE,
+    PASS,
     AffineBranch,
     BasisWindow,
     DomainError,
@@ -267,6 +268,16 @@ def test_separating_word_check_out_of_fuel_is_inconclusive():
     assert rep.contraction_inconclusive == (65,) and not rep.contraction_failures
     assert rep.status == INCONCLUSIVE and not rep.ok
     assert separating_word_check(collatz(), 1, BasisWindow.range(1, 100), 4, samples=100).ok
+
+
+@pytest.mark.parametrize("hi, status", [(2, INCONCLUSIVE), (3, INCONCLUSIVE), (4, PASS), (500, PASS)])
+def test_separating_word_check_reads_only_certified_columns(hi, status):
+    # below [1, 4] the column of 1 in T_I = T2 T2 T1 is cut off at the window
+    # edge (1 -> 4 leaves it): that is no evidence, so no violation and no pass
+    rep = separating_word_check(collatz(), 1, BasisWindow.range(1, hi), 10**4)
+    assert rep.status == status
+    assert rep.uncertified == ((1, 4) if hi < 4 else ())
+    assert rep.fixed_vector_ok and rep.annihilations_ok and not rep.contraction_failures
 
 
 def test_separating_word_check_rejects_nonperiodic():

@@ -18,13 +18,36 @@ from collatzlab import (
     verify_range_collatz,
 )
 from collatzlab.families import _odd_even
-from collatzlab.rangecheck import _drop_step, _guard, _sieve
+from collatzlab.rangecheck import _guard, _sieve
 
 # the guard of 3v + 1 under the real int64 bound
 COLLATZ_GUARD = (2**63 - 2) // 3 + 1
 
 # the maps of the differential, as (a, b) of n -> a*n + b (odd), n/2 (even)
 MAPS = [(3, 1), (3, 5), (3, 7), (5, 1), (7, 1), (31, 1), (127, 1)]
+
+
+def _drop_step(gcmap, n, v, step, step_cap):
+    """The step from ``step`` on (v is n's value before it) that first takes n's
+    orbit below n, or None: the scalar oracle of the sieve tables."""
+    for s in range(step, step_cap + 1):
+        v = gcmap.apply(v)
+        if v < n:
+            return s
+    return None
+
+
+def log_exact_finish(monkeypatch) -> list[int]:
+    """The starts n the scan finishes on exact ints, through ``_exact_return`` on
+    the section [1, n), each logged as it is handed over."""
+    calls, exact = [], rangecheck._exact_return
+
+    def finish(gcmap, sigma, jump, v, step, fuel):
+        calls.append(sigma.stop)
+        return exact(gcmap, sigma, jump, v, step, fuel)
+
+    monkeypatch.setattr(rangecheck, "_exact_return", finish)
+    return calls
 
 
 def lower_guard(monkeypatch, guard):
@@ -85,11 +108,12 @@ def test_collatz_scan_is_the_map_scan_on_collatz(limit, step_cap):
 def test_exact_fallback_matches_vectorized():
     # 27 has the famously long excursion; both paths must agree on the drop step
     steps = _drop_step(collatz(), 27, 27, 1, 10_000)
+    finish = rangecheck._exact_return(collatz(), range(1, 27), None, 27, 0, 10_000)
     v, s = 27, 0
     while v >= 27:
         v = 3 * v + 1 if v & 1 else v >> 1
         s += 1
-    assert steps == s == 96
+    assert steps == s == 96 and finish == (v, s)
 
 
 def test_step_cap_reports_inconclusive():
@@ -143,13 +167,7 @@ def test_compacting_kernel_matches_python_scan(monkeypatch, guard, step_cap):
     # sends every frontier that climbs past it to the exact pass
     monkeypatch.setattr(rangecheck, "_BATCH", 7)
     lower_guard(monkeypatch, guard)
-    exact_calls = []
-
-    def exact(gcmap, n, v, step, cap):
-        exact_calls.append(n)
-        return _drop_step(gcmap, n, v, step, cap)
-
-    monkeypatch.setattr(rangecheck, "_drop_step", exact)
+    exact_calls = log_exact_finish(monkeypatch)
     rep = verify_range_collatz(3000, step_cap=step_cap)
     inconclusive, max_steps = drop_scan(3000, step_cap)
     assert rep.verified == (not inconclusive)
@@ -259,13 +277,7 @@ def test_lowered_guard_on_every_map(monkeypatch, a, b, sieve_bits):
 
 def test_127x_plus_1_lists_every_start_that_does_not_drop(monkeypatch):
     # a 12-bit sieve that steps past int64 wraps here and passes 70 of these, the first at 4395
-    exact_calls = []
-
-    def exact(gcmap, n, v, step, cap):
-        exact_calls.append(n)
-        return _drop_step(gcmap, n, v, step, cap)
-
-    monkeypatch.setattr(rangecheck, "_drop_step", exact)
+    exact_calls = log_exact_finish(monkeypatch)
     rep = verify_range(qx1(127), 40_000, 60)
     assert len(rep.inconclusive) == 19_667 and 4395 in rep.inconclusive
     assert exact_calls  # the frontier of 127x+1 reaches int64's edge within 60 steps

@@ -1,13 +1,15 @@
 """The array first-return kernel against the exact scalar path.
 
 ``return_times`` must agree lane by lane with ``return_time``, and every read
-of a ``classes`` report (representatives, ``class_of``, the grouped classes,
-their number, the flagged labels) with the union-find partition it replaced,
-copied below as the oracle.  Maps come from the presets and from hypothesis.
-An overflow guard lowered far below int64 sends lanes off the int64 frontier
+of a ``classes`` report (the least member of each class, ``class_of``, the
+grouped classes, their number, the flagged labels) with the union-find
+partition it replaced, copied below as the oracle; at fuel 1 that is the
+oracle's interior-only partition.  Maps come from the presets and from
+hypothesis.  An overflow guard lowered far below int64 sends lanes off the int64 frontier
 to finish on exact ints, k steps at a time through the jump tables on a
 window, and each jump table entry is checked against k scalar steps.  On maps
-that ``validate()`` rejects both paths must raise the same exception.
+that ``validate()`` rejects, and on a coefficient past int64, the lanes finish
+on exact ints and raise what the scalar path raises.
 """
 
 from __future__ import annotations
@@ -96,13 +98,14 @@ def assert_same_returns(gcmap, sigma, xs, fuel, oracle=scalar_lanes) -> None:
 
 
 def assert_same_classes(gcmap, window, fuel, interior_only) -> None:
-    got = classes(gcmap, window, fuel, interior_only)
+    """``classes`` at ``fuel``, or at fuel 1 for the oracle's ``interior_only``."""
+    got = classes(gcmap, window, 1 if interior_only else fuel)
     rep, flagged = scalar_classes(gcmap, window, fuel, interior_only)
     grouped: dict[int, list[int]] = {}
     for n, r in rep.items():
         grouped.setdefault(r, []).append(n)
     assert got.window == window
-    assert got.representative == rep
+    assert got.minima.tolist() == list(rep.values())
     assert [got.class_of(n) for n in rep] == list(rep.values())
     assert list(got.classes().items()) == sorted(grouped.items())
     assert got.num_classes == len(grouped)
@@ -216,7 +219,7 @@ def test_kernel_matches_scalar_on_random_maps(mf, sigma, window):
 
 @pytest.fixture
 def low_guard(monkeypatch):
-    """int64 lowered to 10^4, and a log of the calls that reran on the scalar path
+    """int64 lowered to 10^4, and a log of the calls that took the scalar path
     (``reran``) and of the lanes that finished on exact ints (``exact``: the value
     and step each left the int64 frontier with)."""
     monkeypatch.setattr(dynamics, "_INT64_MAX", 10**4)
@@ -227,9 +230,9 @@ def low_guard(monkeypatch):
         log.reran.append(args)
         return scalar(*args)
 
-    def finish(rows, m, sigma, jump, v, step, fuel):
+    def finish(gcmap, sigma, jump, v, step, fuel):
         log.exact.append((v, step))
-        return exact(rows, m, sigma, jump, v, step, fuel)
+        return exact(gcmap, sigma, jump, v, step, fuel)
 
     monkeypatch.setattr(dynamics, "_scalar_returns", rerun)
     monkeypatch.setattr(dynamics, "_exact_return", finish)
@@ -259,11 +262,14 @@ def test_guard_reruns_the_call_exactly(low_guard, fuel):
     for ref in ("collatz", "qx1:5", "3xd:5"):
         sec = preset_section(ref)
         xs = list(sec.sigma.members(1, 3000))
-        low_guard.reran.clear()
+        low_guard.exact.clear()
         return_times(sec.map, sec.sigma, xs, fuel)
         if ref == "qx1:5":
-            # the window starts past the guard (10^4 - 1) // 5
-            assert low_guard.reran
+            # the starts past the guard (10^4 - 1) // 5 leave the frontier at
+            # step 0 and finish as exact lanes; nothing reruns on the scalar path
+            past = [(x, 0) for x in xs if x > (10**4 - 1) // 5]
+            assert past and set(past) <= set(low_guard.exact)
+        assert not low_guard.reran
         assert_same_returns(sec.map, sec.sigma, xs, fuel)
 
 
@@ -290,7 +296,7 @@ def test_returns_beyond_int64_stay_exact():
     assert_same_returns(gcmap, odd, xs, 5)
 
 
-# --- the scalar path: what the tables cannot step -----------------------------------------------
+# --- what the tables cannot step ------------------------------------------------------------------
 
 
 def _map(modulus, *branches):
@@ -319,15 +325,34 @@ def test_invalid_maps_raise_as_the_scalar_path(kind, low, monkeypatch):
         assert raised(lambda: return_times(gcmap, sigma, xs, 50)) == want
     for interior_only in (False, True):
         want = raised(lambda: scalar_classes(gcmap, 300, 50, interior_only))
-        assert raised(lambda: classes(gcmap, 300, 50, interior_only)) == want
+        assert raised(lambda: classes(gcmap, 300, 1 if interior_only else 50)) == want
+
+
+def test_untabled_lanes_never_take_the_scalar_path(monkeypatch):
+    """The lanes of a coefficient past int64 and of the maps ``validate()``
+    rejects finish on exact ints, and the invalid maps raise there what
+    ``return_time`` raises; no call takes ``_scalar_returns``."""
+    calls, scalar = [], dynamics._scalar_returns
+    monkeypatch.setattr(dynamics, "_scalar_returns", lambda *args: calls.append(args) or scalar(*args))
+    big = GCMap(2, (AffineBranch(1, ResidueSet.of(2, [1]), 2**64 + 1, 1, 2),
+                    AffineBranch(2, ResidueSet.of(2, [0]), 1, 0, 2)))
+    odd = ResidueSet.of(6, [1, 5])
+    assert_same_returns(big, odd, list(odd.members(1, 100)), 5)  # a coefficient beyond int64
+    for gcmap in INVALID.values():
+        for sigma in (range(1, 301), odd):
+            xs = list(sigma) if isinstance(sigma, range) else list(sigma.members(1, 300))
+            want = raised(lambda: [return_time(gcmap, sigma, x, 50) for x in xs])
+            assert raised(lambda: return_times(gcmap, sigma, xs, 50)) == want
+    # 37 reaches the gap at 7 on step 4, after 29 reaches it at 11 on step 3:
+    # lanes finish in lane order, so the error is 37's, as on the scalar path
+    want = raised(lambda: return_time(INVALID["gap"], ResidueSet.of(8, [5]), 37, 50))
+    assert "n=7" in want[1]
+    assert raised(lambda: return_times(INVALID["gap"], ResidueSet.of(8, [5]), [37, 29], 50)) == want
+    assert not calls
 
 
 def test_scalar_path_inputs():
-    big = GCMap(2, (AffineBranch(1, ResidueSet.of(2, [1]), 2**64 + 1, 1, 2),
-                    AffineBranch(2, ResidueSet.of(2, [0]), 1, 0, 2)))
     sigma = ResidueSet.of(6, [1, 5])
-    xs = list(sigma.members(1, 100))
-    assert_same_returns(big, sigma, xs, 5)  # a coefficient beyond int64
     collatz = preset_map("collatz")
     assert_same_returns(collatz, {1, 2, 4, 8, 16}, [1, 2, 4, 8, 16], 100)  # a plain set
     assert_same_returns(collatz, range(5, 40), list(range(5, 40)), 100)  # a window not from 1
@@ -339,7 +364,7 @@ def test_scalar_path_inputs():
 
 
 def test_member_test_takes_exact_ints_beyond_int64():
-    # a scalar rerun can return values past int64 in an object array, and
+    # an exact lane can return values past int64 in an object array, and
     # the section checks then test them against sigma
     for sigma in (ResidueSet.of(18, [4, 16]), PuncturedResidueSet(ResidueSet.of(18, [2, 8]), frozenset({2}))):
         values = [2, 4, 8, 20, 2**70 + 4, 2**70 + 6, 2**90 + 8]

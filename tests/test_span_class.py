@@ -45,7 +45,7 @@ def per_start_oracle(gcmap, hi, fuel, depths):
     ``apply`` and ``preimage`` (shared by the starts of a class only without a
     depth, where it is the start's whole certified class)."""
     full, _ = scalar_classes(gcmap, hi, fuel)
-    certified, _ = scalar_classes(gcmap, hi, fuel, interior_only=True)
+    certified, _ = scalar_classes(gcmap, hi, 1)  # fuel 1: n joins f(n) only inside the window
     full_classes, cert_classes = {}, {}
     for n in range(1, hi + 1):
         full_classes.setdefault(full[n], set()).add(n)
@@ -125,11 +125,14 @@ def _replace_classes(monkeypatch, rep_of, full_too: bool):
         minima = np.array([rep_of(n) for n in range(1, rep.window + 1)], dtype=np.int64)
         return ClassesReport(rep.window, minima, rep.flagged_mask)
 
-    # span_vs_class builds the certified partition with _partition, the full one with classes
-    partition, full = operators._partition, operators.classes
-    monkeypatch.setattr(operators, "_partition", lambda *args: fake(partition(*args)))
-    if full_too:
-        monkeypatch.setattr(operators, "classes", lambda *args: fake(full(*args)))
+    # span_vs_class builds both partitions with _partition: the full one first
+    partition, made = operators._partition, []
+
+    def replaced(*args):
+        made.append(partition(*args))
+        return fake(made[-1]) if full_too or len(made) % 2 == 0 else made[-1]
+
+    monkeypatch.setattr(operators, "_partition", replaced)
 
 
 @pytest.mark.parametrize("depth", [None, 3])
@@ -197,9 +200,9 @@ def test_cli_span_large_depth_passes(capsys):
 @pytest.mark.parametrize("depth", [None, 2])
 @pytest.mark.parametrize("ref", ["collatz", "3xd:5", "qx1:5"])
 def test_one_window_image_gives_both_certified_classes_and_graph(monkeypatch, ref, depth):
-    """The entries equal those of the certified classes from
-    ``classes(interior_only=True)`` and T's graph from ``build_T``, at the
-    sizes of ``verify --suite span``, from two first-return calls, not three."""
+    """The entries equal those of the full classes at fuel, the certified
+    classes from ``classes`` at fuel 1 and T's graph from ``build_T``, at the
+    sizes of ``verify --suite span``, from one first-return call at fuel."""
     gcmap, hi, fuel = preset_map(ref), 1000, 10**4
     window = BasisWindow.range(1, hi)
     calls = []
@@ -210,8 +213,9 @@ def test_one_window_image_gives_both_certified_classes_and_graph(monkeypatch, re
     for module in (operators, dynamics):
         monkeypatch.setattr(module, "return_times", counted(module.return_times))
     got = span_vs_class(gcmap, window, fuel, depth).entries
-    assert sorted(calls) == [1, fuel]  # the fuel of each return_times call
+    assert calls == [fuel]  # the fuel of each return_times call
     t = build_T(gcmap, window)
-    old = (operators.classes(gcmap, hi, fuel, interior_only=True), operators._csr(hi, t._col, t._row))
-    monkeypatch.setattr(operators, "_interior", lambda *_: old)
+    full, certified = dynamics.classes(gcmap, hi, fuel), dynamics.classes(gcmap, hi, 1)
+    old = (full, certified, (t._col, t._row))  # T's graph: an edge per entry
+    monkeypatch.setattr(operators, "_window_classes", lambda *_: old)
     assert span_vs_class(gcmap, window, fuel, depth).entries == got
