@@ -53,14 +53,24 @@ class SeparatingResult(Report):
 
 
 def separating_condition(gcmap: GCMap, x: int, fuel: int) -> SeparatingResult | Inconclusive:
-    """Find the minimal period n <= fuel of x and test its itinerary for aperiodicity."""
+    """Find the minimal period n <= fuel of x and test its itinerary for aperiodicity.
+
+    The orbit is saved at power-of-two steps (Brent, *BIT* 20, 1980).  Meeting
+    the saved value again before x means the orbit entered a cycle that
+    misses x, so no period exists and the fuel would run out: the result is
+    ``Inconclusive(fuel)`` at once.
+    """
     _check_positive(x)
-    v = x
+    v = saved = x
     for n in range(1, fuel + 1):
         v = gcmap.apply(v)
         if v == x:
             word = itinerary(gcmap, x, n)
             return SeparatingResult(n, word, is_aperiodic(word))
+        if v == saved:
+            break
+        if n & (n - 1) == 0:
+            saved = v
     return Inconclusive(fuel)
 
 

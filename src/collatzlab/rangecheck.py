@@ -18,7 +18,8 @@ Batches run through numpy int64 arithmetic and carry only the frontier, the
 starts that have not dropped yet.  No value is stepped where a*v + b could
 pass 2^63 - 1: a sieve class stops there as a survivor, and a frontier is
 finished there with exact Python integers by the first-return kernel's
-``_exact_return``.  A start that outlives the step cap is inconclusive.
+``_exact_return``, k steps at a time through one jump table above the
+limit.  A start that outlives the step cap is inconclusive.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _exact_return
+from .dynamics import _exact_return, _jump_depth, _jump_table, _step_tables
 from .families import _odd_even_shape, collatz
 from .gcmap import GCMap, _check_positive
 
@@ -147,6 +148,8 @@ def verify_range(gcmap: GCMap, limit: int, step_cap: int = 10_000) -> RangeRepor
     inconclusive = [] if base_orbit.entered_cycle and base_orbit.outcome.entry_index == 0 else [1]
 
     drop, q, base, slope = _sieve(a, b, guard, limit, step_cap)
+    k = _jump_depth(gcmap.modulus)
+    jump = None  # (k, table) of k-step jumps, built when a frontier first reaches the exact pass
     m = len(drop)
     if limit >= m:  # each sieved class with a member in [2^k, limit] drops at its step
         max_steps = int(drop[: limit - m + 1].max())
@@ -168,9 +171,16 @@ def verify_range(gcmap: GCMap, limit: int, step_cap: int = 10_000) -> RangeRepor
             # outlived the step cap: an exact pass could only say the same
             inconclusive += starts.tolist()
             continue
-        for n, v in zip(starts.tolist(), vals.tolist()):  # only a guard hit gets here with a frontier
+        if not len(starts):
+            continue
+        # only a guard hit gets here with a frontier
+        if jump is None and k > 1:
+            # every iterate inside a jump stays at or above limit + 1 > n, so it
+            # misses [1, n) for each start n, and the drop step stays exact
+            jump = (k, _jump_table(_step_tables(gcmap)[0], gcmap.modulus, limit + 1, k))
+        for n, v in zip(starts.tolist(), vals.tolist()):
             # n drops at the step that first takes its orbit into [1, n)
-            ret = _exact_return(gcmap, range(1, n), None, v, step - 1, step_cap)
+            ret = _exact_return(gcmap, range(1, n), jump, v, step - 1, step_cap)
             if ret is None:
                 inconclusive.append(n)
             else:

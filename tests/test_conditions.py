@@ -23,6 +23,7 @@ from collatzlab import (
     is_aperiodic,
     itinerary,
     mersenne,
+    preset_map,
     preset_section,
     qx1,
     residue_image,
@@ -86,6 +87,39 @@ def test_separating_identity_word_is_trivially_periodic():
     res = separating_condition(identity_map(), 7, 10)
     assert isinstance(res, SeparatingResult)
     assert res.period == 1 and res.aperiodic
+
+
+PRESETS = (
+    "collatz", "identity", "qx1:5", "qx1:7", "mersenne:3", "mersenne:4", "mersenne:5",
+    "3xd:1", "3xd:3", "3xd:5", "3xd:9",
+)
+
+
+def plain_separating_condition(gcmap, x, fuel):
+    """Step x's orbit until it comes back to x or the fuel runs out: the oracle."""
+    v = x
+    for n in range(1, fuel + 1):
+        v = gcmap.apply(v)
+        if v == x:
+            word = itinerary(gcmap, x, n)
+            return SeparatingResult(n, word, is_aperiodic(word))
+    return Inconclusive(fuel)
+
+
+@pytest.mark.parametrize("ref", PRESETS)
+def test_separating_condition_matches_the_plain_loop(ref):
+    gcmap = preset_map(ref)
+    for x in range(1, 201):
+        assert separating_condition(gcmap, x, 300) == plain_separating_condition(gcmap, x, 300), x
+
+
+def test_separating_condition_stops_on_a_cycle_that_misses_x(monkeypatch):
+    # under 3x+9, 1 -> 12 -> 6 -> 3 -> 18 enters the cycle (18, 9, 36): 1 never comes back
+    gcmap, calls = three_x_d(9), []
+    apply = type(gcmap).apply
+    monkeypatch.setattr(type(gcmap), "apply", lambda self, n: calls.append(n) or apply(self, n))
+    assert separating_condition(gcmap, 1, 10**4) == Inconclusive(10**4)
+    assert 0 < len(calls) < 100
 
 
 # --- residue images ---------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from norm_bound_oracle import norm_bound_oracle
 
 from collatzlab import BasisWindow, collatz, norm_bound_check, preset_map
+from collatzlab.operators import _seeded_draws
 
 PRESETS = (
     "collatz", "identity", "qx1:5", "qx1:7", "mersenne:3", "mersenne:4", "mersenne:5",
@@ -26,6 +27,43 @@ def test_report_equals_the_oracle(ref):
             want = norm_bound_oracle(gcmap, window, trials)
             # the CLI prints str(max_ratio), so equal fractions print the same bytes
             assert (got, str(got.max_ratio)) == (want, str(want.max_ratio)), (ref, hi, trials)
+
+
+def reference_draws(n, trials):
+    """The draws as ``randrange`` and ``sample`` make them on Random(0), one call per draw."""
+    rng = random.Random(0)
+    sizes, cols, p, q = [], [], [], []
+    for _ in range(trials):
+        size = 1 + rng.randrange(min(12, n))
+        sizes.append(size)
+        cols += rng.sample(range(n), size)
+        for _ in range(size):
+            p.append(rng.randrange(19) - 9 or 1)
+            q.append(1 + rng.randrange(9))
+    return sizes, cols, p, q
+
+
+@pytest.mark.parametrize("first", range(1, 301, 50))
+def test_parsed_draws_equal_randrange_and_sample(first):
+    # sample keeps a pool for n <= 21, for n in 22..85 only at sizes 6 and up,
+    # and a set above; blocks of 97 words (about three trials) make each call
+    # fetch many times, mostly in the middle of a trial
+    for n in range(first, first + 50):
+        for trials in (1, 37, 500) if n % 10 == 0 else (37,):
+            sizes, cols, p, q = _seeded_draws(n, trials, 97)
+            assert (sizes, cols, p.tolist(), q.tolist()) == reference_draws(n, trials), (n, trials)
+
+
+def test_norm_bound_makes_no_per_draw_call(monkeypatch):
+    gcmap, window = preset_map("collatz"), BasisWindow.range(1, 600)
+    want = norm_bound_oracle(gcmap, window, 200)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-draw call of random.Random")
+
+    monkeypatch.setattr(random.Random, "randrange", refuse)
+    monkeypatch.setattr(random.Random, "sample", refuse)
+    assert norm_bound_check(gcmap, window, 200) == want
 
 
 def test_randrange_makes_the_draws_of_randint():

@@ -11,6 +11,8 @@ from collatzlab import (
     ResidueSet,
     collatz,
     identity_map,
+    map_from_dict,
+    preset_map,
     qx1,
     rangecheck,
     three_x_d,
@@ -114,6 +116,57 @@ def test_exact_fallback_matches_vectorized():
         v = 3 * v + 1 if v & 1 else v >> 1
         s += 1
     assert steps == s == 96 and finish == (v, s)
+
+
+@pytest.mark.parametrize("ref, guard", [("qx1:5", None), ("mersenne:3", None), ("3xd:5", 10**6)])
+def test_jump_finish_matches_single_steps(monkeypatch, ref, guard):
+    # the exact pass jumps k steps at a time through a table above the limit;
+    # one gcmap.apply step at a time must give the same report.  3xd:5 stays
+    # far below int64, so a guard of 10^6 sends its frontiers to the exact pass.
+    if guard is not None:
+        monkeypatch.setattr(rangecheck, "_INT64_MAX", guard)
+    exact, jumps = rangecheck._exact_return, {True: [], False: []}
+
+    def finish(gcmap, sigma, jump, v, step, fuel):
+        jumps[use_jump].append(jump)
+        return exact(gcmap, sigma, jump if use_jump else None, v, step, fuel)
+
+    monkeypatch.setattr(rangecheck, "_exact_return", finish)
+    reports = []
+    for use_jump in (True, False):
+        rep = verify_range(preset_map(ref), 3000, 2000)
+        reports.append((rep.verified, rep.inconclusive, rep.max_steps_to_drop))
+    assert reports[0] == reports[1]
+    # one table of k > 1 steps serves every start the call finishes exactly
+    tables = jumps[True]
+    assert tables and tables[0][0] > 1 and all(table is tables[0] for table in tables)
+
+
+def test_no_jump_table_without_an_exact_finish(monkeypatch):
+    # collatz stays far below int64 here: every frontier empties in the int64 loop
+    built = []
+    monkeypatch.setattr(rangecheck, "_jump_table", lambda *args: built.append(args))
+    assert verify_range_collatz(10**5).verified and not built
+
+
+def test_a_modulus_too_wide_to_jump_finishes_one_step_at_a_time(monkeypatch):
+    # 3x+1 at modulus 2^13: no jump of k >= 2 steps fits a table of 2^12 entries
+    wide = map_from_dict({"modulus": 2**13, "branches": [
+        {"residues": list(range(1, 2**13, 2)), "a": 3, "b": 1, "c": 1},
+        {"residues": list(range(0, 2**13, 2)), "a": 1, "b": 0, "c": 2},
+    ]})
+    lower_guard(monkeypatch, 1000)
+    exact, jumps = rangecheck._exact_return, []
+
+    def finish(gcmap, sigma, jump, *rest):
+        jumps.append(jump)
+        return exact(gcmap, sigma, jump, *rest)
+
+    monkeypatch.setattr(rangecheck, "_exact_return", finish)
+    rep = verify_range(wide, 3000, 60)
+    assert jumps and all(jump is None for jump in jumps)
+    want = verify_range(collatz(), 3000, 60)
+    assert (rep.inconclusive, rep.max_steps_to_drop) == (want.inconclusive, want.max_steps_to_drop)
 
 
 def test_step_cap_reports_inconclusive():
