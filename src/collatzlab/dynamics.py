@@ -4,13 +4,11 @@ Everything here is three-valued by design: fuel exhaustion is a normal
 outcome (:class:`~collatzlab.gcmap.Inconclusive`), never an error, because
 termination of these orbits is exactly the open conjecture.
 
-Windowed first returns (the classes of a window, and P on a section window)
-all go through one array kernel, :func:`return_times`, which steps int64
-frontiers and agrees lane by lane with the scalar :func:`return_time`.  A
-lane the int64 tables cannot step (past the guard, or at a class without an
-exact row) leaves the frontier alone and finishes on exact ints, k steps at
-a time through a jump table on a window and one ``GCMap.apply`` step
-elsewhere.
+Every first return on arrays (the classes of a window, P on a section, and
+the range scan's drop of each start below itself) goes through one kernel,
+:func:`return_times`, which steps int64 frontiers and agrees lane by lane
+with the scalar :func:`return_time`.  A lane int64 cannot step leaves the
+frontier alone and finishes on exact ints.
 """
 
 from __future__ import annotations
@@ -184,6 +182,22 @@ def return_time(
     return Inconclusive(fuel)
 
 
+def _odd_even_shape(gcmap: GCMap) -> tuple[int, int]:
+    """(a, b) of n -> a*n + b (a, b odd, a >= 3, b >= 1) on odd n, n/2 on even n; KeyError naming why not."""
+    m = gcmap.modulus
+    if m % 2:
+        raise KeyError(f"odd and even n share residues mod {m}")
+    odd, even = (set(gcmap._branch_at[i::2]) for i in (1, 0))  # the branches owning them
+    if len(odd) != 1 or (br := odd.pop()) is None:
+        raise KeyError(f"the odd residues mod {m} are not on one branch")
+    if len(even) != 1 or (half := even.pop()) is None or (half.a, half.b, half.c) != (1, 0, 2):
+        raise KeyError(f"the even residues mod {m} are not on one n -> n/2 branch")
+    a, b, c = br.a, br.b, br.c
+    if c != 1 or a < 3 or a % 2 == 0 or b < 1 or b % 2 == 0:
+        raise KeyError(f"odd branch n -> ({a}*n + {b}) / {c} needs c = 1, a >= 3 and b >= 1 odd")
+    return a, b
+
+
 def _step_tables(gcmap: GCMap):
     """(rows, A, B, C, guard): the branch n -> (A[r]*n + B[r]) // C[r] at each residue r.
 
@@ -292,9 +306,8 @@ def _member_test(sigma: Container[int]):
     """A vectorised ``v in sigma`` for a window ``range(1, hi)`` or a (punctured)
     residue set, else None.  The residue tests also take exact ints in an
     object array."""
-    if _window_top(sigma) is not None:
-        hi = sigma.stop
-        return lambda v: v < hi  # every value the kernel tests is at least 1
+    if isinstance(sigma, range) and sigma.step == 1 and sigma.start <= 1:  # range(1, hi), or from 0
+        return lambda v: v < sigma.stop  # every value the kernel tests is at least 1
     if not isinstance(sigma, (ResidueSet, PuncturedResidueSet)):
         return None
     m, table = sigma.modulus, np.zeros(sigma.modulus, dtype=bool)
@@ -303,13 +316,6 @@ def _member_test(sigma: Container[int]):
         removed = np.array(sorted(sigma.removed), dtype=np.int64)
         return lambda v: table[(v % m).astype(np.int64, copy=False)] & ~np.isin(v, removed)
     return lambda v: table[(v % m).astype(np.int64, copy=False)]
-
-
-def _window_top(sigma: Container[int]) -> int | None:
-    """hi when sigma is a window ``range(1, hi)`` (or one from 0), else None."""
-    if isinstance(sigma, range) and sigma.step == 1 and sigma.start <= 1:
-        return sigma.stop
-    return None
 
 
 def _int_array(values: list[int]) -> np.ndarray:
@@ -330,71 +336,115 @@ def _scalar_returns(gcmap: GCMap, sigma: Container[int], xs: np.ndarray, fuel: i
     )
 
 
-def return_times(gcmap: GCMap, sigma: Container[int], xs, fuel: int):
-    """First returns to sigma of every x in xs (each fits int64), as arrays:
-    ``(value, tau, undecided)``.
+def _int64_step(gcmap: GCMap, rows: list, A: np.ndarray, B: np.ndarray, C: np.ndarray, guard: int):
+    """One int64 step of values up to ``guard``: by the branch tables, or by
+    parity on n -> a*n + b (odd), n/2 (even) with an exact odd row, 2a <= guard
+    and over 128 lanes (on fewer, the tables' fewer numpy calls cost less)."""
+    m = np.int64(gcmap.modulus)
 
-    Lane i agrees with ``return_time(gcmap, sigma, xs[i], fuel)``: value and
-    tau of the return, or ``undecided[i]`` (value and tau 0) when fuel ran
-    out.  sigma is a window ``range(1, hi)``, a residue set or a punctured
-    one.  Each step reads the map's per-residue tables on int64 arrays and
-    carries only the frontier, the lanes that have not returned.  A lane the
-    tables cannot step leaves the frontier with its value and step from
-    before that step: a start past the overflow guard at step 0, and a lane
-    that a step takes past the guard or into a class without an exact row
-    (see ``_step_tables``).  The lanes that left finish one by one, in lane
-    order, on exact ints in ``_exact_return``, which raises at the first
-    lane where ``return_time`` raises.  ``value`` is an object array if a
-    return does not fit int64.  Only a start outside sigma or below 1, and a
-    sigma of another kind, take the scalar path through ``return_time``.
+    def table(v):
+        r = v % m
+        return (A[r] * v + B[r]) // C[r]
+
+    try:
+        a, b = _odd_even_shape(gcmap)
+    except KeyError:
+        a = None
+    if a is None or rows[1] is None or 2 * a > guard:
+        return table
+
+    def parity(v):
+        if len(v) <= 128:
+            return table(v)
+        # h + (v & 1)*((2a - 1)*h + a + b), h = v >> 1: no select by parity to
+        # mispredict, and no partial sum past a*v + b + a - h, which fits int64
+        h = v >> 1
+        out = h * (2 * a - 1)
+        out += a + b
+        out *= v & 1
+        out += h
+        return out
+
+    return parity
+
+
+def return_times(gcmap: GCMap, sigma, xs, fuel: int):
+    """First returns to sigma of every x in xs (each fits int64), as arrays
+    ``(value, tau, undecided)``: lane i agrees with ``return_time`` on its
+    sigma, with value and tau 0 where ``undecided[i]``, when fuel ran out.
+
+    sigma is a window ``range(1, hi)``, a (punctured) residue set, or an array
+    of per-lane tops: lane i returns to ``range(1, tops[i])``, and xs[i] need
+    not lie in it.  The int64 frontier carries the lanes that have not
+    returned, stepped as ``_int64_step`` picks.  A lane the tables cannot step
+    (past the guard of ``_step_tables`` at step 0, or taken past it or into a
+    class without an exact row) leaves with its value from before that step
+    and finishes, in lane order, on exact ints in ``_exact_return``, which
+    raises where ``return_time`` raises; on windows it jumps k steps at a time
+    through one table at the highest top.  ``value`` is an object array if a
+    return does not fit int64.  A start below 1 or outside a window or residue
+    sigma, and a sigma of another kind, take the scalar path through
+    ``return_time``; per-lane windows have none and raise.
     """
     xs = np.asarray(xs, dtype=np.int64)
-    member = _member_test(sigma)
-    if member is None or len(xs) and (xs.min() < 1 or not member(xs).all()):
+    per_lane = isinstance(sigma, np.ndarray)
+    member = None if per_lane else _member_test(sigma)
+    if per_lane and len(xs) and xs.min() < 1:
+        raise DomainError(f"{xs.min()} is below 1")
+    if not per_lane and (member is None or len(xs) and (xs.min() < 1 or not member(xs).all())):
         return _scalar_returns(gcmap, sigma, xs, fuel)
     rows, A, B, C, guard = _step_tables(gcmap)
-    m = np.int64(gcmap.modulus)
+    step_of = _int64_step(gcmap, rows, A, B, C, guard)
     returned = []  # (lanes, values, step) of each step's returns
     left = []  # (lanes, values, steps taken) of the lanes that left the frontier
-    lanes, vals = np.arange(len(xs)), xs
+    lanes, vals, at = np.arange(len(xs)), xs, sigma if per_lane else None  # at: the lanes' tops
+
+    def keep(mask):  # the frontier where mask holds; array by array, so each old one is freed first
+        nonlocal lanes, vals, at
+        i = mask.nonzero()[0]
+        lanes = lanes.take(i)
+        vals = vals.take(i)
+        at = at.take(i) if per_lane else None
+
     if len(xs) and xs.max() > guard:
         over = xs > guard
         left.append((lanes[over], xs[over], 0))
-        lanes, vals = lanes[~over], xs[~over]
-    # argmax and count_nonzero: the cheapest reductions on a short frontier
+        keep(~over)
     for step in range(1, fuel + 1):
         if not len(vals):
             break
-        r = vals % m
-        before, vals = vals, (A[r] * vals + B[r]) // C[r]
+        before, vals = vals, step_of(vals)
+        # argmax and count_nonzero: the cheapest reductions on a short frontier
         if vals[vals.argmax()] > guard:
             over = vals > guard
             left.append((lanes[over], before[over], step - 1))
-            stay = ~over
-            lanes, vals = lanes[stay], vals[stay]
-        hit = member(vals)
+            keep(~over)
+        del before  # frees the old frontier before the compaction below
+        hit = vals < at if per_lane else member(vals)
         if np.count_nonzero(hit):
-            returned.append((lanes[hit], vals[hit], step))
-            miss = ~hit
-            lanes, vals = lanes[miss], vals[miss]
+            done = hit.nonzero()[0]
+            returned.append((lanes.take(done), vals.take(done), step))
+            keep(~hit)
     value, tau = np.zeros(len(xs), dtype=np.int64), np.zeros(len(xs), dtype=np.int64)
     for done, v, step in returned:
         value[done], tau[done] = v, step
     undecided = np.zeros(len(xs), dtype=bool)
     undecided[lanes] = True
     if left:
-        modulus, hi = gcmap.modulus, _window_top(sigma)
-        k = _jump_depth(modulus)
-        # the first lanes left first: the table pays only if one can still jump
+        hi = int(sigma.max()) if per_lane else sigma.stop if isinstance(sigma, range) else None
+        k = _jump_depth(gcmap.modulus)
+        # the first lanes left first: the table pays only if one can still jump.
+        # k > 1 also keeps out k = 0, whose table never advances a lane
         can_jump = hi is not None and k > 1 and left[0][2] + k <= fuel
-        jump = (k, _jump_table(rows, modulus, hi, k)) if can_jump else None
+        jump = (k, _jump_table(rows, gcmap.modulus, hi, k)) if can_jump else None
         # in lane order, so the first lane to raise is the one return_time raises at
         exits = sorted(
             (lane, v, step)
             for done, before, step in left
             for lane, v in zip(done.tolist(), before.tolist())
         )
-        finished = [(lane, _exact_return(gcmap, sigma, jump, v, step, fuel)) for lane, v, step in exits]
+        window = (lambda lane: range(1, int(sigma[lane]))) if per_lane else (lambda lane: sigma)
+        finished = [(lane, _exact_return(gcmap, window(lane), jump, v, step, fuel)) for lane, v, step in exits]
         undecided[[lane for lane, ret in finished if ret is None]] = True
         back = [(lane, *ret) for lane, ret in finished if ret is not None]
         if back:

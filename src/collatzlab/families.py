@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .conditions import WitnessTable, derive_witnesses, residue_image_exceptions
+from .dynamics import _odd_even_shape
 from .gcmap import (
     AffineBranch,
     CheckReport,
@@ -90,22 +91,6 @@ class Section:
     @property
     def sigma(self) -> ResidueSet | PuncturedResidueSet:
         return section_sets(self.n1, self.n2, self.n2_removed)[1]
-
-
-def _odd_even_shape(gcmap: GCMap) -> tuple[int, int]:
-    """(a, b) of n -> a*n + b (a, b odd, a >= 3, b >= 1) on odd n, n/2 on even n; KeyError naming why not."""
-    m = gcmap.modulus
-    if m % 2:
-        raise KeyError(f"odd and even n share residues mod {m}")
-    odd, even = (set(gcmap._branch_at[i::2]) for i in (1, 0))  # the branches owning them
-    if len(odd) != 1 or (br := odd.pop()) is None:
-        raise KeyError(f"the odd residues mod {m} are not on one branch")
-    if len(even) != 1 or (half := even.pop()) is None or (half.a, half.b, half.c) != (1, 0, 2):
-        raise KeyError(f"the even residues mod {m} are not on one n -> n/2 branch")
-    a, b, c = br.a, br.b, br.c
-    if c != 1 or a < 3 or a % 2 == 0 or b < 1 or b % 2 == 0:
-        raise KeyError(f"odd branch n -> ({a}*n + {b}) / {c} needs c = 1, a >= 3 and b >= 1 odd")
-    return a, b
 
 
 def section_of(gcmap: GCMap) -> Section:

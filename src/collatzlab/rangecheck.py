@@ -4,22 +4,17 @@ The scan takes any map n -> a*n + b on odd n, n/2 on even n, with a and b
 read off by ``section_of``'s shape rule.  "Every n <= limit reaches 1"
 follows by induction once the orbit of 1 comes back to 1 and every n in
 [2, limit] drops strictly below its own starting value, so each n needs only
-a few steps, not a full descent to 1.  A start that never drops is
-inconclusive.
+a few steps, not a full descent to 1.  A start that never drops within the
+step cap is inconclusive.
 
 The scan first sieves the starts by their residue r mod 2^k (Terras 1976).
 The first parity steps of n are fixed by r; in most classes they bring every
 member n >= 2^k below n at one step, the class's drop step, which counts
-toward the maximum without scanning a member.  The scan then covers every
-start below 2^k and the members of the surviving classes, which begin at the
+toward the maximum without scanning a member.  The drop of every other
+start n is its first return to the window [1, n), which the first-return
+kernel ``dynamics.return_times`` finds with per-lane windows: every start
+below 2^k from n itself, and the members of the surviving classes from the
 value they reach after the steps their residue fixes.
-
-Batches run through numpy int64 arithmetic and carry only the frontier, the
-starts that have not dropped yet.  No value is stepped where a*v + b could
-pass 2^63 - 1: a sieve class stops there as a survivor, and a frontier is
-finished there with exact Python integers by the first-return kernel's
-``_exact_return``, k steps at a time through one jump table above the
-limit.  A start that outlives the step cap is inconclusive.
 """
 
 from __future__ import annotations
@@ -29,16 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _exact_return, _jump_depth, _jump_table, _step_tables
-from .families import _odd_even_shape, collatz
-from .gcmap import GCMap, _check_positive
-
-_INT64_MAX = 2**63 - 1
-
-
-def _guard(a: int, b: int) -> int:
-    return (_INT64_MAX - b) // a + 1  # a*v + b <= _INT64_MAX exactly when v is below it
-
+from .dynamics import _odd_even_shape, _step_tables, return_times
+from .families import collatz
+from .gcmap import GCMap, Report, _check_positive, verdict
 
 # starts per vectorized batch; bounds the scan's memory, not its result
 _BATCH = 1 << 20
@@ -48,12 +36,16 @@ _SIEVE_BITS = 12
 
 
 @dataclass(frozen=True)
-class RangeReport:
+class RangeReport(Report):
     limit: int
     verified: bool
     inconclusive: tuple[int, ...]
     seconds: float
     max_steps_to_drop: int
+
+    @property
+    def status(self) -> int:
+        return verdict(inconclusive=bool(self.inconclusive))
 
     def to_dict(self) -> dict:
         return {
@@ -72,8 +64,8 @@ def _sieve(a: int, b: int, guard: int, limit: int, step_cap: int):
     odd steps take n = r + 2^k t to (a^j n + c) / 2^i with c >= 0, which is
     below n exactly when n > c / (2^i - a^j).  Before the first halving with
     a^j < 2^i it is at least n; at that step, numbered i + j, every member
-    n >= r + 2^k drops if r + 2^k does.  An odd value at or above ``guard``
-    is not stepped (a*v + b would leave int64): its class stops undecided.
+    n >= r + 2^k drops if r + 2^k does.  An odd value past ``guard``, the
+    kernel's int64 bound, is not stepped: its class stops undecided.
 
     Returns ``(drop, q, base, slope)``.  ``drop[r]`` is that step for a
     sieved class and 0 for a survivor.  No member n >= 2^k of a survivor
@@ -89,7 +81,7 @@ def _sieve(a: int, b: int, guard: int, limit: int, step_cap: int):
     open_ = np.ones(m, dtype=bool)  # r fixes the next parity, and no member dropped yet
     for step in range(1, step_cap + 1):
         odd = (v & 1).astype(bool)
-        open_ &= ~odd | (v < guard)
+        open_ &= ~odd | (v <= guard)
         if not open_.any():
             break
         # only open classes step, so no kept value leaves int64 (a^j <= v while 2^i <= 2^k)
@@ -105,8 +97,8 @@ def _sieve(a: int, b: int, guard: int, limit: int, step_cap: int):
     q = int(safe[survivors].min())
     v, pow2, powa = (h[survivors] for h in history[q])
     base, slope = v, powa * (m // pow2)
-    if int(base.max()) + int(slope.max()) * (limit // m) > _INT64_MAX:
-        # an advanced value could wrap in int64: the members start from n itself
+    if int(base.max()) + int(slope.max()) * (limit // m) > guard:
+        # an advanced value could pass the guard: the members start from n itself
         q, base, slope = 0, least[survivors], np.full_like(base, m)
     return drop, q, base, slope
 
@@ -121,17 +113,18 @@ def _batches(limit: int, survivors: np.ndarray, q: int, base: np.ndarray, slope:
     for t in range(1, limit // m + 1, rows):
         ts = np.arange(t, min(t + rows, limit // m + 1), dtype=np.int64)[:, None]
         starts, vals = (ts * m + survivors).ravel(), (base + slope * (ts - 1)).ravel()
-        keep = starts <= limit
-        if keep.any():
-            yield q + 1, starts[keep], vals[keep]
+        n = np.searchsorted(starts, limit, side="right")  # starts ascend: keep a prefix, no copy
+        if n:
+            yield q + 1, starts[:n], vals[:n]
 
 
 def verify_range(gcmap: GCMap, limit: int, step_cap: int = 10_000) -> RangeReport:
     """Check that every 1 <= n <= limit reaches 1 under n -> a*n + b (odd), n/2 (even).
 
     Equivalent inductive form: the orbit of 1 comes back to 1, and every n in
-    [2, limit] drops below its start, each within step_cap steps.  A map of
-    another shape, or with a + b > 2^63 - 1, raises ValueError naming why.
+    [2, limit] drops below its start, each within step_cap steps.  Each batch
+    of starts is one ``return_times`` call with the starts as window tops.  A
+    map of another shape, or with a + b > 2^63 - 1, raises ValueError naming why.
     """
     _check_positive(limit, "limit")
     _check_positive(step_cap, "step_cap")
@@ -139,52 +132,23 @@ def verify_range(gcmap: GCMap, limit: int, step_cap: int = 10_000) -> RangeRepor
         a, b = _odd_even_shape(gcmap)
     except KeyError as exc:
         raise ValueError(f"the range scan needs n -> a*n + b (odd), n/2 (even): {exc.args[0]}") from None
-    guard = _guard(a, b)
-    if guard < 2:
+    rows, *_, guard = _step_tables(gcmap)
+    if rows[1] is None or guard < 1:
         raise ValueError(f"{a}*n + {b} leaves int64 at n = 1: the range scan needs a + b <= 2^63 - 1")
     t0 = time.perf_counter()
-    max_steps = 0
     base_orbit = gcmap.orbit(1, step_cap)  # induction base: 1 comes back to 1
     inconclusive = [] if base_orbit.entered_cycle and base_orbit.outcome.entry_index == 0 else [1]
 
     drop, q, base, slope = _sieve(a, b, guard, limit, step_cap)
-    k = _jump_depth(gcmap.modulus)
-    jump = None  # (k, table) of k-step jumps, built when a frontier first reaches the exact pass
     m = len(drop)
-    if limit >= m:  # each sieved class with a member in [2^k, limit] drops at its step
-        max_steps = int(drop[: limit - m + 1].max())
-    # the frontier: starts that have not yet dropped, and their current values
+    # each sieved class with a member in [2^k, limit] drops at its step
+    max_steps = int(drop[: limit - m + 1].max()) if limit >= m else 0
     for first, starts, vals in _batches(limit, np.flatnonzero(drop == 0), q, base, slope):
-        for step in range(first, step_cap + 1):
-            odd = (vals & 1).astype(bool)
-            # the max is a cheap superset test; only then pick the odd values out
-            if vals.max() >= guard and np.any(vals[odd] >= guard):
-                break  # rare: the exact pass below finishes the frontier
-            vals = np.where(odd, a * vals + b, vals >> 1)
-            live = vals >= starts
-            if not live.all():
-                max_steps = max(max_steps, step)
-                vals, starts = vals[live], starts[live]
-                if not len(starts):
-                    break
-        else:
-            # outlived the step cap: an exact pass could only say the same
-            inconclusive += starts.tolist()
-            continue
-        if not len(starts):
-            continue
-        # only a guard hit gets here with a frontier
-        if jump is None and k > 1:
-            # every iterate inside a jump stays at or above limit + 1 > n, so it
-            # misses [1, n) for each start n, and the drop step stays exact
-            jump = (k, _jump_table(_step_tables(gcmap)[0], gcmap.modulus, limit + 1, k))
-        for n, v in zip(starts.tolist(), vals.tolist()):
-            # n drops at the step that first takes its orbit into [1, n)
-            ret = _exact_return(gcmap, range(1, n), jump, v, step - 1, step_cap)
-            if ret is None:
-                inconclusive.append(n)
-            else:
-                max_steps = max(max_steps, ret[1])
+        # the sieve took the survivors first - 1 steps: off the fuel, back onto tau
+        _, tau, undecided = return_times(gcmap, starts, vals, step_cap - first + 1)
+        inconclusive += starts[undecided].tolist()
+        if (most := int(tau.max())) > 0:  # undecided lanes have tau 0
+            max_steps = max(max_steps, most + first - 1)
 
     return RangeReport(
         limit,

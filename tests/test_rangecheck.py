@@ -1,4 +1,5 @@
-"""Range convergence scans: the sieve and int64 frontier against a pure-Python scan."""
+"""Range convergence scans: the sieve and the first-return kernel's int64 frontier,
+with per-lane windows [1, n), against a pure-Python scan."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from collatzlab import (
     GCMap,
     ResidueSet,
     collatz,
+    dynamics,
     identity_map,
     map_from_dict,
     preset_map,
@@ -19,11 +21,12 @@ from collatzlab import (
     verify_range,
     verify_range_collatz,
 )
+from collatzlab.dynamics import _step_tables
 from collatzlab.families import _odd_even
-from collatzlab.rangecheck import _guard, _sieve
+from collatzlab.rangecheck import _sieve
 
-# the guard of 3v + 1 under the real int64 bound
-COLLATZ_GUARD = (2**63 - 2) // 3 + 1
+# the guard of 3v + 1 under the real int64 bound: the largest v it steps
+COLLATZ_GUARD = (2**63 - 2) // 3
 
 # the maps of the differential, as (a, b) of n -> a*n + b (odd), n/2 (even)
 MAPS = [(3, 1), (3, 5), (3, 7), (5, 1), (7, 1), (31, 1), (127, 1)]
@@ -40,22 +43,23 @@ def _drop_step(gcmap, n, v, step, step_cap):
 
 
 def log_exact_finish(monkeypatch) -> list[int]:
-    """The starts n the scan finishes on exact ints, through ``_exact_return`` on
-    the section [1, n), each logged as it is handed over."""
-    calls, exact = [], rangecheck._exact_return
+    """The starts n the scan finishes on exact ints, through the kernel's
+    ``_exact_return`` on the window [1, n), each logged as it is handed over."""
+    calls, exact = [], dynamics._exact_return
 
     def finish(gcmap, sigma, jump, v, step, fuel):
         calls.append(sigma.stop)
         return exact(gcmap, sigma, jump, v, step, fuel)
 
-    monkeypatch.setattr(rangecheck, "_exact_return", finish)
+    monkeypatch.setattr(dynamics, "_exact_return", finish)
     return calls
 
 
-def lower_guard(monkeypatch, guard):
-    """Lower the scan's int64 bound so that the guard of 3v + 1 is ``guard``."""
-    monkeypatch.setattr(rangecheck, "_INT64_MAX", 3 * guard - 2)
-    assert _guard(3, 1) == guard
+def lower_guard(monkeypatch, past):
+    """Lower the kernel's int64 bound so that 3v + 1 steps every v below ``past``
+    and no v from it on (COLLATZ_GUARD + 1 keeps the real bound)."""
+    monkeypatch.setattr(dynamics, "_INT64_MAX", 3 * past - 2)
+    assert _step_tables(collatz())[4] == past - 1
 
 
 def drop_scan(limit, step_cap, a=3, b=1):
@@ -110,7 +114,7 @@ def test_collatz_scan_is_the_map_scan_on_collatz(limit, step_cap):
 def test_exact_fallback_matches_vectorized():
     # 27 has the famously long excursion; both paths must agree on the drop step
     steps = _drop_step(collatz(), 27, 27, 1, 10_000)
-    finish = rangecheck._exact_return(collatz(), range(1, 27), None, 27, 0, 10_000)
+    finish = dynamics._exact_return(collatz(), range(1, 27), None, 27, 0, 10_000)
     v, s = 27, 0
     while v >= 27:
         v = 3 * v + 1 if v & 1 else v >> 1
@@ -120,24 +124,25 @@ def test_exact_fallback_matches_vectorized():
 
 @pytest.mark.parametrize("ref, guard", [("qx1:5", None), ("mersenne:3", None), ("3xd:5", 10**6)])
 def test_jump_finish_matches_single_steps(monkeypatch, ref, guard):
-    # the exact pass jumps k steps at a time through a table above the limit;
+    # exact lanes jump k steps at a time through a table at the highest start;
     # one gcmap.apply step at a time must give the same report.  3xd:5 stays
-    # far below int64, so a guard of 10^6 sends its frontiers to the exact pass.
+    # far below int64, so a bound of 10^6 sends its lanes to the exact finish.
     if guard is not None:
-        monkeypatch.setattr(rangecheck, "_INT64_MAX", guard)
-    exact, jumps = rangecheck._exact_return, {True: [], False: []}
+        monkeypatch.setattr(dynamics, "_INT64_MAX", guard)
+    exact, jumps = dynamics._exact_return, {True: [], False: []}
 
     def finish(gcmap, sigma, jump, v, step, fuel):
         jumps[use_jump].append(jump)
         return exact(gcmap, sigma, jump if use_jump else None, v, step, fuel)
 
-    monkeypatch.setattr(rangecheck, "_exact_return", finish)
+    monkeypatch.setattr(dynamics, "_exact_return", finish)
     reports = []
     for use_jump in (True, False):
         rep = verify_range(preset_map(ref), 3000, 2000)
         reports.append((rep.verified, rep.inconclusive, rep.max_steps_to_drop))
     assert reports[0] == reports[1]
     # one table of k > 1 steps serves every start the call finishes exactly
+    # (3000 is below 2^12: the scan is one batch, one kernel call)
     tables = jumps[True]
     assert tables and tables[0][0] > 1 and all(table is tables[0] for table in tables)
 
@@ -145,7 +150,7 @@ def test_jump_finish_matches_single_steps(monkeypatch, ref, guard):
 def test_no_jump_table_without_an_exact_finish(monkeypatch):
     # collatz stays far below int64 here: every frontier empties in the int64 loop
     built = []
-    monkeypatch.setattr(rangecheck, "_jump_table", lambda *args: built.append(args))
+    monkeypatch.setattr(dynamics, "_jump_table", lambda *args: built.append(args))
     assert verify_range_collatz(10**5).verified and not built
 
 
@@ -156,13 +161,13 @@ def test_a_modulus_too_wide_to_jump_finishes_one_step_at_a_time(monkeypatch):
         {"residues": list(range(0, 2**13, 2)), "a": 1, "b": 0, "c": 2},
     ]})
     lower_guard(monkeypatch, 1000)
-    exact, jumps = rangecheck._exact_return, []
+    exact, jumps = dynamics._exact_return, []
 
     def finish(gcmap, sigma, jump, *rest):
         jumps.append(jump)
         return exact(gcmap, sigma, jump, *rest)
 
-    monkeypatch.setattr(rangecheck, "_exact_return", finish)
+    monkeypatch.setattr(dynamics, "_exact_return", finish)
     rep = verify_range(wide, 3000, 60)
     assert jumps and all(jump is None for jump in jumps)
     want = verify_range(collatz(), 3000, 60)
@@ -198,55 +203,58 @@ def test_other_cycles_are_inconclusive():
 
 
 def test_int64_guard_is_the_exact_overflow_bound():
-    # every v below the guard has 3v+1 <= 2^63 - 1; the guard itself (odd) overflows
-    guard = _guard(3, 1)
+    # every v up to the guard has 3v+1 <= 2^63 - 1; the next one (odd) overflows
+    guard = _step_tables(collatz())[4]
     assert guard == COLLATZ_GUARD
-    assert 3 * (guard - 1) + 1 == 2**63 - 1
-    assert guard % 2 == 1 and 3 * guard + 1 > 2**63 - 1
-    wrapped = 3 * np.array([guard - 2, guard], dtype=np.int64) + 1
-    assert wrapped[0] == 3 * (guard - 2) + 1 and wrapped[1] < 0
+    assert 3 * guard + 1 == 2**63 - 1
+    assert (guard + 1) % 2 == 1 and 3 * (guard + 1) + 1 > 2**63 - 1
+    wrapped = 3 * np.array([guard - 1, guard + 1], dtype=np.int64) + 1
+    assert wrapped[0] == 3 * (guard - 1) + 1 and wrapped[1] < 0
 
 
 @pytest.mark.parametrize("a, b", MAPS + [(3, 2**40 + 1), (2**61 + 1, 2**61 - 1)])
 def test_guard_is_the_overflow_bound_of_every_map(a, b):
-    guard = _guard(a, b)
-    assert a * (guard - 1) + b <= 2**63 - 1 < a * guard + b
+    # the kernel's one guard, which the range scan's sieve reads too
+    guard = _step_tables(_odd_even(a, b))[4]
+    assert a * guard + b <= 2**63 - 1 < a * (guard + 1) + b
 
 
-@pytest.mark.parametrize("guard", [COLLATZ_GUARD, 1000])
+@pytest.mark.parametrize("past", [COLLATZ_GUARD + 1, 1000])
 @pytest.mark.parametrize("step_cap", [3, 10, 10_000])
-def test_compacting_kernel_matches_python_scan(monkeypatch, guard, step_cap):
+def test_compacting_kernel_matches_python_scan(monkeypatch, past, step_cap):
     # batches of 7 make the maximum run across many batches; a guard of 1000
-    # sends every frontier that climbs past it to the exact pass
+    # sends every lane that climbs past it to the exact finish
     monkeypatch.setattr(rangecheck, "_BATCH", 7)
-    lower_guard(monkeypatch, guard)
+    lower_guard(monkeypatch, past)
     exact_calls = log_exact_finish(monkeypatch)
     rep = verify_range_collatz(3000, step_cap=step_cap)
     inconclusive, max_steps = drop_scan(3000, step_cap)
     assert rep.verified == (not inconclusive)
     assert rep.inconclusive == inconclusive
     assert rep.max_steps_to_drop == max_steps
-    if guard == 1000:
-        assert set(exact_calls) - set(inconclusive)  # the guard sent live starts to the exact pass
+    if past == 1000:
+        assert set(exact_calls) - set(inconclusive)  # the guard sent live starts to the exact finish
     else:
         assert not exact_calls  # a frontier that outlives the step cap is not replayed
 
 
 @pytest.mark.parametrize("sieve_bits", [1, 2, 3, 8, 12])
-@pytest.mark.parametrize("guard", [COLLATZ_GUARD, 1000])
+@pytest.mark.parametrize("past", [COLLATZ_GUARD + 1, 1000])
 @pytest.mark.parametrize("step_cap", [3, 10, 10_000])
-def test_sieved_scan_matches_python_scan(monkeypatch, sieve_bits, guard, step_cap):
+def test_sieved_scan_matches_python_scan(monkeypatch, sieve_bits, past, step_cap):
     # small moduli leave a short first block, so sieved classes and advanced
     # survivors decide most of [2, 3000]; at 2 bits and cap 3 the maximum
     # comes from a sieved class alone
     monkeypatch.setattr(rangecheck, "_SIEVE_BITS", sieve_bits)
     monkeypatch.setattr(rangecheck, "_BATCH", 7)
-    lower_guard(monkeypatch, guard)
+    lower_guard(monkeypatch, past)
+    exact_calls = log_exact_finish(monkeypatch)
     rep = verify_range_collatz(3000, step_cap=step_cap)
     inconclusive, max_steps = drop_scan(3000, step_cap)
     assert rep.inconclusive == inconclusive
     assert rep.verified == (not inconclusive)
     assert rep.max_steps_to_drop == max_steps
+    assert bool(exact_calls) == (past == 1000)  # the starts past 1000 finish exactly
 
 
 @pytest.mark.parametrize("sieve_bits", [3, 8, 12])
@@ -274,7 +282,7 @@ def test_sieve_table_matches_exact_drop_steps(monkeypatch, sieve_bits, step_cap)
 def test_sieve_table_of_every_map_is_exact(a, b):
     # at 12 bits the sieve of 127x+1 reaches int64's edge: those classes stop as survivors
     gcmap, m = _odd_even(a, b), 1 << rangecheck._SIEVE_BITS
-    drop, q, base, slope = _sieve(a, b, _guard(a, b), 10**6, 60)
+    drop, q, base, slope = _sieve(a, b, _step_tables(gcmap)[4], 10**6, 60)
     survivors = np.flatnonzero(drop == 0)
     for r in np.flatnonzero(drop).tolist()[::7]:
         for t in (1, 2, 5):
@@ -318,14 +326,16 @@ def test_scan_matches_python_scan_on_every_map(a, b, step_cap):
 @pytest.mark.parametrize("a, b", MAPS)
 @pytest.mark.parametrize("sieve_bits", [2, 8])
 def test_lowered_guard_on_every_map(monkeypatch, a, b, sieve_bits):
-    # a bound of 10^5 stops sieve classes and sends frontiers to the exact pass
+    # a bound of 10^5 stops sieve classes and sends lanes to the exact finish
     monkeypatch.setattr(rangecheck, "_SIEVE_BITS", sieve_bits)
     monkeypatch.setattr(rangecheck, "_BATCH", 7)
-    monkeypatch.setattr(rangecheck, "_INT64_MAX", 10**5)
+    monkeypatch.setattr(dynamics, "_INT64_MAX", 10**5)
+    exact_calls = log_exact_finish(monkeypatch)
     rep = verify_range(_odd_even(a, b), 3000, 60)
     inconclusive, max_steps = drop_scan(3000, 60, a, b)
     assert rep.inconclusive == base_inconclusive(60, a, b) + inconclusive
     assert rep.max_steps_to_drop == max_steps
+    assert exact_calls
 
 
 def test_127x_plus_1_lists_every_start_that_does_not_drop(monkeypatch):
@@ -346,6 +356,8 @@ def test_127x_plus_1_lists_every_start_that_does_not_drop(monkeypatch):
         ),
         (_odd_even(3, -1), r"needs c = 1, a >= 3 and b >= 1 odd"),
         (qx1(2**63 - 1), r"leaves int64 at n = 1"),
+        (qx1(2**63 + 1), r"leaves int64 at n = 1"),  # a past int64: the odd row is not exact
+        (three_x_d(2**63 + 1), r"leaves int64 at n = 1"),  # b past int64
     ],
 )
 def test_other_shapes_are_a_value_error(gcmap, why):

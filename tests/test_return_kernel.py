@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from collatzlab import DomainError, Inconclusive, classes, return_time
 from collatzlab import dynamics
 from collatzlab.dynamics import return_times
-from collatzlab.families import preset_map, preset_section
+from collatzlab.families import _odd_even, preset_map, preset_section
 from collatzlab.gcmap import AffineBranch, GCMap, PuncturedResidueSet, ResidueSet
 
 SECTIONS = ("collatz", "qx1:5", "mersenne:3", "mersenne:4", "mersenne:5", "3xd:1", "3xd:3", "3xd:5", "3xd:9")
@@ -492,3 +492,170 @@ def test_exact_lanes_match_scalar_on_random_maps(mf, sigma, window):
         mp.setattr(dynamics, "_INT64_MAX", 10**4)
         assert_same_returns(gcmap, sigma, list(sigma.members(1, window)), fuel)
         assert_same_returns(gcmap, range(1, window + 1), list(range(1, window + 1)), fuel)
+
+
+# --- per-lane windows ---------------------------------------------------------------------------
+
+# the range scan's maps, as (a, b) of n -> a*n + b (odd), n/2 (even)
+ODD_EVEN = [(3, 1), (3, 5), (3, 7), (5, 1), (7, 1), (31, 1), (127, 1)]
+PRESETS = ("collatz", "identity", *SECTIONS[1:])
+# the modulus-3 map the range scan refuses: n/3 on 0 mod 3, n + 2 elsewhere
+NOT_ODD_EVEN = _map(3, ([0], 1, 0, 3), ([1, 2], 1, 2, 1))
+
+
+def below_tops(gcmap, tops, xs, fuel) -> list[tuple[int, int, bool]]:
+    """(value, tau, undecided) of each lane: the first step that takes xs[i] into [1, tops[i])."""
+    want = []
+    for top, x in zip(tops, xs):
+        v = x
+        for step in range(1, fuel + 1):
+            v = gcmap.apply(v)
+            if 1 <= v < top:
+                want.append((v, step, False))
+                break
+        else:
+            want.append((0, 0, True))
+    return want
+
+
+def assert_per_lane(gcmap, tops, xs, fuel) -> None:
+    value, tau, undecided = return_times(gcmap, np.array(tops, dtype=np.int64), xs, fuel)
+    got = list(zip(value.tolist(), tau.tolist(), undecided.tolist()))
+    assert got == below_tops(gcmap, tops, xs, fuel)
+
+
+def lanes_of(gcmap, n: int) -> tuple[list[int], list[int]]:
+    """(tops, xs): each start 1..n at its own top, then advanced 3 steps from it
+    (xs != tops, as the range scan's survivors), then in reverse order."""
+    starts = list(range(1, n + 1))
+    advanced = []
+    for x in starts:
+        for _ in range(3):
+            x = gcmap.apply(x)
+        advanced.append(x)
+    shuffled = starts[::-1]
+    return starts * 3, starts + advanced + shuffled
+
+
+@pytest.mark.parametrize("fuel", [1, 2, 60])
+@pytest.mark.parametrize("a, b", ODD_EVEN)
+def test_per_lane_windows_on_the_odd_even_maps(a, b, fuel):
+    gcmap = _map(2, ([1], a, b, 1), ([0], 1, 0, 2))
+    tops, xs = lanes_of(gcmap, 400)
+    assert_per_lane(gcmap, tops, xs, fuel)
+
+
+@pytest.mark.parametrize("fuel", [1, 3, 200])
+@pytest.mark.parametrize("ref", PRESETS)
+def test_per_lane_windows_on_presets(ref, fuel):
+    gcmap = preset_map(ref)
+    tops, xs = lanes_of(gcmap, 300)
+    assert_per_lane(gcmap, tops, xs, fuel)
+
+
+@pytest.mark.parametrize("fuel", [1, 2, 60])
+def test_per_lane_windows_take_the_table_step_on_other_maps(fuel):
+    with pytest.raises(KeyError):
+        dynamics._odd_even_shape(NOT_ODD_EVEN)
+    tops, xs = lanes_of(NOT_ODD_EVEN, 400)
+    assert_per_lane(NOT_ODD_EVEN, tops, xs, fuel)
+
+
+@pytest.mark.parametrize("fuel", [1, 2, 12, 13, 60])
+@pytest.mark.parametrize("ref", ["collatz", "qx1:5", "3xd:5"])
+def test_per_lane_windows_past_the_guard(low_guard, ref, fuel):
+    # under the guard (10^4 - 1) // a, the starts past it leave the frontier
+    # at step 0 and finish on exact ints, jumping through a table at max(tops)
+    gcmap = preset_map(ref)
+    tops, xs = lanes_of(gcmap, 300)
+    xs = [x + 5000 if i % 7 == 0 else x for i, x in enumerate(xs)]
+    guard = dynamics._step_tables(gcmap)[4]
+    assert_per_lane(gcmap, tops, xs, fuel)
+    assert set((x, 0) for x in xs if x > guard) <= set(low_guard.exact)
+    assert not low_guard.reran
+
+
+def test_per_lane_windows_need_starts_from_1():
+    collatz = preset_map("collatz")
+    with pytest.raises(DomainError):
+        return_times(collatz, np.array([5, 5]), [3, 0], 10)
+    assert [a.tolist() for a in return_times(collatz, np.array([], dtype=np.int64), [], 10)] == [[], [], []]
+
+
+# --- the fast odd/even step ----------------------------------------------------------------------
+
+
+def test_fast_step_is_exact_up_to_the_guard():
+    # near the guard a*v + b is close to 2^63 - 1: the step never wraps
+    for a, b in ODD_EVEN + [(3, 2**40 + 1), (2**61 + 1, 2**61 - 1)]:
+        gcmap = _map(2, ([1], a, b, 1), ([0], 1, 0, 2))
+        rows, A, B, C, guard = dynamics._step_tables(gcmap)
+        vs = [v for v in (1, 2, 3, 4, guard - 3, guard - 2, guard - 1, guard) if 1 <= v <= guard] * 40
+        got = dynamics._int64_step(gcmap, rows, A, B, C, guard)(np.array(vs, dtype=np.int64))
+        assert got.tolist() == [a * v + b if v % 2 else v // 2 for v in vs]
+
+
+def test_fast_step_only_where_no_partial_sum_wraps():
+    # a step of v <= guard sums up to (2a - 1)*(v >> 1) + a + b; past 2a > guard
+    # that can pass 2^63 - 1, so the kernel takes the table step there.  With
+    # the tables zeroed, the table step gives 0 and the fast step a + b at 1;
+    # a frontier of 128 lanes or fewer takes the table step on every map
+    for a, b in ODD_EVEN + [(3, 2**40 + 1), (2**61 + 1, 2**61 - 1)]:
+        gcmap = _map(2, ([1], a, b, 1), ([0], 1, 0, 2))
+        rows, A, B, C, guard = dynamics._step_tables(gcmap)
+        fast = 2 * a <= guard
+        assert fast == ((2 * a - 1) * (guard // 2) + a + b <= 2**63 - 1)
+        step = dynamics._int64_step(gcmap, rows, 0 * A, 0 * B, C, guard)
+        assert step(np.ones(129, dtype=np.int64)).tolist() == [a + b if fast else 0] * 129
+        assert step(np.ones(128, dtype=np.int64)).tolist() == [0] * 128
+        assert fast == (a < 2**61)
+
+
+@pytest.fixture
+def table_step(monkeypatch):
+    """Run a call with the shape rule refusing every map, so the kernel takes
+    its table step; log what the real rule said of each call's map."""
+    shape, said = dynamics._odd_even_shape, []
+
+    def refuse(gcmap):
+        try:
+            said.append(shape(gcmap))
+        except KeyError as exc:
+            said.append(exc)
+        raise KeyError("forced")
+
+    def run(*args):
+        with monkeypatch.context() as mp:
+            mp.setattr(dynamics, "_odd_even_shape", refuse)
+            return return_times(*args)
+
+    run.said = said
+    return run
+
+
+def assert_same_step(table_step, gcmap, sigma, xs, fuel) -> None:
+    fast = return_times(gcmap, sigma, xs, fuel)
+    slow = table_step(gcmap, sigma, xs, fuel)
+    assert [a.tolist() for a in fast] == [a.tolist() for a in slow]
+
+
+@pytest.mark.parametrize("ref", PRESETS)
+def test_table_step_matches_the_fast_step_on_presets(table_step, ref):
+    gcmap = preset_map(ref)
+    for fuel in (1, 3, 200):
+        assert_same_step(table_step, gcmap, range(1, 3001), list(range(1, 3001)), fuel)
+        if ref in SECTIONS:
+            sigma = preset_section(ref).sigma
+            assert_same_step(table_step, gcmap, sigma, list(sigma.members(1, 3000)), fuel)
+    # every preset but identity has the shape, so its fast runs took the fast step
+    assert all(isinstance(s, KeyError) == (ref == "identity") for s in table_step.said)
+
+
+@pytest.mark.parametrize("a, b", ODD_EVEN)
+def test_table_step_matches_the_fast_step_on_the_odd_even_maps(table_step, a, b):
+    gcmap = _odd_even(a, b)
+    tops = np.arange(1, 3001, dtype=np.int64)
+    for fuel in (1, 3, 60):
+        assert_same_step(table_step, gcmap, range(1, 3001), list(range(1, 3001)), fuel)
+        assert_same_step(table_step, gcmap, tops, list(range(1, 3001)), fuel)
+    assert table_step.said and all(s == (a, b) for s in table_step.said)
