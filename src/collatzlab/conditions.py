@@ -315,6 +315,7 @@ def ck_for_section(
     uniform return time, so (b)+(c) stand in for a closed-form argument.
     ``fuel`` bounds the first returns of (c) only; one that runs out of fuel
     makes the verdict inconclusive, unless a violation is found elsewhere.
+    A window or fuel below 1 checks nothing, so it raises DomainError.
 
     ``removed`` lists the punctures of N2 when it is a shifted set (classes
     minus finitely many small values).  A witness endpoint that is a puncture
@@ -325,6 +326,8 @@ def ck_for_section(
     accept fail (b): a table at a multiple of the derived modulus, and a map
     whose n/2 branch owns only the even classes that the doubling chains visit.
     """
+    _check_positive(window, "window")
+    _check_positive(fuel, "fuel")
     fail = lambda msg: SectionCKReport(VIOLATION, None, "failed", msg)
 
     # (a) symbolic: one application of f sends N1 exactly onto N2 (with punctures)

@@ -7,8 +7,10 @@ termination of these orbits is exactly the open conjecture.
 Every first return on arrays (the classes of a window, P on a section, and
 the range scan's drop of each start below itself) goes through one kernel,
 :func:`return_times`, which steps int64 frontiers and agrees lane by lane
-with the scalar :func:`return_time`.  A lane int64 cannot step leaves the
-frontier alone and finishes on exact ints.
+with the scalar :func:`return_time`, its oracle.  A lane int64 cannot step
+leaves the frontier alone and finishes on exact ints.  There is no scalar
+fork: sigma is a window, a (punctured) residue set or per-lane tops, and a
+sigma of any other kind raises TypeError.
 """
 
 from __future__ import annotations
@@ -249,8 +251,11 @@ def _jump_table(rows: list, m: int, hi: int, k: int) -> list:
     (``_step_tables`` proves it), so the table is built a level at a time: f^j on the
     residues mod m^j gives f^(j+1) on those mod m^(j+1).  q0 is None when
     a class on the way is not stepped exactly or no q keeps an iterate in
-    front of hi.  Python ints throughout, so nothing wraps.
+    front of hi.  Python ints throughout, so nothing wraps.  k < 2 raises
+    ValueError: a table of k = 0 never advances a lane.
     """
+    if k < 2:
+        raise ValueError(f"a jump table takes k >= 2 steps, got {k}")
     level = [(1, 0, 0)]  # f^0(n) = n on the one residue mod m^0
     for j in range(k):
         nxt = []
@@ -304,12 +309,12 @@ def _exact_return(gcmap: GCMap, sigma: Container[int], jump, v: int, step: int, 
 
 def _member_test(sigma: Container[int]):
     """A vectorised ``v in sigma`` for a window ``range(1, hi)`` or a (punctured)
-    residue set, else None.  The residue tests also take exact ints in an
-    object array."""
+    residue set; TypeError for any other sigma.  The residue tests also take
+    exact ints in an object array."""
     if isinstance(sigma, range) and sigma.step == 1 and sigma.start <= 1:  # range(1, hi), or from 0
         return lambda v: v < sigma.stop  # every value the kernel tests is at least 1
     if not isinstance(sigma, (ResidueSet, PuncturedResidueSet)):
-        return None
+        raise TypeError(f"sigma must be range(1, hi), a (punctured) residue set or per-lane tops, not {sigma!r}")
     m, table = sigma.modulus, np.zeros(sigma.modulus, dtype=bool)
     table[list(sigma.classes.residues)] = True
     if sigma.removed:
@@ -324,16 +329,6 @@ def _int_array(values: list[int]) -> np.ndarray:
         return np.array(values, dtype=np.int64)
     except OverflowError:
         return np.array(values, dtype=object)
-
-
-def _scalar_returns(gcmap: GCMap, sigma: Container[int], xs: np.ndarray, fuel: int):
-    rets = [return_time(gcmap, sigma, x, fuel) for x in xs.tolist()]
-    undecided = np.array([isinstance(r, Inconclusive) for r in rets], dtype=bool)
-    return (
-        _int_array([getattr(r, "value", 0) for r in rets]),
-        np.array([getattr(r, "tau", 0) for r in rets], dtype=np.int64),
-        undecided,
-    )
 
 
 def _int64_step(gcmap: GCMap, rows: list, A: np.ndarray, B: np.ndarray, C: np.ndarray, guard: int):
@@ -382,17 +377,18 @@ def return_times(gcmap: GCMap, sigma, xs, fuel: int):
     and finishes, in lane order, on exact ints in ``_exact_return``, which
     raises where ``return_time`` raises; on windows it jumps k steps at a time
     through one table at the highest top.  ``value`` is an object array if a
-    return does not fit int64.  A start below 1 or outside a window or residue
-    sigma, and a sigma of another kind, take the scalar path through
-    ``return_time``; per-lane windows have none and raise.
+    return does not fit int64.  Before any step, a start below 1 raises
+    DomainError, and so does a start outside a window or residue sigma, as
+    ``return_time`` raises it; a sigma of another kind raises TypeError.
     """
     xs = np.asarray(xs, dtype=np.int64)
     per_lane = isinstance(sigma, np.ndarray)
     member = None if per_lane else _member_test(sigma)
     if per_lane and len(xs) and xs.min() < 1:
         raise DomainError(f"{xs.min()} is below 1")
-    if not per_lane and (member is None or len(xs) and (xs.min() < 1 or not member(xs).all())):
-        return _scalar_returns(gcmap, sigma, xs, fuel)
+    if not per_lane and len(xs) and (xs.min() < 1 or not member(xs).all()):
+        # return_time raises at the first such start: it is outside sigma, or apply refuses it
+        return_time(gcmap, sigma, next(x for x in xs.tolist() if x < 1 or x not in sigma), max(fuel, 1))
     rows, A, B, C, guard = _step_tables(gcmap)
     step_of = _int64_step(gcmap, rows, A, B, C, guard)
     returned = []  # (lanes, values, step) of each step's returns
@@ -486,8 +482,11 @@ def check_reduction_sufficient(
 ) -> ReductionReport:
     """Hypothesis of the sufficiency direction: every orbit meets the section.
 
-    Checks orb(x; f) intersects sigma within fuel for every x <= window.
+    Checks orb(x; f) intersects sigma within fuel for every x <= window; a
+    window or fuel below 1 raises DomainError.
     """
+    _check_positive(window, "window")
+    _check_positive(fuel, "fuel")
     if isinstance(sigma, ResidueSet) and sigma.is_empty():
         return ReductionReport(window, tuple(range(1, window + 1)), (), "empty section")
     inconclusive: list[int] = []

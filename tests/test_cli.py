@@ -129,6 +129,14 @@ def test_verify_relations(capsys):
     assert code == PASS and rep["branch"]["ok"] and rep["section"]["ok"]
 
 
+def test_verify_relations_with_no_certified_column_exits_2(capsys):
+    # sigma of 3xd:9 starts at 9: every section identity checks 0 columns at window 8
+    code, out = run(capsys, "verify", "3xd:9", "--suite", "relations", "--window", "8", "--fuel", "10")
+    rep = json.loads(out)
+    assert code == INCONCLUSIVE == rep["exitCode"] and rep["branch"]["ok"] and not rep["section"]["ok"]
+    assert {c["columns_checked"] for c in rep["section"]["checks"]} == {0}
+
+
 def test_verify_span(capsys):
     code, out = run(capsys, "verify", "collatz", "--suite", "span", "--window", "500")
     assert code == PASS and json.loads(out)["ok"]

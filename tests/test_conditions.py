@@ -10,6 +10,7 @@ from collatzlab import (
     INCONCLUSIVE,
     CKMatrix,
     CKViolation,
+    DomainError,
     Inconclusive,
     NotResidueRepresentable,
     ResidueSet,
@@ -210,6 +211,14 @@ def test_ck_for_section_out_of_fuel_is_inconclusive(ref):
     rep = ck_for_section(sec.map, sec.n1, sec.n2, sec.witnesses, 1000, 3, removed=sec.n2_removed)
     assert rep.status == INCONCLUSIVE and rep.verdict_kind == "inconclusive"
     assert not rep.passed and rep.matrix is None
+
+
+@pytest.mark.parametrize("window, fuel", [(0, 10), (-5, 10), (100, 0)])
+def test_ck_for_section_refuses_a_window_or_fuel_below_1(window, fuel):
+    # a window of no label or no fuel checks nothing, so it cannot be "witnessed"
+    sec = preset_section("collatz")
+    with pytest.raises(DomainError):
+        ck_for_section(sec.map, sec.n1, sec.n2, sec.witnesses, window, fuel, removed=sec.n2_removed)
 
 
 def test_collatz_witnesses_match_derived():

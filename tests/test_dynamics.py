@@ -193,3 +193,11 @@ def test_reduction_necessary_mersenne():
 def test_reduction_sufficient_empty_section_fails():
     rep = check_reduction_sufficient(collatz(), ResidueSet.empty(6), 10, 100)
     assert not rep.passed
+
+
+@pytest.mark.parametrize("window, fuel", [(0, 100), (-5, 100), (10, 0)])
+def test_reduction_sufficient_refuses_a_window_or_fuel_below_1(window, fuel):
+    # no start or no step checks nothing, so it cannot pass
+    sec = preset_section("collatz")
+    with pytest.raises(DomainError):
+        check_reduction_sufficient(sec.map, sec.sigma, window, fuel)

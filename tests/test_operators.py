@@ -15,6 +15,7 @@ from norm_bound_oracle import norm_bound_oracle
 from collatzlab import (
     INCONCLUSIVE,
     PASS,
+    VIOLATION,
     AffineBranch,
     BasisWindow,
     DomainError,
@@ -33,12 +34,13 @@ from collatzlab import (
     preset_section,
     qx1,
     reachable_span,
+    separating_condition,
     separating_word_check,
     span_vs_class,
     verify_branch_relations,
     verify_section_relations,
 )
-from collatzlab.operators import compare_certified, zero_operator
+from collatzlab.operators import IdentityCheck, RelationReport, _word_step, compare_certified, zero_operator
 from preimage_oracle import first_return
 
 
@@ -178,6 +180,18 @@ def test_section_relations(ref):
     assert all(c.columns_checked > 0 for c in rep.checks)
 
 
+def test_a_check_that_certifies_no_column_is_inconclusive():
+    # sigma of 3xd:9 starts at 9, so the section window below 8 has no label
+    sec = preset_section("3xd:9")
+    ops = build_section_ops(sec.map, sec.n1, sec.n2, BasisWindow.section(sec.sigma, 8), 10)
+    rep = verify_section_relations(ops)
+    assert all(c.holds and c.columns_checked == 0 for c in rep.checks)
+    assert rep.status == INCONCLUSIVE and not rep.ok
+    some, none = IdentityCheck("a", True, 3), IdentityCheck("b", True, 0)
+    assert RelationReport((some,)).status == PASS and RelationReport((some, none)).status == INCONCLUSIVE
+    assert RelationReport((none, IdentityCheck("c", False, 1, (1, 1, 0, 1)))).status == VIOLATION
+
+
 def test_corrupted_entry_is_reported_with_witness():
     sec = preset_section("collatz")
     win = BasisWindow.section(sec.sigma, 500)
@@ -270,14 +284,78 @@ def test_separating_word_check_out_of_fuel_is_inconclusive():
     assert separating_word_check(collatz(), 1, BasisWindow.range(1, 100), 4, samples=100).ok
 
 
-@pytest.mark.parametrize("hi, status", [(2, INCONCLUSIVE), (3, INCONCLUSIVE), (4, PASS), (500, PASS)])
-def test_separating_word_check_reads_only_certified_columns(hi, status):
-    # below [1, 4] the column of 1 in T_I = T2 T2 T1 is cut off at the window
-    # edge (1 -> 4 leaves it): that is no evidence, so no violation and no pass
+@pytest.mark.parametrize("hi", [2, 3, 4, 500])
+def test_separating_word_check_needs_no_window(hi):
+    # the window [1, hi] cuts the column of 1 in T_I = T2 T2 T1 off below hi = 4
+    # (1 -> 4 leaves it), but T_I is read on labels, so every window decides it
     rep = separating_word_check(collatz(), 1, BasisWindow.range(1, hi), 10**4)
-    assert rep.status == status
-    assert rep.uncertified == ((1, 4) if hi < 4 else ())
+    assert rep.status == PASS
     assert rep.fixed_vector_ok and rep.annihilations_ok and not rep.contraction_failures
+
+
+# --- words on labels against their windowed products ------------------------------------
+
+# acceptance criterion 6: (map, x) of each preset's separating-condition word.
+# collatz's word at 1 is (1, 2, 2), so its case at [1, 4], where the column of
+# 1 is certified, also checks descent_check's fixed vector T2^2 T1 e_1 = e_1
+WORD_CASES = [
+    ("collatz", 1), ("qx1:5", 1), ("mersenne:3", 1), ("mersenne:4", 1), ("mersenne:5", 1),
+    ("3xd:1", 1), ("3xd:3", 3), ("3xd:5", 5), ("3xd:9", 9),
+]
+
+
+def windowed_word(gcmap, word, window: BasisWindow) -> TruncatedOperator:
+    """T_I = T_{i_n} ... T_{i_1} as a product of the truncated branch operators."""
+    ops = dict(zip((br.index for br in gcmap.branches), build_branch_ops(gcmap, window)))
+    t_word = None
+    for letter in word:  # rightmost factor T_{i_1} acts first
+        op = ops[letter]
+        t_word = op if t_word is None else op @ t_word
+    return t_word
+
+
+def certified_mismatches(gcmap, word, window: BasisWindow, labels, word_step=_word_step) -> tuple[int, list]:
+    """(columns read, mismatches): each of ``labels`` whose column the windowed
+    T_I certifies exact must be e_{word_step(y)}, or 0 where that is None."""
+    t_word = windowed_word(gcmap, word, window)
+    cols, exact = t_word.cols, t_word.exact_cols
+    read = [y for y in labels if y in exact]
+    bad = []
+    for y in read:
+        w = word_step(gcmap, word, y)
+        if cols.get(y) != (None if w is None else {w: 1}):
+            bad.append((y, cols.get(y), w))
+    return len(read), bad
+
+
+@pytest.mark.parametrize("hi", [2, 4, 50, 500])
+@pytest.mark.parametrize("ref, x", WORD_CASES)
+def test_word_step_matches_every_certified_column(ref, x, hi):
+    gcmap = preset_map(ref)
+    word = tuple(separating_condition(gcmap, x, 1000).word)
+    cycle = gcmap.orbit(x, 1000).prefix  # x, f(x), ..., f^(n-1)(x)
+    window = BasisWindow.range(1, hi)
+    # the columns x and f^j(x) that the separating word check reads, all
+    # certified once the window holds the cycle; then every column
+    read, bad = certified_mismatches(gcmap, word, window, [v for v in cycle if v <= hi])
+    assert bad == [] and (read == len(cycle) or hi < max(cycle))
+    read, bad = certified_mismatches(gcmap, word, window, window.elements)
+    assert read and bad == []
+
+
+def test_word_step_mutant_that_ignores_the_itinerary_is_caught():
+    def skip_index(gcmap, word, y):  # applies f len(word) times, whatever the branches
+        v = y
+        for _ in word:
+            v = gcmap.apply(v)
+        return v
+
+    found = [
+        certified_mismatches(preset_map(ref), tuple(separating_condition(preset_map(ref), x, 1000).word),
+                             BasisWindow.range(1, 50), range(1, 51), skip_index)[1]
+        for ref, x in WORD_CASES
+    ]
+    assert all(found)
 
 
 def test_separating_word_check_rejects_nonperiodic():

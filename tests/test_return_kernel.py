@@ -219,22 +219,16 @@ def test_kernel_matches_scalar_on_random_maps(mf, sigma, window):
 
 @pytest.fixture
 def low_guard(monkeypatch):
-    """int64 lowered to 10^4, and a log of the calls that took the scalar path
-    (``reran``) and of the lanes that finished on exact ints (``exact``: the value
-    and step each left the int64 frontier with)."""
+    """int64 lowered to 10^4, and a log of the lanes that finished on exact ints
+    (``exact``: the value and step each left the int64 frontier with)."""
     monkeypatch.setattr(dynamics, "_INT64_MAX", 10**4)
-    log = SimpleNamespace(reran=[], exact=[])
-    scalar, exact = dynamics._scalar_returns, dynamics._exact_return
-
-    def rerun(*args):
-        log.reran.append(args)
-        return scalar(*args)
+    log = SimpleNamespace(exact=[])
+    exact = dynamics._exact_return
 
     def finish(gcmap, sigma, jump, v, step, fuel):
         log.exact.append((v, step))
         return exact(gcmap, sigma, jump, v, step, fuel)
 
-    monkeypatch.setattr(dynamics, "_scalar_returns", rerun)
     monkeypatch.setattr(dynamics, "_exact_return", finish)
     return log
 
@@ -266,10 +260,9 @@ def test_guard_reruns_the_call_exactly(low_guard, fuel):
         return_times(sec.map, sec.sigma, xs, fuel)
         if ref == "qx1:5":
             # the starts past the guard (10^4 - 1) // 5 leave the frontier at
-            # step 0 and finish as exact lanes; nothing reruns on the scalar path
+            # step 0 and finish as exact lanes
             past = [(x, 0) for x in xs if x > (10**4 - 1) // 5]
             assert past and set(past) <= set(low_guard.exact)
-        assert not low_guard.reran
         assert_same_returns(sec.map, sec.sigma, xs, fuel)
 
 
@@ -279,11 +272,9 @@ def test_guard_in_classes(low_guard, fuel, interior_only):
     gcmap = preset_map("collatz")
     assert_same_classes(gcmap, 3000, fuel, interior_only)
     # 3x+1 takes the window past the guard (10^4 - 1) // 3 at the first step:
-    # only those lanes leave the frontier, each finishes on exact ints, and
-    # nothing reruns on the scalar path
+    # only those lanes leave the frontier, and each finishes on exact ints
     exits = frontier_exits(gcmap, range(1, 3001), (10**4 - 1) // 3, 1 if interior_only else fuel)
     assert exits and sorted(low_guard.exact) == exits
-    assert not low_guard.reran
 
 
 def test_returns_beyond_int64_stay_exact():
@@ -328,16 +319,18 @@ def test_invalid_maps_raise_as_the_scalar_path(kind, low, monkeypatch):
         assert raised(lambda: classes(gcmap, 300, 1 if interior_only else 50)) == want
 
 
-def test_untabled_lanes_never_take_the_scalar_path(monkeypatch):
+def test_untabled_lanes_finish_on_exact_ints(monkeypatch):
     """The lanes of a coefficient past int64 and of the maps ``validate()``
     rejects finish on exact ints, and the invalid maps raise there what
-    ``return_time`` raises; no call takes ``_scalar_returns``."""
-    calls, scalar = [], dynamics._scalar_returns
-    monkeypatch.setattr(dynamics, "_scalar_returns", lambda *args: calls.append(args) or scalar(*args))
+    ``return_time`` raises."""
+    calls, exact = [], dynamics._exact_return
+    monkeypatch.setattr(dynamics, "_exact_return", lambda *args: calls.append(args) or exact(*args))
     big = GCMap(2, (AffineBranch(1, ResidueSet.of(2, [1]), 2**64 + 1, 1, 2),
                     AffineBranch(2, ResidueSet.of(2, [0]), 1, 0, 2)))
     odd = ResidueSet.of(6, [1, 5])
-    assert_same_returns(big, odd, list(odd.members(1, 100)), 5)  # a coefficient beyond int64
+    xs = list(odd.members(1, 100))
+    assert_same_returns(big, odd, xs, 5)  # a coefficient beyond int64
+    assert len(calls) == len(xs)  # every lane leaves the int64 frontier at step 0
     for gcmap in INVALID.values():
         for sigma in (range(1, 301), odd):
             xs = list(sigma) if isinstance(sigma, range) else list(sigma.members(1, 300))
@@ -348,14 +341,15 @@ def test_untabled_lanes_never_take_the_scalar_path(monkeypatch):
     want = raised(lambda: return_time(INVALID["gap"], ResidueSet.of(8, [5]), 37, 50))
     assert "n=7" in want[1]
     assert raised(lambda: return_times(INVALID["gap"], ResidueSet.of(8, [5]), [37, 29], 50)) == want
-    assert not calls
 
 
 def test_scalar_path_inputs():
+    """Inputs with no int64 path: a start outside sigma or below 1 raises what
+    ``return_time`` raises, and a sigma the kernel cannot test raises TypeError."""
     sigma = ResidueSet.of(6, [1, 5])
     collatz = preset_map("collatz")
-    assert_same_returns(collatz, {1, 2, 4, 8, 16}, [1, 2, 4, 8, 16], 100)  # a plain set
-    assert_same_returns(collatz, range(5, 40), list(range(5, 40)), 100)  # a window not from 1
+    for other in ({1, 2, 4, 8, 16}, range(5, 40)):  # a plain set, and a window not from 1
+        assert raised(lambda: return_times(collatz, other, [5, 8, 16], 100))[0] is TypeError
     for xs in ([1, 3, 2], [0, 1]):  # a start outside the section, and one below 1
         want = raised(lambda: [return_time(collatz, sigma, x, 10) for x in xs])
         assert raised(lambda: return_times(collatz, sigma, xs, 10)) == want
@@ -391,6 +385,15 @@ JUMP_MAPS.update({"3n-1": THREE_N_MINUS_1, "mod3": MOD3})
 def test_jump_depth_keeps_the_table_at_4096_entries():
     depths = {1: 12, 2: 12, 3: 7, 4: 6, 6: 4, 16: 3, 64: 2, 65: 1, 4096: 1, 4097: 0}
     assert {m: dynamics._jump_depth(m) for m in depths} == depths
+
+
+def test_jump_table_refuses_fewer_than_two_steps():
+    # a table of k = 0 would leave every lane where it is, so _exact_return would spin
+    rows = dynamics._step_tables(preset_map("collatz"))[0]
+    for k in (0, 1):
+        with pytest.raises(ValueError):
+            dynamics._jump_table(rows, 2, 100, k)
+    assert len(dynamics._jump_table(rows, 2, 100, 2)) == 4
 
 
 @pytest.mark.parametrize("ref", ["qx1:5", "qx1:7", "mersenne:3", "3xd:5"])
@@ -460,7 +463,7 @@ def test_a_lane_entering_the_window_right_after_a_jump(low_guard):
         low_guard.exact.clear()
         value, tau, undecided = return_times(collatz, window, [1119], fuel)
         assert (value[0], tau[0], undecided[0]) == want
-        assert low_guard.exact == [(1119, 0)] and not low_guard.reran
+        assert low_guard.exact == [(1119, 0)]
         assert_same_returns(collatz, window, list(window), fuel)
 
 
@@ -472,7 +475,7 @@ def test_exact_lanes_on_a_section_take_single_steps(low_guard, ref, monkeypatch)
     for fuel in (K - 1, K, K + 1, 200):
         low_guard.exact.clear()
         assert_same_returns(sec.map, sec.sigma, xs, fuel)
-        assert low_guard.exact and not low_guard.reran
+        assert low_guard.exact
 
 
 @st.composite
@@ -572,7 +575,6 @@ def test_per_lane_windows_past_the_guard(low_guard, ref, fuel):
     guard = dynamics._step_tables(gcmap)[4]
     assert_per_lane(gcmap, tops, xs, fuel)
     assert set((x, 0) for x in xs if x > guard) <= set(low_guard.exact)
-    assert not low_guard.reran
 
 
 def test_per_lane_windows_need_starts_from_1():
