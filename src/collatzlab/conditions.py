@@ -315,7 +315,8 @@ def ck_for_section(
     uniform return time, so (b)+(c) stand in for a closed-form argument.
     ``fuel`` bounds the first returns of (c) only; one that runs out of fuel
     makes the verdict inconclusive, unless a violation is found elsewhere.
-    A window or fuel below 1 checks nothing, so it raises DomainError.
+    So does a window with no section label, where (c) checks nothing.  A
+    window or fuel below 1 checks nothing either, so it raises DomainError.
 
     ``removed`` lists the punctures of N2 when it is a shifted set (classes
     minus finitely many small values).  A witness endpoint that is a puncture
@@ -364,6 +365,8 @@ def ck_for_section(
     # (c) empirical: P on the window; the first failing label is reported
     members = np.arange(1, window + 1, dtype=np.int64)
     members = members[_member_test(sigma_set)(members)]
+    if not len(members):
+        return SectionCKReport(INCONCLUSIVE, None, "inconclusive", f"no section label in [1, {window}]: (c) checks nothing")
     value, _, unknown = return_times(gcmap, sigma_set, members, fuel)
     in_n1 = _member_test(n1)(members)
     # N1 must return into N2 and N2 into sigma, each N2 label to a value no earlier one took

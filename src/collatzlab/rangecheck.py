@@ -3,18 +3,16 @@
 The scan takes any map n -> a*n + b on odd n, n/2 on even n, with a and b
 read off by ``section_of``'s shape rule.  "Every n <= limit reaches 1"
 follows by induction once the orbit of 1 comes back to 1 and every n in
-[2, limit] drops strictly below its own starting value, so each n needs only
-a few steps, not a full descent to 1.  A start that never drops within the
-step cap is inconclusive.
+[2, limit] drops strictly below its own starting value within the step cap;
+a start that does not is inconclusive.
 
-The scan first sieves the starts by their residue r mod 2^k (Terras 1976).
-The first parity steps of n are fixed by r; in most classes they bring every
-member n >= 2^k below n at one step, the class's drop step, which counts
-toward the maximum without scanning a member.  The drop of every other
-start n is its first return to the window [1, n), which the first-return
-kernel ``dynamics.return_times`` finds with per-lane windows: every start
-below 2^k from n itself, and the members of the surviving classes from the
-value they reach after the steps their residue fixes.
+Every start goes through a sieve by residue (Terras 1976), refined a bit at
+a time to limit.bit_length() - 3 bits, at most ``_SIEVE_BITS``: about 8
+starts per class.  The class r mod 2^d holds n = r + 2^d t at v + a^j t
+after its d halvings; at the first halving with a^j < 2^d every member from
+some t* on drops at once.  The members below t*, and those of the classes
+still open at that depth, go on in one ``dynamics.return_times`` call with
+the starts as per-lane window tops [1, n).
 """
 
 from __future__ import annotations
@@ -24,15 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _odd_even_shape, _step_tables, return_times
+from .dynamics import _INT64_MAX, _odd_even_shape, _step_tables, return_times
 from .families import collatz
 from .gcmap import GCMap, Report, _check_positive, verdict
 
-# starts per vectorized batch; bounds the scan's memory, not its result
+# lanes per kernel call; bounds the scan's memory, not its result
 _BATCH = 1 << 20
 
-# the sieve's classes are the residues mod 2^_SIEVE_BITS
-_SIEVE_BITS = 12
+# the deepest sieve: its classes are the residues mod 2^_SIEVE_BITS at most
+_SIEVE_BITS = 24
 
 
 @dataclass(frozen=True)
@@ -57,73 +55,80 @@ class RangeReport(Report):
         }
 
 
+def _split(mask, *cols):
+    """The columns where mask holds, and where it does not."""
+    i, rest = np.flatnonzero(mask), np.flatnonzero(~mask)
+    return [col[i] for col in cols], [col[rest] for col in cols]
+
+
 def _sieve(a: int, b: int, guard: int, limit: int, step_cap: int):
-    """Classify the residues r mod 2^k by the parity steps that r fixes.
+    """Sort [2, limit] into classes r mod 2^d, d halvings and j odd steps in, a level at a time.
 
-    While the first i parity steps are fixed by r (i < k), i halvings and j
-    odd steps take n = r + 2^k t to (a^j n + c) / 2^i with c >= 0, which is
-    below n exactly when n > c / (2^i - a^j).  Before the first halving with
-    a^j < 2^i it is at least n; at that step, numbered i + j, every member
-    n >= r + 2^k drops if r + 2^k does.  An odd value past ``guard``, the
-    kernel's int64 bound, is not stepped: its class stops undecided.
-
-    Returns ``(drop, q, base, slope)``.  ``drop[r]`` is that step for a
-    sieved class and 0 for a survivor.  No member n >= 2^k of a survivor
-    drops within q steps, after which n = r + 2^k t is at
-    ``base + slope * (t - 1)``, one entry per survivor in residue order.
+    A level splits a class on bit d into the child whose member t = 0 is odd,
+    which takes an odd step and a halving, and the even one, which halves:
+    no select by parity.  Values stay at least their starts until the first
+    halving with a^j < 2^d, which only an even child reaches.  A class stops
+    before a level that could pass the step cap or step a value past
+    ``guard``, the kernel's int64 bound.  Returns ``(sieved, kernel)``,
+    column tuples over classes, m = 2^d and s = d + j.  In ``(r, m, first,
+    s)`` the member r + m*t drops first at step s for each t >= first, one
+    of them in range.  In ``(r, m, v, a^j, s, count)`` each member t < count
+    is a start r + m*t in [2, limit] at v + a^j t after s steps, none of
+    them below it.  Together they hold each start in [2, limit] once.
     """
-    m = 1 << _SIEVE_BITS
-    least = np.arange(m, 2 * m, dtype=np.int64)  # r + 2^k
-    v, pow2, powa = least, np.ones(m, dtype=np.int64), np.ones(m, dtype=np.int64)
-    history = [(v, pow2, powa)]  # after each step: the value of r + 2^k, 2^i and a^j
-    drop = np.zeros(m, dtype=np.int64)
-    safe = np.zeros(m, dtype=np.int64)  # steps fixed by r in which no member drops
-    open_ = np.ones(m, dtype=bool)  # r fixes the next parity, and no member dropped yet
-    for step in range(1, step_cap + 1):
-        odd = (v & 1).astype(bool)
-        open_ &= ~odd | (v <= guard)
-        if not open_.any():
-            break
-        # only open classes step, so no kept value leaves int64 (a^j <= v while 2^i <= 2^k)
-        up, down = open_ & odd, open_ & ~odd
-        v = np.where(up, a * v + b, np.where(down, v >> 1, v))
-        powa, pow2 = np.where(up, a * powa, powa), np.where(down, 2 * pow2, pow2)
-        history.append((v, pow2, powa))
-        decided = open_ & (powa < pow2)
-        drop[decided & (v < least)] = step
-        safe[open_] = step - decided[open_]
-        open_ &= ~decided & (pow2 < m)
-    survivors = drop == 0  # never empty: one residue fixes an odd step before each halving
-    q = int(safe[survivors].min())
-    v, pow2, powa = (h[survivors] for h in history[q])
-    base, slope = v, powa * (m // pow2)
-    if int(base.max()) + int(slope.max()) * (limit // m) > guard:
-        # an advanced value could pass the guard: the members start from n itself
-        q, base, slope = 0, least[survivors], np.full_like(base, m)
-    return drop, q, base, slope
+    depth = max(0, min(limit.bit_length() - 3, _SIEVE_BITS))  # about 8 members per class
+    # a^j, the int64 bound standing in for a power past it: the guard stops such a class
+    power = np.array([min(a**j, _INT64_MAX) for j in range(depth + 1)], dtype=np.int64)
+    r, v, j = (np.zeros(1, dtype=np.int64) for _ in range(3))  # 0 mod 1: n = t at v + t
+    sieved, kernel = [(r[:0],) * 4], []  # the columns of each level, from each class's depth
+    for d in range(depth):
+        # a member's value is below a^j (n / 2^d + b), so within this bound no class stops
+        if 2 * d + 2 > step_cap or a**d * ((limit >> d) + 1 + b) > guard:
+            top = (limit - r) >> d  # >= 1; the last member in range is at v + a^j top
+            stop = (power[j] > (guard - v) // top) | (j > step_cap - d - 2)
+            (*out, top), (r, v, j, _) = _split(stop, r, v, j, top)
+            kernel.append((np.full(len(top), d), *out, top + 1))
+        p = power[j]
+        lift, bump = (v & 1) << d, (v & 1) * p  # t = 0 odd: the even child is t = 1
+        odd = r + (1 << d) - lift, (a * (v + p - bump) + b) >> 1, j + 1
+        (dr, dv, dj), (r, v, j) = _split(p < 2 << d, r + lift, (v + bump) >> 1, j)
+        first = np.maximum((dv - dr) // ((2 << d) - power[dj]) + 1, 0)  # t*
+        top = (limit - dr) >> (d + 1)
+        hit = np.flatnonzero(first <= top)
+        sieved.append((np.full(len(hit), d + 1), dr[hit], first[hit], dj[hit]))
+        kernel.append((np.full(len(dr), d + 1), dr, dv, dj, np.minimum(first, top + 1)))
+        r, v, j = (np.concatenate(pair) for pair in zip((r, v, j), odd))
+    kernel.append((np.full(len(r), depth), r, v, j, ((limit - r) >> depth) + 1))
+    d, r, first, j = (np.concatenate(col) for col in zip(*sieved))
+    sieved = r, np.left_shift(1, d), first, d + j
+    d, r, v, j, count = (np.concatenate(col) for col in zip(*kernel))
+    m, p = np.left_shift(1, d), power[j]
+    i = np.flatnonzero(r < 2)  # n = 0 and n = 1 are no starts: those classes begin at 2
+    low = -((r[i] - 2) // m[i])
+    r[i], v[i], count[i] = r[i] + m[i] * low, v[i] + p[i] * low, np.maximum(count[i] - low, 0)
+    return sieved, (r, m, v, p, d + j, count)
 
 
-def _batches(limit: int, survivors: np.ndarray, q: int, base: np.ndarray, slope: np.ndarray):
-    """(first step, starts, their values): all of [2, 2^k), then the survivors' members up to limit."""
-    m = 1 << _SIEVE_BITS
-    for lo in range(2, min(limit + 1, m), _BATCH):
-        starts = np.arange(lo, min(lo + _BATCH, limit + 1, m), dtype=np.int64)
-        yield 1, starts, starts.copy()
-    rows = max(1, _BATCH // len(survivors))
-    for t in range(1, limit // m + 1, rows):
-        ts = np.arange(t, min(t + rows, limit // m + 1), dtype=np.int64)[:, None]
-        starts, vals = (ts * m + survivors).ravel(), (base + slope * (ts - 1)).ravel()
-        n = np.searchsorted(starts, limit, side="right")  # starts ascend: keep a prefix, no copy
-        if n:
-            yield q + 1, starts[:n], vals[:n]
+def _lanes(r, m, v, p, s, count):
+    """(starts, values, offsets) of the kernel's members, _BATCH at a time:
+    member t < count[i] of class i is start r + m*t at v + p*t after s steps."""
+    ends = np.cumsum(count)
+    begin, total = ends - count, int(ends[-1])  # the lane of each class's member t = 0
+    for lo in range(0, total, _BATCH):
+        hi = min(lo + _BATCH, total)
+        c = slice(*np.searchsorted(ends, [lo, hi - 1], side="right") + [0, 1])  # the classes in [lo, hi)
+        k = np.minimum(ends[c], hi) - np.maximum(begin[c], lo)  # their lanes in [lo, hi)
+        t, lr, lm, lv, lp, ls = (np.repeat(col[c], k) for col in (begin, r, m, v, p, s))
+        t = np.arange(lo, hi) - t
+        yield lr + lm * t, lv + lp * t, ls
 
 
 def verify_range(gcmap: GCMap, limit: int, step_cap: int = 10_000) -> RangeReport:
     """Check that every 1 <= n <= limit reaches 1 under n -> a*n + b (odd), n/2 (even).
 
     Equivalent inductive form: the orbit of 1 comes back to 1, and every n in
-    [2, limit] drops below its start, each within step_cap steps.  Each batch
-    of starts is one ``return_times`` call with the starts as window tops.  A
+    [2, limit] drops below its start, each within step_cap steps.  The sieve
+    leaves some starts to ``return_times``, one call per ``_BATCH`` of them.  A
     map of another shape, or with a + b > 2^63 - 1, raises ValueError naming why.
     """
     _check_positive(limit, "limit")
@@ -139,24 +144,17 @@ def verify_range(gcmap: GCMap, limit: int, step_cap: int = 10_000) -> RangeRepor
     base_orbit = gcmap.orbit(1, step_cap)  # induction base: 1 comes back to 1
     inconclusive = [] if base_orbit.entered_cycle and base_orbit.outcome.entry_index == 0 else [1]
 
-    drop, q, base, slope = _sieve(a, b, guard, limit, step_cap)
-    m = len(drop)
-    # each sieved class with a member in [2^k, limit] drops at its step
-    max_steps = int(drop[: limit - m + 1].max()) if limit >= m else 0
-    for first, starts, vals in _batches(limit, np.flatnonzero(drop == 0), q, base, slope):
-        # the sieve took the survivors first - 1 steps: off the fuel, back onto tau
-        _, tau, undecided = return_times(gcmap, starts, vals, step_cap - first + 1)
-        inconclusive += starts[undecided].tolist()
-        if (most := int(tau.max())) > 0:  # undecided lanes have tau 0
-            max_steps = max(max_steps, most + first - 1)
-
-    return RangeReport(
-        limit,
-        not inconclusive,
-        tuple(sorted(set(inconclusive))),
-        time.perf_counter() - t0,
-        max_steps,
-    )
+    (_, _, _, drop), kernel = _sieve(a, b, guard, limit, step_cap)
+    max_steps = int(drop.max(initial=0))
+    for starts, vals, offset in _lanes(*kernel):
+        # a lane drops when the kernel returns it within the steps the sieve left it
+        _, tau, undecided = return_times(gcmap, starts, vals, step_cap - int(offset.min()))
+        steps = offset + tau
+        late = undecided | (steps > step_cap)
+        inconclusive += starts[late].tolist()
+        max_steps = max(max_steps, int(steps[~late].max(initial=0)))
+    seconds = time.perf_counter() - t0
+    return RangeReport(limit, not inconclusive, tuple(sorted(set(inconclusive))), seconds, max_steps)
 
 
 def verify_range_collatz(limit: int, step_cap: int = 10_000) -> RangeReport:

@@ -137,6 +137,13 @@ def test_verify_relations_with_no_certified_column_exits_2(capsys):
     assert {c["columns_checked"] for c in rep["section"]["checks"]} == {0}
 
 
+def test_verify_ck_with_no_section_label_exits_2(capsys):
+    # sigma of 3xd:9 starts at 9: part (c) of the ck suite checks no label at window 8
+    code, out = run(capsys, "verify", "3xd:9", "--suite", "ck", "--window", "8", "--fuel", "10")
+    rep = json.loads(out)
+    assert code == INCONCLUSIVE == rep["exitCode"] and rep["verdict_kind"] == "inconclusive"
+
+
 def test_verify_span(capsys):
     code, out = run(capsys, "verify", "collatz", "--suite", "span", "--window", "500")
     assert code == PASS and json.loads(out)["ok"]

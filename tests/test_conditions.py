@@ -213,6 +213,15 @@ def test_ck_for_section_out_of_fuel_is_inconclusive(ref):
     assert not rep.passed and rep.matrix is None
 
 
+def test_ck_for_section_with_no_label_in_the_window_is_inconclusive():
+    # sigma of 3xd:9 starts at 9: at window 8, part (c) has no label to check
+    sec = preset_section("3xd:9")
+    rep = ck_for_section(sec.map, sec.n1, sec.n2, sec.witnesses, 8, 10, removed=sec.n2_removed)
+    assert rep.status == INCONCLUSIVE and rep.verdict_kind == "inconclusive"
+    assert not rep.passed and rep.matrix is None and "no section label in [1, 8]" in rep.detail
+    assert ck_for_section(sec.map, sec.n1, sec.n2, sec.witnesses, 9, 10, removed=sec.n2_removed).passed
+
+
 @pytest.mark.parametrize("window, fuel", [(0, 10), (-5, 10), (100, 0)])
 def test_ck_for_section_refuses_a_window_or_fuel_below_1(window, fuel):
     # a window of no label or no fuel checks nothing, so it cannot be "witnessed"

@@ -34,7 +34,7 @@ MAPS = [(3, 1), (3, 5), (3, 7), (5, 1), (7, 1), (31, 1), (127, 1)]
 
 def _drop_step(gcmap, n, v, step, step_cap):
     """The step from ``step`` on (v is n's value before it) that first takes n's
-    orbit below n, or None: the scalar oracle of the sieve tables."""
+    orbit below n, or None."""
     for s in range(step, step_cap + 1):
         v = gcmap.apply(v)
         if v < n:
@@ -142,7 +142,7 @@ def test_jump_finish_matches_single_steps(monkeypatch, ref, guard):
         reports.append((rep.verified, rep.inconclusive, rep.max_steps_to_drop))
     assert reports[0] == reports[1]
     # one table of k > 1 steps serves every start the call finishes exactly
-    # (3000 is below 2^12: the scan is one batch, one kernel call)
+    # (3000 starts fit one batch: the scan is one kernel call)
     tables = jumps[True]
     assert tables and tables[0][0] > 1 and all(table is tables[0] for table in tables)
 
@@ -152,6 +152,37 @@ def test_no_jump_table_without_an_exact_finish(monkeypatch):
     built = []
     monkeypatch.setattr(dynamics, "_jump_table", lambda *args: built.append(args))
     assert verify_range_collatz(10**5).verified and not built
+
+
+def test_one_jump_table_per_scan(monkeypatch):
+    # every start of the scan goes through the sieve into one kernel call, so
+    # the lanes that finish exactly share one table at the largest start
+    built, table = [], dynamics._jump_table
+
+    def spy(rows, m, hi, k):
+        built.append(hi)
+        return table(rows, m, hi, k)
+
+    monkeypatch.setattr(dynamics, "_jump_table", spy)
+    rep = verify_range(preset_map("mersenne:3"), 2 * 10**4, 2000)
+    assert len(rep.inconclusive) == 6013 and len(built) == 1 and built[0] <= 2 * 10**4
+
+
+def test_kernel_fuel_is_the_cap_less_the_least_offset(monkeypatch):
+    # the kernel runs no lane past the cap: a lane the sieve took s steps gets
+    # fuel - s more, and the least s sets the fuel of the call
+    fuels, kernel = [], rangecheck.return_times
+
+    def spy(gcmap, tops, xs, fuel):
+        fuels.append(fuel)
+        return kernel(gcmap, tops, xs, fuel)
+
+    monkeypatch.setattr(rangecheck, "return_times", spy)
+    rep = verify_range_collatz(10**5, 200)
+    *_, s, count = _sieve(3, 1, COLLATZ_GUARD, 10**5, 200)[1]
+    least = int(s[count > 0].min())
+    assert least > 0 and fuels == [200 - least]
+    assert (rep.inconclusive, rep.max_steps_to_drop) == drop_scan(10**5, 200)
 
 
 def test_a_modulus_too_wide_to_jump_finishes_one_step_at_a_time(monkeypatch):
@@ -242,9 +273,8 @@ def test_compacting_kernel_matches_python_scan(monkeypatch, past, step_cap):
 @pytest.mark.parametrize("past", [COLLATZ_GUARD + 1, 1000])
 @pytest.mark.parametrize("step_cap", [3, 10, 10_000])
 def test_sieved_scan_matches_python_scan(monkeypatch, sieve_bits, past, step_cap):
-    # small moduli leave a short first block, so sieved classes and advanced
-    # survivors decide most of [2, 3000]; at 2 bits and cap 3 the maximum
-    # comes from a sieved class alone
+    # shallow depth caps leave most of [2, 3000] to the kernel, from the
+    # values the sieve advanced them to, in batches of 7 lanes
     monkeypatch.setattr(rangecheck, "_SIEVE_BITS", sieve_bits)
     monkeypatch.setattr(rangecheck, "_BATCH", 7)
     lower_guard(monkeypatch, past)
@@ -257,51 +287,104 @@ def test_sieved_scan_matches_python_scan(monkeypatch, sieve_bits, past, step_cap
     assert bool(exact_calls) == (past == 1000)  # the starts past 1000 finish exactly
 
 
+def _orbit(a, b, n, steps):
+    """The first steps + 1 values of n's orbit under n -> a*n + b (odd), n/2 (even)."""
+    orbit = [n]
+    for _ in range(steps):
+        n = a * n + b if n & 1 else n >> 1
+        orbit.append(n)
+    return orbit
+
+
+def check_sieve(a, b, guard, limit, step_cap, every=False):
+    """``_sieve`` against exact iterates: every start in [2, limit] lies in one
+    class once; each sieved member drops below itself first at its class's
+    step; each kernel member is at its class's value after its offset, with
+    no iterate below it up to then; and no odd value the sieve stepped is
+    past ``guard``.  Checks every member, or the first two and the last of
+    each class.  Returns (sieved, kernel)."""
+    sieved, kernel = _sieve(a, b, guard, limit, step_cap)
+    cover = np.zeros(limit + 1, dtype=np.int64)
+
+    def members(first, last):
+        return range(first, last + 1) if every else sorted({first, min(first + 1, last), last})
+
+    for r, m, first, s in zip(*(col.tolist() for col in sieved)):
+        last = (limit - r) // m
+        assert 1 <= s <= step_cap and first <= last  # a member in range drops
+        cover[r + m * first :: m] += 1
+        for t in members(first, last):
+            n = r + m * t
+            orbit = _orbit(a, b, n, s)
+            assert orbit[s] < n <= min(orbit[:s]), (r, m, t)
+            assert all(x <= guard for x in orbit[:s] if x & 1)
+    for r, m, v, p, s, count in zip(*(col.tolist() for col in kernel)):
+        assert 0 <= s <= step_cap and r >= 2 and r + m * (count - 1) <= limit
+        cover[r : r + m * count : m] += 1
+        for t in members(0, count - 1) if count else ():
+            n = r + m * t
+            orbit = _orbit(a, b, n, s)
+            assert orbit[s] == v + p * t and min(orbit) == n, (r, m, t)
+            assert all(x <= guard for x in orbit[:s] if x & 1)
+    assert not cover[:2].any() and (cover[2:] == 1).all()
+    return sieved, kernel
+
+
 @pytest.mark.parametrize("sieve_bits", [3, 8, 12])
 @pytest.mark.parametrize("step_cap", [5, 10_000])
 def test_sieve_table_matches_exact_drop_steps(monkeypatch, sieve_bits, step_cap):
+    # the depth is min(limit.bit_length() - 3, _SIEVE_BITS): 17 bits at 10^6
     monkeypatch.setattr(rangecheck, "_SIEVE_BITS", sieve_bits)
-    m = 1 << sieve_bits
-    drop, q, base, slope = _sieve(3, 1, COLLATZ_GUARD, 10**6, step_cap)
-    survivors = np.flatnonzero(drop == 0)
-    for r in np.flatnonzero(drop).tolist():
-        for t in range(1, 6):
-            assert _drop_step(collatz(), r + t * m, r + t * m, 1, step_cap) == drop[r]
-    for r, b, s in zip(survivors.tolist(), base.tolist(), slope.tolist()):
-        for t in range(1, 6):
-            n = v = r + t * m
-            for _ in range(q):
-                v = 3 * v + 1 if v & 1 else v >> 1
-            assert _drop_step(collatz(), n, n, 1, q) is None
-            assert b + s * (t - 1) == v
+    sieved, (r, m, v, p, s, count) = check_sieve(3, 1, COLLATZ_GUARD, 10**6, step_cap)
+    # a cap of 5 steps stops every class by depth 2, before a level could pass it
+    assert m.max() == 1 << (sieve_bits if step_cap > 5 else 2)
     if sieve_bits == 12 and step_cap == 10_000:
-        assert (len(survivors), q, drop.max()) == (226, 20, 19)
+        # the classes mod 2^12 no halving decides (a^j >= 2^12), and the latest sieved drop
+        assert (np.count_nonzero((m == 1 << 12) & (p >= m)), sieved[3].max()) == (226, 19)
 
 
 @pytest.mark.parametrize("a, b", MAPS)
 def test_sieve_table_of_every_map_is_exact(a, b):
-    # at 12 bits the sieve of 127x+1 reaches int64's edge: those classes stop as survivors
-    gcmap, m = _odd_even(a, b), 1 << rangecheck._SIEVE_BITS
-    drop, q, base, slope = _sieve(a, b, _step_tables(gcmap)[4], 10**6, 60)
-    survivors = np.flatnonzero(drop == 0)
-    for r in np.flatnonzero(drop).tolist()[::7]:
-        for t in (1, 2, 5):
-            assert _drop_step(gcmap, r + t * m, r + t * m, 1, 60) == drop[r]
-    for r, b0, s in zip(survivors.tolist()[::7], base.tolist()[::7], slope.tolist()[::7]):
-        for t in (1, 2, 5):
-            n = v = r + t * m
-            for _ in range(q):
-                v = gcmap.apply(v)
-            assert _drop_step(gcmap, n, n, 1, q) is None
-            assert b0 + s * (t - 1) == v
+    # at 10^6 the sieve is 17 bits deep; 31x+1 and 127x+1 reach int64's edge
+    # first, and those classes stop undecided (a^j >= 2^d) above that depth
+    sieved, (r, m, v, p, s, count) = check_sieve(a, b, _step_tables(_odd_even(a, b))[4], 10**6, 60)
+    stopped = (p >= m) & (m < 1 << 17)
+    assert stopped.any() == (a >= 31)
 
 
 def test_sieve_does_not_advance_where_int64_would_wrap():
-    drop, q, base, slope = _sieve(3, 1, COLLATZ_GUARD, 2**62, 10_000)
-    survivors = np.flatnonzero(drop == 0)
-    m = len(drop)
-    assert q == 0
-    assert base.tolist() == (survivors + m).tolist() and set(slope.tolist()) == {m}
+    # at 2^62 the last start already passes the guard of 3v + 1: the root class
+    # 0 mod 1 stops before its first step, and the kernel takes every start from n
+    sieved, kernel = _sieve(3, 1, COLLATZ_GUARD, 2**62, 10_000)
+    assert not len(sieved[0])
+    assert [col.tolist() for col in kernel] == [[2], [1], [2], [1], [0], [2**62 - 1]]
+    # under lowered guards, checking every member: classes stop above the
+    # depth of 8 bits, and no odd value past the guard is stepped
+    for a, guard in [(3, 100), (3, 1000), (3, 10**4), (127, 10**4), (127, 10**6)]:
+        sieved, (r, m, v, p, s, count) = check_sieve(a, 1, guard, 3000, 60, every=True)
+        assert ((p >= m) & (m < 1 << 8)).any()
+
+
+def test_ten_million_is_verified():
+    rep = verify_range_collatz(10**7)
+    assert rep.verified and not rep.inconclusive and rep.max_steps_to_drop == 401
+
+
+@pytest.mark.parametrize(
+    "ref, count, total, head, most",
+    [
+        ("qx1:5", 3514, 35_099_042, (5, 7, 9, 13), 442),
+        ("mersenne:3", 6013, 60_286_157, (3, 7, 11, 13), 107),
+        ("3xd:5", 11, 1155, (3, 5, 7, 11), 179),
+    ],
+    ids=["qx1:5", "mersenne:3", "3xd:5"],
+)
+def test_other_maps_at_twenty_thousand(ref, count, total, head, most):
+    # the reports of the 12-bit sieve: the inconclusive starts by count, sum and
+    # first four, and the most steps to a drop
+    rep = verify_range(preset_map(ref), 2 * 10**4, 2000)
+    assert (len(rep.inconclusive), sum(rep.inconclusive), rep.inconclusive[:4]) == (count, total, head)
+    assert rep.max_steps_to_drop == most and not rep.verified
 
 
 @pytest.mark.parametrize("limit", [1, 2, 30, 1000])
