@@ -146,19 +146,27 @@ def _component_minima(parent: np.ndarray) -> np.ndarray:
 
     Pointer jumping with a running minimum: after k rounds ``low[i]`` is the
     least of the first 2^k nodes on the path from i and ``jump[i]`` is the
-    2^k-th.  Once 2^k >= n the path covers everything i reaches and
-    ``jump[i]`` lies on the cycle that ends it, so ``low[jump[i]]``, the least
-    node of that cycle, names the component; its minimum is then one scatter.
+    2^k-th, so ``low[jump[i]]`` is a node of i's component.  Each round reads
+    that label first, and the rounds stop once it agrees across every edge,
+    at the latest when 2^k >= n and
+    ``jump[i]`` lies on the cycle that ends the path (``low[jump[i]]`` is then
+    the least node of that cycle).  The label is then constant on each
+    component, and each label lies in its own, so the least node carrying a
+    label is its component's minimum: one scatter.
     """
     n = len(parent)
     nodes = np.arange(n, dtype=np.int64)
     low, jump = nodes, parent
     for _ in range(max(n - 1, 0).bit_length()):
-        low, jump = np.minimum(low, low[jump]), jump[jump]
-    cycle = low[jump]
+        label = low[jump]
+        if (label[parent] == label).all():
+            break
+        low, jump = np.minimum(low, label), jump[jump]
+    else:
+        label = low[jump]
     least = np.full(n, n, dtype=np.int64)
-    np.minimum.at(least, cycle, nodes)
-    return least[cycle]
+    np.minimum.at(least, label, nodes)
+    return least[label]
 
 
 # --- first-return maps --------------------------------------------------------
@@ -331,20 +339,26 @@ def _int_array(values: list[int]) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-def _int64_step(gcmap: GCMap, rows: list, A: np.ndarray, B: np.ndarray, C: np.ndarray, guard: int):
+def _shape(gcmap: GCMap) -> tuple[int, int] | None:
+    """``_odd_even_shape``, or None where it raises."""
+    try:
+        return _odd_even_shape(gcmap)
+    except KeyError:
+        return None
+
+
+def _int64_step(gcmap: GCMap, rows: list, A: np.ndarray, B: np.ndarray, C: np.ndarray, guard: int, shape=None):
     """One int64 step of values up to ``guard``: by the branch tables, or by
     parity on n -> a*n + b (odd), n/2 (even) with an exact odd row, 2a <= guard
-    and over 128 lanes (on fewer, the tables' fewer numpy calls cost less)."""
+    and over 128 lanes (on fewer, the tables' fewer numpy calls cost less).
+    ``shape`` is the map's (a, b), read off it when not given."""
     m = np.int64(gcmap.modulus)
 
     def table(v):
         r = v % m
         return (A[r] * v + B[r]) // C[r]
 
-    try:
-        a, b = _odd_even_shape(gcmap)
-    except KeyError:
-        a = None
+    a, b = shape or _shape(gcmap) or (None, None)
     if a is None or rows[1] is None or 2 * a > guard:
         return table
 
@@ -363,23 +377,35 @@ def _int64_step(gcmap: GCMap, rows: list, A: np.ndarray, B: np.ndarray, C: np.nd
     return parity
 
 
-def return_times(gcmap: GCMap, sigma, xs, fuel: int):
+def return_times(gcmap: GCMap, sigma, xs, fuel):
     """First returns to sigma of every x in xs (each fits int64), as arrays
     ``(value, tau, undecided)``: lane i agrees with ``return_time`` on its
-    sigma, with value and tau 0 where ``undecided[i]``, when fuel ran out.
+    sigma at its fuel, with value and tau 0 where ``undecided[i]``, when its
+    fuel ran out.
 
     sigma is a window ``range(1, hi)``, a (punctured) residue set, or an array
     of per-lane tops: lane i returns to ``range(1, tops[i])``, and xs[i] need
-    not lie in it.  The int64 frontier carries the lanes that have not
-    returned, stepped as ``_int64_step`` picks.  A lane the tables cannot step
-    (past the guard of ``_step_tables`` at step 0, or taken past it or into a
-    class without an exact row) leaves with its value from before that step
-    and finishes, in lane order, on exact ints in ``_exact_return``, which
-    raises where ``return_time`` raises; on windows it jumps k steps at a time
-    through one table at the highest top.  ``value`` is an object array if a
-    return does not fit int64.  Before any step, a start below 1 raises
-    DomainError, and so does a start outside a window or residue sigma, as
-    ``return_time`` raises it; a sigma of another kind raises TypeError.
+    not lie in it.  fuel is an int or, like the tops, an int64 array of
+    per-lane fuel, and every lane counts its own steps.  The int64 frontier
+    carries the lanes that have not returned.  On per-lane tops, where
+    ``_odd_even_shape`` gives (a, b), an odd lane takes the fused step
+    (a*v + b)/2 and counts 2 steps: a lane left after a step is at or above
+    its top, so a*v + b cannot return (the first step is fused too where
+    every start is).  It is stepped in place, a lane that returns or runs
+    out of fuel is retired in place (value 0 and top 0: the step keeps 0
+    and 0 < 0 never holds), and the frontier is compacted once a quarter of
+    it is retired.  Windows, residue sets and other maps take the single
+    step ``_int64_step`` picks and are compacted at every return.  A lane
+    the tables cannot step (past the guard of ``_step_tables`` at step 0, or
+    with a step past it or into a class without an exact row) leaves with its
+    value and step count from before that step and finishes, in lane order,
+    on exact ints in ``_exact_return``, which raises where ``return_time``
+    raises; on windows it jumps k steps at a time through one table at the
+    highest top.  ``value`` is an object array if a return does not fit
+    int64.  Before any step, a start below 1 raises DomainError, and so does
+    a start outside a window or residue sigma, as ``return_time`` raises it;
+    a sigma of another kind raises TypeError, and per-lane fuel of another
+    length ValueError.
     """
     xs = np.asarray(xs, dtype=np.int64)
     per_lane = isinstance(sigma, np.ndarray)
@@ -388,59 +414,123 @@ def return_times(gcmap: GCMap, sigma, xs, fuel: int):
         raise DomainError(f"{xs.min()} is below 1")
     if not per_lane and len(xs) and (xs.min() < 1 or not member(xs).all()):
         # return_time raises at the first such start: it is outside sigma, or apply refuses it
-        return_time(gcmap, sigma, next(x for x in xs.tolist() if x < 1 or x not in sigma), max(fuel, 1))
+        return_time(gcmap, sigma, next(x for x in xs.tolist() if x < 1 or x not in sigma), 1)
+    fuel_per_lane = isinstance(fuel, np.ndarray)
+    if fuel_per_lane:
+        fuel = fuel.astype(np.int64, copy=False)
+        if fuel.shape != xs.shape:
+            raise ValueError(f"{len(fuel)} fuels for {len(xs)} lanes")
+        max_fuel, least = int(fuel.max(initial=0)), int(fuel.min(initial=0))
+        undecided = fuel < 1
+    else:
+        fuel = max_fuel = least = min(fuel, 2**63 - 1)  # no scan lasts that many steps
+        undecided = np.full(len(xs), fuel < 1)
     rows, A, B, C, guard = _step_tables(gcmap)
-    step_of = _int64_step(gcmap, rows, A, B, C, guard)
-    returned = []  # (lanes, values, step) of each step's returns
-    left = []  # (lanes, values, steps taken) of the lanes that left the frontier
-    lanes, vals, at = np.arange(len(xs)), xs, sigma if per_lane else None  # at: the lanes' tops
+    shape = _shape(gcmap)
+    step_of = _int64_step(gcmap, rows, A, B, C, guard, shape)
+    lazy = per_lane and shape is not None and rows[1] is not None  # fused steps, lazy compaction
+    returned = []  # (lanes, values, k + c) of each iteration's returns
+    left = []  # (lanes, values, k + c) of the lanes that left the frontier, from before that step
+    # the frontier: each lane, its value, its top and c = max_fuel - fuel + (its
+    # fused odd steps) or None for 0, so that after k iterations a lane has
+    # taken k + c - (max_fuel - fuel) steps
+    lanes, vals = np.arange(len(xs)), xs
+    c = max_fuel - fuel if fuel_per_lane else np.zeros(len(xs), dtype=np.int64) if lazy else None
+    at = np.array(sigma, dtype=np.int64) if per_lane else None
+    k = dead = 0  # iterations, and lanes retired in place since the last compaction
+    if lazy:  # the buffers of the in-place step and test, cut to the frontier's length
+        a, b = shape
+        a1, half = np.int64(a - 1), np.int64((a + b) >> 1)
+        odd, tmp, below = np.empty_like(xs), np.empty_like(xs), np.empty(len(xs), dtype=bool)
 
-    def keep(mask):  # the frontier where mask holds; array by array, so each old one is freed first
-        nonlocal lanes, vals, at
-        i = mask.nonzero()[0]
-        lanes = lanes.take(i)
-        vals = vals.take(i)
-        at = at.take(i) if per_lane else None
+    def keep(i):  # the frontier at positions i; column by column, so each old one is freed first
+        nonlocal lanes, vals, c, at, dead
+        lanes, vals, dead = lanes.take(i), vals.take(i), 0
+        if c is not None:
+            c = c.take(i)
+        if at is not None:
+            at = at.take(i)
 
-    if len(xs) and xs.max() > guard:
-        over = xs > guard
-        left.append((lanes[over], xs[over], 0))
-        keep(~over)
-    for step in range(1, fuel + 1):
-        if not len(vals):
+    def retire(gone, i):  # the lanes where gone holds, at positions i, leave the frontier
+        nonlocal dead
+        dead += len(i)
+        if lazy and 4 * dead < len(vals):
+            vals[i] = at[i] = 0
+            c[i] = -1  # never at its fuel
+            return
+        if dead > len(i):  # and those retired in place before
+            gone |= c < 0
+        keep((~gone).nonzero()[0])
+
+    bound = int(xs.max(initial=0))  # a bound on the frontier's values
+    if bound > guard:
+        i = np.flatnonzero(xs > guard)
+        left.append((i, xs[i], 0 if c is None else c[i]))
+    if bound > guard or least < 1:
+        keep(np.flatnonzero((xs <= guard) & ~undecided))
+    c_bound = max_fuel - least  # a bound on the frontier's c
+    fused = lazy and bool((xs >= sigma).all())
+    if fused:
+        vals = vals.copy()  # stepped in place from here on
+    while len(vals) > dead and k < max_fuel:
+        k += 1
+        if fused:
+            # v -> h + (v & 1)*((a - 1)*h + (a + b)/2), h = v >> 1
+            o, t = odd[: len(vals)], tmp[: len(vals)]
+            np.bitwise_and(vals, 1, out=o)
+            vals >>= 1
+            np.multiply(vals, a1, out=t)
+            t += half
+            t *= o
+            vals += t
+            c += o
+            # a*v + b passes the guard exactly when (a*v + b)/2 passes guard // 2
+            bound, cut, c_bound = (a * bound + b) >> 1, guard >> 1, c_bound + 1
+        else:
+            before, vals = vals, step_of(vals)
+            bound, cut = guard + 1, guard
+        if bound > cut and (bound := int(vals[vals.argmax()])) > cut:
+            over = vals > cut
+            i = over.nonzero()[0]
+            back = (2 * vals[i] - b) // a if fused else before[i]
+            left.append((lanes[i], back, k - 1 if c is None else c[i] + k - 1 - fused))
+            retire(over, i)
+        before = None  # frees the old frontier before the compactions below
+        hit = np.less(vals, at, out=below[: len(vals)]) if lazy else vals < at if per_lane else member(vals)
+        done = hit.nonzero()[0]
+        if len(done):
+            returned.append((lanes.take(done), vals.take(done), k if c is None else c.take(done) + k))
+        if k == max_fuel:  # every lane left is at its fuel or, by a fused odd step, past it
+            undecided[lanes[~hit & (c >= 0) if dead else ~hit]] = True
             break
-        before, vals = vals, step_of(vals)
-        # argmax and count_nonzero: the cheapest reductions on a short frontier
-        if vals[vals.argmax()] > guard:
-            over = vals > guard
-            left.append((lanes[over], before[over], step - 1))
-            keep(~over)
-        del before  # frees the old frontier before the compaction below
-        hit = vals < at if per_lane else member(vals)
-        if np.count_nonzero(hit):
+        # the lanes at their fuel, once one can be (a lane past it took a fused odd step, which cannot return)
+        if c_bound >= max_fuel - k and (c_bound := int(c.max(initial=-1))) >= max_fuel - k:
+            spent = c >= max_fuel - k
+            undecided[lanes[spent & ~hit]] = True
+            hit = spent | hit
             done = hit.nonzero()[0]
-            returned.append((lanes.take(done), vals.take(done), step))
-            keep(~hit)
+        if len(done):
+            retire(hit, done)
+        fused = lazy
     value, tau = np.zeros(len(xs), dtype=np.int64), np.zeros(len(xs), dtype=np.int64)
-    for done, v, step in returned:
-        value[done], tau[done] = v, step
-    undecided = np.zeros(len(xs), dtype=bool)
-    undecided[lanes] = True
+    for done, v, steps in returned:
+        if fuel_per_lane:
+            steps += fuel[done] - max_fuel
+        value[done], tau[done] = v, steps
     if left:
         hi = int(sigma.max()) if per_lane else sigma.stop if isinstance(sigma, range) else None
-        k = _jump_depth(gcmap.modulus)
-        # the first lanes left first: the table pays only if one can still jump.
-        # k > 1 also keeps out k = 0, whose table never advances a lane
-        can_jump = hi is not None and k > 1 and left[0][2] + k <= fuel
-        jump = (k, _jump_table(rows, gcmap.modulus, hi, k)) if can_jump else None
-        # in lane order, so the first lane to raise is the one return_time raises at
-        exits = sorted(
-            (lane, v, step)
-            for done, before, step in left
-            for lane, v in zip(done.tolist(), before.tolist())
-        )
+        depth = _jump_depth(gcmap.modulus)
+        exits = []  # (lane, value, steps, fuel)
+        for done, v, steps in left:
+            f = fuel[done] if fuel_per_lane else np.full(len(done), fuel)
+            exits += zip(done.tolist(), v.tolist(), (steps - max_fuel + f).tolist(), f.tolist())
+        # the table pays only if a lane can still jump; depth > 1 also keeps
+        # out depth 0, whose table never advances a lane
+        can_jump = hi is not None and depth > 1 and any(f - s >= depth for _, _, s, f in exits)
+        jump = (depth, _jump_table(rows, gcmap.modulus, hi, depth)) if can_jump else None
+        exits.sort()  # in lane order, so the first lane to raise is the one return_time raises at
         window = (lambda lane: range(1, int(sigma[lane]))) if per_lane else (lambda lane: sigma)
-        finished = [(lane, _exact_return(gcmap, window(lane), jump, v, step, fuel)) for lane, v, step in exits]
+        finished = [(lane, _exact_return(gcmap, window(lane), jump, v, s, f)) for lane, v, s, f in exits]
         undecided[[lane for lane, ret in finished if ret is None]] = True
         back = [(lane, *ret) for lane, ret in finished if ret is not None]
         if back:

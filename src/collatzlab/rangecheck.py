@@ -12,7 +12,10 @@ starts per class.  The class r mod 2^d holds n = r + 2^d t at v + a^j t
 after its d halvings; at the first halving with a^j < 2^d every member from
 some t* on drops at once.  The members below t*, and those of the classes
 still open at that depth, go on in one ``dynamics.return_times`` call with
-the starts as per-lane window tops [1, n).
+the starts as per-lane window tops [1, n) and the steps the sieve left each,
+step_cap - s, as its per-lane fuel.  Every value the kernel starts from is at
+or above its top, so it takes the shortcut step (a*v + b)/2 on odd values
+throughout, counting each as 2 steps.
 """
 
 from __future__ import annotations
@@ -109,18 +112,25 @@ def _sieve(a: int, b: int, guard: int, limit: int, step_cap: int):
     return sieved, (r, m, v, p, d + j, count)
 
 
-def _lanes(r, m, v, p, s, count):
-    """(starts, values, offsets) of the kernel's members, _BATCH at a time:
-    member t < count[i] of class i is start r + m*t at v + p*t after s steps."""
+def _lanes(r, m, v, p, fuel, count):
+    """(starts, values, fuel) of the kernel's members, _BATCH at a time:
+    member t < count[i] of class i is start r + m*t at v + p*t with fuel[i]
+    steps left.  Each column is built in place, its repeats freed as it goes."""
     ends = np.cumsum(count)
     begin, total = ends - count, int(ends[-1])  # the lane of each class's member t = 0
     for lo in range(0, total, _BATCH):
         hi = min(lo + _BATCH, total)
         c = slice(*np.searchsorted(ends, [lo, hi - 1], side="right") + [0, 1])  # the classes in [lo, hi)
         k = np.minimum(ends[c], hi) - np.maximum(begin[c], lo)  # their lanes in [lo, hi)
-        t, lr, lm, lv, lp, ls = (np.repeat(col[c], k) for col in (begin, r, m, v, p, s))
-        t = np.arange(lo, hi) - t
-        yield lr + lm * t, lv + lp * t, ls
+        t = np.arange(lo, hi)
+        t -= np.repeat(begin[c], k)
+        starts, vals = np.repeat(m[c], k), np.repeat(p[c], k)
+        starts *= t
+        starts += np.repeat(r[c], k)
+        vals *= t
+        del t
+        vals += np.repeat(v[c], k)
+        yield starts, vals, np.repeat(fuel[c], k)
 
 
 def verify_range(gcmap: GCMap, limit: int, step_cap: int = 10_000) -> RangeReport:
@@ -144,15 +154,14 @@ def verify_range(gcmap: GCMap, limit: int, step_cap: int = 10_000) -> RangeRepor
     base_orbit = gcmap.orbit(1, step_cap)  # induction base: 1 comes back to 1
     inconclusive = [] if base_orbit.entered_cycle and base_orbit.outcome.entry_index == 0 else [1]
 
-    (_, _, _, drop), kernel = _sieve(a, b, guard, limit, step_cap)
+    (_, _, _, drop), (r, m, v, p, s, count) = _sieve(a, b, guard, limit, step_cap)
     max_steps = int(drop.max(initial=0))
-    for starts, vals, offset in _lanes(*kernel):
-        # a lane drops when the kernel returns it within the steps the sieve left it
-        _, tau, undecided = return_times(gcmap, starts, vals, step_cap - int(offset.min()))
-        steps = offset + tau
-        late = undecided | (steps > step_cap)
-        inconclusive += starts[late].tolist()
-        max_steps = max(max_steps, int(steps[~late].max(initial=0)))
+    for starts, vals, fuel in _lanes(r, m, v, p, step_cap - s, count):
+        # each lane gets the steps the sieve left it
+        _, tau, undecided = return_times(gcmap, starts, vals, fuel)
+        inconclusive += starts[undecided].tolist()
+        tau += step_cap - fuel  # the sieve's steps and the kernel's
+        max_steps = max(max_steps, int(tau[~undecided].max(initial=0)))
     seconds = time.perf_counter() - t0
     return RangeReport(limit, not inconclusive, tuple(sorted(set(inconclusive))), seconds, max_steps)
 

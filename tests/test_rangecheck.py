@@ -21,7 +21,7 @@ from collatzlab import (
     verify_range,
     verify_range_collatz,
 )
-from collatzlab.dynamics import _step_tables
+from collatzlab.dynamics import _step_tables, return_times
 from collatzlab.families import _odd_even
 from collatzlab.rangecheck import _sieve
 
@@ -168,20 +168,24 @@ def test_one_jump_table_per_scan(monkeypatch):
     assert len(rep.inconclusive) == 6013 and len(built) == 1 and built[0] <= 2 * 10**4
 
 
-def test_kernel_fuel_is_the_cap_less_the_least_offset(monkeypatch):
-    # the kernel runs no lane past the cap: a lane the sieve took s steps gets
-    # fuel - s more, and the least s sets the fuel of the call
-    fuels, kernel = [], rangecheck.return_times
+def test_kernel_gets_the_cap_less_each_offset(monkeypatch):
+    # each lane of the kernel gets the steps the sieve left it, step_cap - s
+    # for a lane its class took s steps, so no lane is stepped past the cap
+    calls, kernel = [], rangecheck.return_times
 
     def spy(gcmap, tops, xs, fuel):
-        fuels.append(fuel)
-        return kernel(gcmap, tops, xs, fuel)
+        out = kernel(gcmap, tops, xs, fuel)
+        calls.append((tops, fuel, *(col.copy() for col in out[1:])))
+        return out
 
     monkeypatch.setattr(rangecheck, "return_times", spy)
     rep = verify_range_collatz(10**5, 200)
-    *_, s, count = _sieve(3, 1, COLLATZ_GUARD, 10**5, 200)[1]
-    least = int(s[count > 0].min())
-    assert least > 0 and fuels == [200 - least]
+    r, m, v, p, s, count = _sieve(3, 1, COLLATZ_GUARD, 10**5, 200)[1]
+    [(tops, fuel, tau, undecided)] = calls
+    assert tops.tolist() == [n for r, m, c in zip(r.tolist(), m.tolist(), count.tolist()) for n in range(r, r + m * c, m)]
+    assert fuel.tolist() == np.repeat(200 - s, count).tolist()
+    assert len(set(fuel.tolist())) > 1  # the offsets differ
+    assert (tau[~undecided] <= fuel[~undecided]).all() and rep.max_steps_to_drop <= 200
     assert (rep.inconclusive, rep.max_steps_to_drop) == drop_scan(10**5, 200)
 
 
@@ -370,6 +374,12 @@ def test_ten_million_is_verified():
     assert rep.verified and not rep.inconclusive and rep.max_steps_to_drop == 401
 
 
+def test_a_hundred_million_is_verified():
+    # about 1 s and 180 MB: two kernel calls of 2^20 lanes
+    rep = verify_range_collatz(10**8)
+    assert rep.verified and not rep.inconclusive and rep.max_steps_to_drop == 613
+
+
 @pytest.mark.parametrize(
     "ref, count, total, head, most",
     [
@@ -419,6 +429,104 @@ def test_lowered_guard_on_every_map(monkeypatch, a, b, sieve_bits):
     assert rep.inconclusive == base_inconclusive(60, a, b) + inconclusive
     assert rep.max_steps_to_drop == max_steps
     assert exact_calls
+
+
+# --- the fused odd step, lane by lane -----------------------------------------------
+
+
+def first_returns(a, b, tops, xs, fuels):
+    """(value, tau, undecided) of each lane under n -> a*n + b (odd), n/2 (even):
+    the first of its fuel steps that takes xs[i] into [1, tops[i])."""
+    want = []
+    for top, v, fuel in zip(tops, xs, fuels):
+        for step in range(1, fuel + 1):
+            v = a * v + b if v & 1 else v >> 1
+            if 1 <= v < top:
+                want.append((v, step, False))
+                break
+        else:
+            want.append((0, 0, True))
+    return want
+
+
+def fuels_at_the_return(a, b, tops, xs, cap):
+    """Per-lane fuels: each lane's return step (or the cap) less one, that step,
+    and a step that ends between the two halves of a fused odd step, with
+    a*v + b taken and its halving not (an odd value from step 2 on, before the
+    return), then the three by turns."""
+    short, at, split = [], [], []
+    for (value, tau, undecided), top, v in zip(first_returns(a, b, tops, xs, [cap] * len(xs)), tops, xs):
+        drop = cap if undecided else tau
+        middle = drop
+        for step in range(drop - 1):
+            if step >= 2 and v & 1:
+                middle = step + 1
+                break
+            v = a * v + b if v & 1 else v >> 1
+        short.append(drop - 1)
+        at.append(drop)
+        split.append(middle)
+    turns = [(short, at, split)[i % 3][i] for i in range(len(xs))]
+    return [np.array(f, dtype=np.int64) for f in (short, at, split, turns)]
+
+
+def assert_lanes(a, b, sigma, xs, fuel):
+    value, tau, undecided = return_times(_odd_even(a, b), sigma, xs, fuel)
+    tops = sigma.tolist() if isinstance(sigma, np.ndarray) else [sigma.stop] * len(xs)
+    fuels = fuel.tolist() if isinstance(fuel, np.ndarray) else [fuel] * len(xs)
+    assert list(zip(value.tolist(), tau.tolist(), undecided.tolist())) == first_returns(a, b, tops, xs, fuels)
+
+
+@pytest.mark.parametrize("a, b", MAPS)
+def test_fused_steps_lane_by_lane(a, b):
+    """Per-lane tops take fused odd steps, from the first step when every start
+    is at or above its top (as in the range scan) and from the second when
+    one is below; windows take single steps.  Each at the fuel of every lane
+    and at per-lane fuel around each lane's return."""
+    cap = 200 if a == 3 else 60
+    starts = list(range(2, 400))
+    below = starts[::-1]  # half of these start below their top
+    cases = [(np.array(starts), starts), (np.array(starts), below), (range(1, 400), list(range(1, 400)))]
+    for sigma, xs in cases:
+        tops = sigma.tolist() if isinstance(sigma, np.ndarray) else [sigma.stop] * len(xs)
+        for fuel in [1, 2, cap, *fuels_at_the_return(a, b, tops, xs, cap)]:
+            assert_lanes(a, b, sigma, xs, fuel)
+
+
+def test_the_first_step_is_fused_only_where_no_start_is_below_its_top():
+    # 3 -> 10 returns to [1, 11) at step 1: fused, it would go to 5 at step 2
+    xs, tops = list(range(1, 11)), np.full(10, 11)
+    for sigma in (range(1, 11), tops):
+        value, tau, undecided = return_times(collatz(), sigma, xs, 10)
+        assert (value[2], tau[2]) == (10, 1) and not undecided.any()
+    assert_lanes(3, 1, tops, xs, 10)
+
+
+def test_a_fused_step_past_the_fuel_is_no_return():
+    # 7 -> 22 -> 11 -> 34 -> 17 -> 52 -> 26 -> 13 -> 40 -> 20 -> 10 -> 5 drops
+    # below 7 at step 11; fuel 8 ends inside the fused step 13 -> 40 -> 20 of
+    # steps 8 and 9, and a fused step that counted 1 would reach 5 by step 7
+    for fuel, want in ((11, (5, 11, False)), (10, (0, 0, True)), (9, (0, 0, True)), (8, (0, 0, True))):
+        value, tau, undecided = return_times(collatz(), np.array([7]), [7], np.array([fuel]))
+        assert (value[0], tau[0], undecided[0]) == want
+
+
+def test_retired_lanes_stay_returned():
+    # lanes that return early are retired in place while the rest run on to
+    # their fuel: none may turn undecided, whether the fuel ends at different
+    # steps or at one step for all, where 8 -> 4 is retired at step 1 and
+    # twenty halvings of 2^50, with an empty window [1, 1), run to the end
+    starts = list(range(2, 4000))
+    for fuel in fuels_at_the_return(3, 1, starts, starts, 300):
+        assert_lanes(3, 1, np.array(starts), starts, fuel)
+    xs, tops = [2**50] * 20 + [8], np.array([1] * 20 + [8])
+    for fuel in (20, np.full(len(xs), 20)):
+        assert_lanes(3, 1, tops, xs, fuel)
+
+
+def test_per_lane_fuel_of_another_length_is_a_value_error():
+    with pytest.raises(ValueError):
+        return_times(collatz(), np.array([5, 6]), [5, 6], np.array([10]))
 
 
 def test_127x_plus_1_lists_every_start_that_does_not_drop(monkeypatch):

@@ -161,6 +161,37 @@ def test_classes_match_union_find_on_divergent_presets(ref, window):
         assert_same_classes(preset_map(ref), window, fuel, False)
 
 
+# n -> n + 1 makes every window one path of its labels, and n -> n + 2 two,
+# which pointer jumping must follow to their ends
+SUCCESSOR = GCMap(1, (AffineBranch(1, ResidueSet.full(), 1, 1, 1),))
+SKIP_ONE = GCMap(1, (AffineBranch(1, ResidueSet.full(), 1, 2, 1),))
+
+
+@pytest.mark.parametrize("gcmap", [SUCCESSOR, SKIP_ONE], ids=["n+1", "n+2"])
+@pytest.mark.parametrize("window", [1, 2, 3, 129, 1000, 5000])
+def test_classes_of_a_long_path(gcmap, window):
+    # a path of 1000 labels needs all 10 rounds: the rounds stop only once the
+    # label agrees across every edge, never after a set number of rounds
+    for fuel in (1, 3):
+        assert_same_classes(gcmap, window, fuel, False)
+
+
+def test_component_minima_against_union_find():
+    """Paths, shuffled paths, stars and random graphs i -- parent[i]."""
+    rng = np.random.default_rng(0)
+    graphs = [np.minimum(np.arange(n) + 1, n - 1) for n in (1, 2, 3, 1000)]
+    perm = rng.permutation(1000)
+    graphs.append(perm[np.minimum(np.argsort(perm) + 1, 999)])  # a path through shuffled labels
+    graphs.append(np.zeros(1000, dtype=np.int64))  # a star
+    graphs += [rng.integers(0, n, n) for n in (10, 1000, 5000)]
+    for parent in graphs:
+        uf = UnionFind(len(parent) - 1)
+        for i, p in enumerate(parent.tolist()):
+            uf.union(i, p)
+        want = [uf.find(i) for i in range(len(parent))]
+        assert dynamics._component_minima(parent).tolist() == want
+
+
 # --- hypothesis maps -----------------------------------------------------------------------
 
 
