@@ -608,12 +608,11 @@ def check_reduction_necessary(
         return ReductionReport(1, (), (x0,), f"orbit of {x0} does not close within fuel")
     if orb_f.outcome.entry_index != 0:
         return ReductionReport(1, (x0,), (), f"{x0} is not periodic under f")
-    # the P-orbit of x0 until it repeats; fuel bounds its raw f-steps in total
+    # the P-orbit of x0 until it repeats: it spends exactly the f-period,
+    # which the f-orbit above found within fuel, so no first return runs out
     lhs, v, budget = {x0}, x0, fuel
     while True:
         ret = return_time(gcmap, sigma, v, budget)
-        if isinstance(ret, Inconclusive):
-            return ReductionReport(1, (), (x0,), "P-orbit inconclusive within fuel")
         budget -= ret.tau
         v = ret.value
         if v in lhs:

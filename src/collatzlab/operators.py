@@ -38,7 +38,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -606,15 +605,14 @@ def verify_section_relations(ops: SectionOperators) -> RelationReport:
 # --- reachable spans vs equivalence classes ------------------------------------------
 
 
-def _csr(n: int, a: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int]]:
+def _csr(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The undirected graph on positions 0..n-1 with the edges a[i] -- b[i], as
-    CSR lists ``(indptr, indices)``: the neighbours of p are
-    ``indices[indptr[p]:indptr[p + 1]]``.  Lists, because the walk reads them
-    one position at a time."""
+    CSR arrays ``(indptr, indices)``: the neighbours of p are
+    ``indices[indptr[p]:indptr[p + 1]]``."""
     src, dst = np.concatenate((a, b)), np.concatenate((b, a))
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr.tolist(), dst[np.argsort(src, kind="stable")].tolist()
+    return indptr, dst[np.argsort(src, kind="stable")]
 
 
 def _window_classes(gcmap: GCMap, hi: int, fuel: int):
@@ -635,22 +633,35 @@ def _check_depth(depth: int | None) -> None:
         raise ValueError(f"depth must be >= 0, got {depth}")
 
 
-def _walk(graph: tuple[list[int], list[int]], start: int, depth: int | None) -> list[int]:
-    """Every position within ``depth`` edges of ``start`` (all it reaches when
-    depth is None), each once, in breadth-first order."""
+def _walk(graph: tuple[np.ndarray, np.ndarray], starts: np.ndarray, depth: int | None):
+    """The span of each start: every position within ``depth`` edges of it (all
+    it reaches when depth is None), each once, as arrays ``(owner, position)``
+    with owner the start's index in ``starts``.  Every start advances at once,
+    a level a round, on the keys owner * n + position.  A neighbour of level L
+    lies on level L - 1, L or L + 1, so level L + 1 is the neighbours of level
+    L, deduplicated, less the keys of levels L and L - 1: no seen-set, and no
+    state shared between starts, so overlapping balls stay apart."""
     indptr, indices = graph
-    seen, span = bytearray(len(indptr) - 1), [start]
-    seen[start] = 1
-    begin, d = 0, 0
-    while begin < len(span) and (depth is None or d < depth):
-        end = len(span)
-        for p in span[begin:end]:
-            for q in indices[indptr[p] : indptr[p + 1]]:
-                if not seen[q]:
-                    seen[q] = 1
-                    span.append(q)
-        begin, d = end, d + 1
-    return span
+    n = len(indptr) - 1
+    _check_bound(len(starts) * n, "span keys")  # so the sentinel exceeds every key
+    sentinel = np.array([_INT64_MAX])
+    degree = indptr[1:] - indptr[:-1]
+    level = np.arange(len(starts)) * n + starts  # sorted: positions are below n
+    levels, last, d = [level], level[:0], 0
+    while len(level) and (depth is None or d < depth):
+        pos = level % n
+        count = degree[pos]
+        end = count.cumsum()
+        edge = (indptr[pos] + count - end).repeat(count) + np.arange(end[-1])
+        step = (level - pos).repeat(count) + indices[edge]
+        step.sort()
+        known = np.concatenate((last, level, sentinel))
+        known.sort()
+        new = known[known.searchsorted(step)] != step
+        new[1:] &= step[1:] != step[:-1]
+        last, level, d = level, step[new], d + 1
+        levels.append(level)
+    return np.divmod(np.concatenate(levels), n)
 
 
 def reachable_span(
@@ -658,9 +669,9 @@ def reachable_span(
 ) -> frozenset[int]:
     """Closure of {start} under the operators and their adjoints, up to word length depth.
 
-    On 0/1 functional operators this is a breadth-first walk of the index
-    graph (n -> f(n), n -> each preimage), which agrees with materializing
-    matrix products but is exponentially cheaper.
+    On 0/1 functional operators this is the walk of the index graph
+    (n -> f(n), n -> each preimage) from the one start, which agrees with
+    materializing matrix products but is exponentially cheaper.
     """
     window = ops[0].window
     if start not in window:
@@ -674,8 +685,8 @@ def reachable_span(
         np.concatenate([op._row for op in ops]),
         np.concatenate([op._col for op in ops]),
     )
-    span = _walk(graph, _position(window, start), depth)
-    return frozenset(map(window.elements.__getitem__, span))
+    _, span = _walk(graph, np.array([_position(window, start)]), depth)
+    return frozenset(map(window.elements.__getitem__, span.tolist()))
 
 
 @dataclass(frozen=True)
@@ -700,8 +711,8 @@ class SpanClassReport(Report):
     entries: tuple[SpanClassEntry, ...]
 
     @property
-    def status(self) -> int:
-        return combine(e.status for e in self.entries)
+    def status(self) -> int:  # a report that checks no span is no evidence: inconclusive
+        return combine(e.status for e in self.entries) if self.entries else INCONCLUSIVE
 
 
 def span_vs_class(
@@ -719,13 +730,15 @@ def span_vs_class(
     out-of-window excursions are reported as boundary effects, not failures.
     With a finite ``depth``, a span that stops short of its certified class
     is inconclusive, not a failure; a span that leaves its class still fails.
+    A report with no starts checks nothing and is inconclusive.  One
+    ``_walk`` gives every span at once; entries follow ``starts`` in order.
     """
     _check_depth(depth)
     hi = len(window)
     if not hi or (window.elements[0], window.elements[-1]) != (1, hi):
         raise ValueError("span_vs_class expects a contiguous window [1, hi]")
     full, certified, edges = _window_classes(gcmap, hi, fuel)
-    graph = _csr(hi, *edges)  # its lists once the kernel's arrays are gone
+    graph = _csr(hi, *edges)
     starts = list(window.elements if starts is None else starts)
     for s in starts:
         if not 1 <= s <= hi:
@@ -733,39 +746,26 @@ def span_vs_class(
     at = np.array(starts, dtype=np.int64) - 1
     # The certified partition refines the full one, so each certified class
     # lies in one full class and boundary members are the size difference.
-    # Without a depth the span is the whole connected component of the start,
-    # which is its certified class, so one walk serves every start in it.
-    keys = list(zip(certified.minima[at].tolist(), full.minima[at].tolist()))
-    if depth is not None:
-        keys = [(*key, s) for key, s in zip(keys, starts)]
-    spans: dict = {}
-    for key, p in zip(keys, at.tolist()):
-        if key not in spans:
-            spans[key] = _walk(graph, p, depth)
-    # every span is checked against the minima of both its classes in one pass
-    size = np.array([len(span) for span in spans.values()], dtype=np.int64)
-    members = np.fromiter(chain.from_iterable(spans.values()), np.int64, int(size.sum()))
-    owner = np.repeat(np.arange(len(spans)), size)
-    cert_rep = np.array([key[0] for key in spans], dtype=np.int64)
-    full_rep = np.array([key[1] for key in spans], dtype=np.int64)
+    # Without a depth the span is the start's connected component, its
+    # certified class, so the starts of a pair of classes share one walk.
+    cert_rep, full_rep = certified.minima[at], full.minima[at]
+    _check_bound(hi * (hi + 2), "class pair keys")
+    key = at if depth is not None else cert_rep * (hi + 1) + full_rep
+    _, first, of = np.unique(key, return_index=True, return_inverse=True)
+    owner, members = _walk(graph, at[first], depth)
+    cert_rep, full_rep = cert_rep[first], full_rep[first]
+    size = np.bincount(owner, minlength=len(first))
 
     def within(report: ClassesReport, rep: np.ndarray) -> np.ndarray:
         left = owner[report.minima[members] != rep[owner]]
-        return np.bincount(left, minlength=len(spans)) == 0
+        return np.bincount(left, minlength=len(first)) == 0
 
     in_full, in_cert = within(full, full_rep), within(certified, cert_rep)
     cert = np.bincount(certified.minima)[cert_rep]
     whole = np.bincount(full.minima)[full_rep]
-    rows = zip(
-        size.tolist(),
-        whole.tolist(),
-        in_full.tolist(),
-        (in_cert & (size == cert)).tolist(),
-        (whole - cert).tolist(),
-        (in_cert & (size < cert) & (depth is not None)).tolist(),
-    )
-    done = dict(zip(spans, rows))
-    return SpanClassReport(tuple(SpanClassEntry(s, *done[key]) for s, key in zip(starts, keys)))
+    capped = in_cert & (size < cert) & (depth is not None)
+    rows = (size, whole, in_full, in_cert & (size == cert), whole - cert, capped)
+    return SpanClassReport(tuple(map(SpanClassEntry, starts, *(row[of].tolist() for row in rows))))
 
 
 # --- finitistic cores of the commutant lemmas -----------------------------------------

@@ -173,14 +173,13 @@ def test_reduction_necessary_reports_a_wrong_first_return(monkeypatch):
     assert rep.failures == (5,) and rep.detail == "orb(x0;P)=[5] != orb(x0;f) ∩ sigma=[5, 20]"
 
 
-def test_reduction_necessary_is_inconclusive_when_the_p_orbit_runs_out_of_fuel(monkeypatch):
-    # the P-orbit of a periodic x0 spends exactly the f-period, which the
-    # f-orbit needed too; each first return granted one f-step less starves it
+def test_reduction_necessary_needs_fuel_for_one_period():
+    # the P-orbit of a periodic x0 spends exactly the f-period, 3 at x0 = 5:
+    # fuel for one period passes, one step less leaves the f-orbit open
     sec = preset_section("3xd:5")
-    real = dynamics.return_time
-    monkeypatch.setattr(dynamics, "return_time", lambda g, s, x, fuel: real(g, s, x, fuel - 1))
-    rep = check_reduction_necessary(sec.map, sec.sigma, 5, 3)
-    assert rep.inconclusive == (5,) and rep.detail == "P-orbit inconclusive within fuel"
+    assert check_reduction_necessary(sec.map, sec.sigma, 5, 3).passed
+    rep = check_reduction_necessary(sec.map, sec.sigma, 5, 2)
+    assert rep.inconclusive == (5,) and rep.detail == "orbit of 5 does not close within fuel"
     assert rep.status == INCONCLUSIVE
 
 

@@ -4,6 +4,7 @@ at windows 1 to 3000 and depths None to 3, and the verdict of a depth-capped spa
 from __future__ import annotations
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -88,6 +89,26 @@ def test_span_vs_class_matches_oracle_on_presets(ref, window):
     gcmap, fuel, w = preset_map(ref), ORACLE_FUEL[ref], BasisWindow.range(1, window)
     for depth, want in per_start_oracle(gcmap, window, fuel, (None, 0, 1, 3)):
         assert span_vs_class(gcmap, w, fuel, depth).entries == want, depth
+
+
+@pytest.mark.parametrize("depth", [None, 0, 3])
+@pytest.mark.parametrize("hi", [500, 3000])
+def test_entries_keep_the_order_of_unsorted_and_repeated_starts(hi, depth):
+    gcmap, fuel = collatz(), 10**4
+    [(_, entries)] = per_start_oracle(gcmap, hi, fuel, (depth,))
+    rng = random.Random(hi)
+    starts = [rng.randrange(1, hi + 1) for _ in range(200)] + [hi, 1, 1, hi, 27, 9]
+    want = tuple(entries[s - 1] for s in starts)
+    got = span_vs_class(gcmap, BasisWindow.range(1, hi), fuel, depth, starts=starts).entries
+    assert [e.start for e in got] == starts
+    assert got == want
+
+
+@pytest.mark.parametrize("depth", [None, 3])
+def test_no_starts_is_inconclusive_not_a_pass(depth):
+    rep = span_vs_class(collatz(), BasisWindow.range(1, 100), 100, depth, starts=[])
+    assert rep.entries == ()
+    assert rep.status == INCONCLUSIVE and not rep.ok
 
 
 def test_depth_bounded_span_is_per_start():
