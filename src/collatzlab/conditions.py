@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _member_test, return_times
+from .dynamics import _member_test, _residues, return_times
 from .gcmap import INCONCLUSIVE, PASS, VIOLATION, Inconclusive, Report, verdict
 from .gcmap import GCMap, ResidueSet, _check_positive, section_sets
 
@@ -253,10 +253,12 @@ class WitnessTable:
 
     def tiles(self, values: np.ndarray, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Which int64 section values s have s * 2^kappa(s) <= hi, and those products.
-        Tested as s <= hi >> kappa, so no shift leaves int64."""
-        keys = np.array(sorted(self.exponents), dtype=np.int64)
-        kappa = np.array([self.exponents[k] for k in keys.tolist()], dtype=np.int64)
-        kappa = kappa[np.searchsorted(keys, values % self.modulus)]
+        Tested as s <= hi >> kappa, so no shift leaves int64; ValueError off the table."""
+        kappa = np.full(self.modulus, -1, dtype=np.int64)  # -1: a class with no exponent
+        kappa[list(self.exponents)] = list(self.exponents.values())
+        kappa = kappa[_residues(values, self.modulus)]
+        if (kappa < 0).any():
+            raise ValueError(f"{values[np.argmax(kappa < 0)]} is in no witness class mod {self.modulus}")
         inside = values <= (hi >> np.minimum(kappa, 63))
         return inside, values[inside] << kappa[inside]
 

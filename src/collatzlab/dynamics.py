@@ -327,8 +327,17 @@ def _member_test(sigma: Container[int]):
     table[list(sigma.classes.residues)] = True
     if sigma.removed:
         removed = np.array(sorted(sigma.removed), dtype=np.int64)
-        return lambda v: table[(v % m).astype(np.int64, copy=False)] & ~np.isin(v, removed)
-    return lambda v: table[(v % m).astype(np.int64, copy=False)]
+        return lambda v: table[_residues(v, m)] & ~np.isin(v, removed)
+    return lambda v: table[_residues(v, m)]
+
+
+def _residues(v: np.ndarray, m: int) -> np.ndarray:
+    """v mod m (m >= 1) as int64, for int64 v or exact ints in an object array, taken as
+    v - (v // m) * m: numpy vectorises ``//`` by a scalar but not ``%``.  Where
+    the int64 product wraps, the difference wraps back to the exact residue."""
+    q = v // m
+    q *= m
+    return np.subtract(v, q, out=q).astype(np.int64, copy=False)
 
 
 def _int_array(values: list[int]) -> np.ndarray:

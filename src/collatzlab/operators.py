@@ -37,7 +37,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -53,7 +53,8 @@ from .gcmap import ResidueSet, _check_positive, combine, section_sets, verdict
 class BasisWindow:
     """An ordered finite set of basis labels e_n: positive integers, sorted, each once.
 
-    A label's position is its index in ``elements``, found by binary search.
+    A label's position is its index in ``elements``.  ``labels`` holds them as
+    one read-only int64 array, made once and read by every builder on the window.
     """
 
     elements: tuple[int, ...]
@@ -70,7 +71,14 @@ class BasisWindow:
 
     @classmethod
     def section(cls, sigma: ResidueSet | PuncturedResidueSet, hi: int) -> "BasisWindow":
-        return cls(tuple(sigma.members(1, hi)))
+        n = np.arange(1, max(hi, 0) + 1, dtype=np.int64)
+        return cls(tuple(n[_member_test(sigma)(n)].tolist()))
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        labels = np.array(self.elements, dtype=np.int64)
+        labels.flags.writeable = False
+        return labels
 
     def __contains__(self, n: int) -> bool:
         i = bisect_left(self.elements, n)
@@ -100,11 +108,18 @@ def _position(window: BasisWindow, n: int) -> int:
     return bisect_left(window.elements, n)
 
 
+def _indptr(n: int, idx: np.ndarray) -> np.ndarray:
+    """Pointers over positions 0..n-1: p owns the entries ptr[p]:ptr[p + 1] of idx, sorted."""
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(idx, minlength=n), out=ptr[1:])
+    return ptr
+
+
 def _combine(n: int, col: np.ndarray, row: np.ndarray, val: np.ndarray):
     """Entries in canonical order: sorted by (col, row), duplicates summed, zeros dropped."""
     key = col * max(n, 1) + row
     if len(key) > 1 and (key[1:] <= key[:-1]).any():
-        order = np.argsort(key)
+        order = np.argsort(key, kind="stable")  # merges the two sorted runs of a sum
         key = key[order]
         head = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
         col, row, val = col[order][head], row[order][head], np.add.reduceat(val[order], head)
@@ -124,7 +139,8 @@ class TruncatedOperator:
     forms come back from ``cols``, ``exact_cols`` and ``exact_rows``.
     """
 
-    __slots__ = ("window", "_ptr", "_col", "_row", "_val", "_exact_col", "_exact_row")
+    _ARRAYS = ("_col", "_row", "_val", "_exact_col", "_exact_row")  # these alone decide ==
+    __slots__ = ("window", "_ptr", *_ARRAYS)
 
     def __init__(
         self,
@@ -152,9 +168,13 @@ class TruncatedOperator:
         self.window = window
         self._col, self._row, self._val = col, row, val
         self._exact_col, self._exact_row = exact_col, exact_row
-        # column j holds the entries _ptr[j]:_ptr[j + 1]
-        self._ptr = np.zeros(len(window) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(col, minlength=len(window)), out=self._ptr[1:])
+        self._ptr = None  # the column pointers, made on first use by _pointers
+
+    def _pointers(self) -> np.ndarray:
+        """Column j holds the entries ptr[j]:ptr[j + 1]; only a product's left factor reads them."""
+        if self._ptr is None:
+            self._ptr = _indptr(len(self.window), self._col)
+        return self._ptr
 
     @classmethod
     def _of(cls, window, col, row, val, exact_col, exact_row) -> "TruncatedOperator":
@@ -199,7 +219,7 @@ class TruncatedOperator:
         if not isinstance(other, TruncatedOperator):
             return NotImplemented
         return self.window == other.window and all(
-            np.array_equal(getattr(self, a), getattr(other, a)) for a in self.__slots__[1:]
+            np.array_equal(getattr(self, a), getattr(other, a)) for a in self._ARRAYS
         )
 
     # --- algebra -------------------------------------------------------------
@@ -216,11 +236,11 @@ class TruncatedOperator:
         self._same_window(other)
         n = len(self.window)
         # an entry of AB sums at most one term per entry of B's column
-        per_col = int(np.diff(other._ptr).max()) if n else 0
+        per_col = int(np.bincount(other._col).max()) if len(other._col) else 0
         _check_bound(_max_abs(self._val) * _max_abs(other._val) * per_col, "product")
         # each entry (m, n) of B scales A's column m into column n of AB
-        lo = self._ptr[other._row]
-        cnt = self._ptr[other._row + 1] - lo
+        lo, hi = self._pointers()[[other._row, other._row + 1]]
+        cnt = hi - lo
         at = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt) + np.arange(int(cnt.sum()))
         col, row, val = _combine(
             n, np.repeat(other._col, cnt), self._row[at], self._val[at] * np.repeat(other._val, cnt)
@@ -332,7 +352,7 @@ def _rows_in_window(gcmap: GCMap, labels: np.ndarray) -> list[np.ndarray]:
 
 def build_T(gcmap: GCMap, window: BasisWindow) -> TruncatedOperator:
     """T e_n = e_{f(n)}, truncated to the window."""
-    labels = np.array(window.elements, dtype=np.int64)
+    labels = window.labels
     image = _positions(labels, _window_image(gcmap, labels))
     exact_row = np.logical_and.reduce(_rows_in_window(gcmap, labels))
     return _functional(window, image, image >= 0, exact_row)
@@ -340,7 +360,7 @@ def build_T(gcmap: GCMap, window: BasisWindow) -> TruncatedOperator:
 
 def build_branch_ops(gcmap: GCMap, window: BasisWindow) -> list[TruncatedOperator]:
     """T_i e_n = e_{f(n)} for n in X_i, 0 elsewhere; sum over i recovers T entrywise."""
-    labels = np.array(window.elements, dtype=np.int64)
+    labels = window.labels
     image = _positions(labels, _window_image(gcmap, labels))
     ops = []
     for br, exact_row in zip(gcmap.branches, _rows_in_window(gcmap, labels)):
@@ -478,7 +498,7 @@ def build_section_ops(
     made once per call, with no search over preimages.
     """
     _, sigma = section_sets(n1, n2, n2_removed)
-    labels = np.array(window.elements, dtype=np.int64)
+    labels = window.labels
     outside = np.flatnonzero(~_member_test(sigma)(labels))
     if len(outside):
         raise DomainError(f"window element {int(labels[outside[0]])} is not in N1 ∪ N2")
@@ -565,7 +585,7 @@ def verify_branch_relations(gcmap: GCMap, window: BasisWindow) -> RelationReport
     ops = build_branch_ops(gcmap, window)
     t = build_T(gcmap, window)
     eye = identity_operator(window)
-    labels = np.array(window.elements, dtype=np.int64)
+    labels = window.labels
     checks = []
     total = None
     sum_t = None
@@ -583,7 +603,7 @@ def verify_branch_relations(gcmap: GCMap, window: BasisWindow) -> RelationReport
 def verify_section_relations(ops: SectionOperators) -> RelationReport:
     """The Cuntz relation battery for S1, S2 and the descent identity T2*T2T1 = T1."""
     w = ops.window
-    labels = np.array(w.elements, dtype=np.int64)
+    labels = w.labels
     eye = identity_operator(w)
     zero = zero_operator(w)
     s1, s2, t1, t2 = ops.s1, ops.s2, ops.t1, ops.t2
@@ -610,9 +630,7 @@ def _csr(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     CSR arrays ``(indptr, indices)``: the neighbours of p are
     ``indices[indptr[p]:indptr[p + 1]]``."""
     src, dst = np.concatenate((a, b)), np.concatenate((b, a))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr, dst[np.argsort(src, kind="stable")]
+    return _indptr(n, src), dst[np.argsort(src, kind="stable")]
 
 
 def _window_classes(gcmap: GCMap, hi: int, fuel: int):
@@ -994,7 +1012,7 @@ def norm_bound_check(gcmap: GCMap, window: BasisWindow, trials: int) -> NormBoun
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    labels = np.array(window.elements, dtype=np.int64)
+    labels = window.labels
     at = _positions(labels, _window_image(gcmap, labels))
     image = at[at >= 0]  # the position of f(n) for each column n that can carry a vector, in label order
     if not len(image):

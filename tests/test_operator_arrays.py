@@ -9,6 +9,7 @@ array algebra must equal it, label for label.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from collatzlab import (
     preset_section,
     verify_section_relations,
 )
+import collatzlab.operators as operators
 from collatzlab.cli import main
 from collatzlab.operators import IdentityCheck, compare_certified
 
@@ -190,3 +192,58 @@ def test_norm_bound_on_window_without_columns_is_an_input_error(capsys):
         norm_bound_check(collatz(), BasisWindow.range(1, 1), trials=5)
     assert main(["verify", "collatz", "--suite", "relations", "--window", "1"]) == 3
     assert "no column of T stays in the window" in capsys.readouterr().out
+
+
+# --- column pointers, made on first use ---------------------------------------------
+
+
+def _fresh(op: TruncatedOperator) -> TruncatedOperator:
+    """The same operator with no column pointers made yet."""
+    return TruncatedOperator._of(op.window, op._col, op._row, op._val, op._exact_col, op._exact_row)
+
+
+def _built(op: TruncatedOperator) -> TruncatedOperator:
+    """The same operator with its column pointers made."""
+    op = _fresh(op)
+    op._pointers()
+    return op
+
+
+def test_results_do_not_depend_on_built_pointers():
+    rng = random.Random(23)
+    for _ in range(300):
+        w = _window(rng)
+        (a, da), (b, db), (c, dc) = (_pair(w, rng) for _ in range(3))
+        for pa, pb, pc in itertools.product((_fresh, _built), repeat=3):
+            x, y, z = pa(a), pb(b), pc(c)
+            assert _same(x @ y, da @ db) and _same(x + y, da + db) and _same(x.adjoint(), da.adjoint())
+            assert _same(x.adjoint() @ y @ z, da.adjoint() @ db @ dc)
+            assert (x @ y == a @ b) and (x + y == b + a) and (x == a) and (x == pb(a))
+            assert (x == y) == (_same(a, db) and _same(b, da))
+
+
+def test_an_operator_with_built_pointers_equals_itself_without():
+    rng = random.Random(29)
+    for _ in range(200):
+        w = _window(rng)
+        a, _ = _pair(w, rng)
+        built, fresh = _built(a), _fresh(a)
+        assert built._ptr is not None and fresh._ptr is None
+        assert built == fresh and fresh == built and not (built != fresh)
+        assert fresh._ptr is None  # comparing reads no pointers
+        # column j holds the entries ptr[j]:ptr[j + 1]
+        ptr = built._pointers().tolist()
+        assert len(ptr) == len(w) + 1 and ptr[0] == 0 and ptr[-1] == len(a._col)
+        for j in range(len(w)):
+            assert a._col[ptr[j] : ptr[j + 1]].tolist() == [j] * (ptr[j + 1] - ptr[j])
+
+
+def test_the_battery_makes_pointers_only_for_left_factors(monkeypatch):
+    sec = preset_section("collatz")
+    ops = build_section_ops(sec.map, sec.n1, sec.n2, BasisWindow.section(sec.sigma, 3000), 10**5)
+    made = []
+    real = operators._indptr
+    monkeypatch.setattr(operators, "_indptr", lambda n, idx: made.append(n) or real(n, idx))
+    rep = verify_section_relations(ops)
+    # S1*, S2*, S1, S2, T2* and T2*T2: one each, however many products they lead
+    assert rep.ok and len(made) == 6

@@ -383,3 +383,14 @@ def test_ck_part_b_rejects_a_table_at_a_multiple_of_the_derived_modulus():
     assert walk_part_b(sec.map, sec.n1, sec.n2, sec.n2_removed, lifted, 10**4) is None
     rep = ck_for_section(sec.map, sec.n1, sec.n2, lifted, 1000, 10**4)
     assert (rep.verdict_kind, rep.detail) == ("failed", f"witness modulus {2 * mw}, derived is {mw}")
+
+
+def test_tiles_refuse_values_outside_the_section():
+    witnesses = preset_section("collatz").witnesses  # 8 classes mod 18
+    with pytest.raises(ValueError, match="2 is in no witness class mod 18"):
+        witnesses.tiles(np.array([2, 3, 6]), 1000)
+    with pytest.raises(ValueError, match="6 is in no witness class"):
+        witnesses.tiles(np.array([1, 4, 6, 5]), 1000)
+    # a residue past the last class raises ValueError too, not IndexError
+    with pytest.raises(ValueError, match="5 is in no witness class mod 18"):
+        WitnessTable(18, {1: 2, 4: 2}).tiles(np.array([1, 5]), 1000)
