@@ -225,16 +225,17 @@ def _suite_span(gcmap: GCMap, args) -> tuple[dict, int]:
     window = BasisWindow.range(1, args.window)
     starts = range(1, min(1000, args.window) + 1)
     rep = span_vs_class(gcmap, window, args.fuel, depth=args.depth, starts=starts)
-    bad = [e.start for e in rep.entries if e.status == VIOLATION]
+    status = rep.status
+    bad = [e.start for e, s in zip(rep.entries, rep.statuses) if s == VIOLATION]
     payload = {
         "starts": len(rep.entries),
-        "ok": rep.ok,
+        "ok": status == PASS,
         "failures": bad[:20],
         "boundaryAffected": sum(1 for e in rep.entries if e.boundary_members),
     }
     if args.depth is not None:
         payload["depthCapped"] = sum(1 for e in rep.entries if e.depth_capped)
-    return payload, rep.status
+    return payload, status
 
 
 def _suite_descent(gcmap: GCMap, args) -> tuple[dict, int]:

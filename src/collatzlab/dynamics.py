@@ -15,6 +15,7 @@ sigma of any other kind raises TypeError.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Container
 
@@ -249,66 +250,97 @@ def _jump_depth(m: int) -> int:
     return k
 
 
-def _jump_table(rows: list, m: int, hi: int, k: int) -> list:
-    """k steps at once on the window ``range(1, hi)``, for each residue r mod m^k.
+def _jump_table(rows: list, m: int, k: int) -> list:
+    """k steps at once for each residue r mod m^k, where every row is exact:
+    for n = m^k*q + r >= 1 and ``table[r] = (L, c)``, f^k(n) = L*q + c.
 
-    For n = m^k*q + r >= 1 and ``table[r] = (L, c, q0)``, f^k(n) = L*q + c,
-    and every iterate f^j(n), 0 < j < k, is at least hi exactly when q >= q0.
     Each step is exact: where the branch is n -> (a*n + b)/d,
     f(m*q + r) = (a*m/d)*q + (a*r + b)/d with both quotients whole
     (``_step_tables`` proves it), so the table is built a level at a time: f^j on the
-    residues mod m^j gives f^(j+1) on those mod m^(j+1).  q0 is None when
-    a class on the way is not stepped exactly or no q keeps an iterate in
-    front of hi.  Python ints throughout, so nothing wraps.  k < 2 raises
-    ValueError: a table of k = 0 never advances a lane.
+    residues mod m^j gives f^(j+1) on those mod m^(j+1).  Python ints
+    throughout, so nothing wraps.  k < 2 raises ValueError: a table of k = 0
+    never advances a lane.
     """
     if k < 2:
         raise ValueError(f"a jump table takes k >= 2 steps, got {k}")
-    level = [(1, 0, 0)]  # f^0(n) = n on the one residue mod m^0
+    level = [(1, 0)]  # f^0(n) = n on the one residue mod m^0
     for j in range(k):
         nxt = []
         for t in range(m):
-            for L, c, q0 in level:
+            for L, c in level:
                 # residue r + m^j*t: n = m^j*(m*q + t) + r, so f^j(n) = L*m*q + s
                 s = L * t + c
-                if q0 is not None:
-                    q0 = -((t - q0) // m)
-                    if j and L:  # f^j(n) is an iterate inside the jump
-                        q0 = max(q0, -((s - hi) // (L * m)))
-                    elif j and s < hi:
-                        q0 = None
-                row = rows[s % m]
-                if row is None:
-                    nxt.append((0, 0, None))
-                    continue
-                a, b, d = row
-                nxt.append((a * L * m // d, (a * s + b) // d, q0))
+                a, b, d = rows[s % m]
+                nxt.append((a * L * m // d, (a * s + b) // d))
         level = nxt
     return level
 
 
+class _Plan:
+    """What the kernel reads off one map, built once (``_plan``): ``_step_tables``'
+    rows and guard; ``_odd_even_shape``'s (a, b), or None and ``why``; the int64
+    ``step`` on the tables; whether per-lane tops take the ``fused`` odd step; the ``jump``."""
+
+    def __init__(self, gcmap: GCMap) -> None:
+        self.modulus = gcmap.modulus
+        self.rows, A, B, C, self.guard = _step_tables(gcmap)
+        try:
+            self.shape, self.why = _odd_even_shape(gcmap), None
+        except KeyError as exc:
+            self.shape, self.why = None, exc.args[0]
+        self.step = _int64_step(gcmap, self.rows, A, B, C, self.guard, self.shape)
+        self.fused = self.shape is not None and self.rows[1] is not None
+
+    @functools.cached_property
+    def jump(self):
+        """``(k, table, scale, low)`` for ``_exact_return`` on windows, built on first use.
+
+        With every row (a, b, c) exact and a >= 1, f(n) >= n/rho, rho the largest of c
+        (b >= 0) and 2c (b < 0, for n >= low, the largest 2|b|, or 1).  From v >=
+        max(top, low)*rho^k = max(top, low)*scale, every iterate of a k-step jump
+        is then at or above top.  None where a row is not exact or has a = 0, and
+        where k < 2 (m > 64)."""
+        k, rows = _jump_depth(self.modulus), self.rows
+        if k < 2 or None in rows or min(a for a, _, _ in rows) < 1:
+            return None
+        rho = max(2 * c if b < 0 else c for _, b, c in rows)
+        low = max((-2 * b for _, b, _ in rows if b < 0), default=1)
+        return k, _jump_table(rows, self.modulus, k), rho**k, low
+
+
+#: the most plans, and residue tests, held at once
+_PLANS = 32
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _plan_for(gcmap: GCMap, bound: int) -> _Plan:
+    return _Plan(gcmap)
+
+
+def _plan(gcmap: GCMap) -> _Plan:
+    """The map's plan, shared by equal maps, at the int64 bound its guard comes from."""
+    return _plan_for(gcmap, _INT64_MAX)
+
+
 def _exact_return(gcmap: GCMap, sigma: Container[int], jump, v: int, step: int, fuel: int):
     """Finish one lane on exact ints from the value v reached after ``step``
-    steps: ``(value, tau)`` of its return to sigma, or None when fuel runs
-    out.  With a jump ``(k, table)`` (a window sigma) the lane takes k steps
-    at once wherever the table proves every iterate inside the jump misses
-    sigma and the jump ends within fuel; otherwise it takes one step of
-    ``gcmap.apply`` and tests sigma as ``return_time`` does, so it raises
-    what that raises."""
-    k, table = jump or (0, None)
-    size = gcmap.modulus**k
-    # a shift and a mask split a long v several times faster than divmod
-    shift = size.bit_length() - 1 if size & (size - 1) == 0 else None
-    apply = gcmap.apply
+    steps: ``(value, tau)`` of its return to sigma, or None when fuel runs out.
+    With ``_Plan.jump`` (k, table, scale, low) on a window ``range(1, top)`` it
+    takes k steps at once, with no member test, while v >= max(top, low)*scale
+    and the jump ends within fuel; else one ``gcmap.apply`` step, testing sigma
+    as ``return_time`` does, so it raises what that raises."""
+    apply, last, floor = gcmap.apply, -1, 0  # last -1: no jump
+    if jump is not None:
+        k, table, scale, low = jump
+        last, floor, size = fuel - k, max(sigma.stop, low) * scale, len(table)
+        # a shift and a mask split a long v several times faster than divmod
+        shift = size.bit_length() - 1 if size & (size - 1) == 0 else None
     while step < fuel:
-        if table is not None and step + k <= fuel:
+        if step <= last and v >= floor:
             q, r = divmod(v, size) if shift is None else (v >> shift, v & (size - 1))
-            L, c, q0 = table[r]
-            if q0 is not None and q >= q0:
-                v, step = L * q + c, step + k
-                if v in sigma:
-                    return v, step
-                continue
+            L, c = table[r]
+            v, step = L * q + c, step + k
+            continue
         v, step = apply(v), step + 1
         if v in sigma:
             return v, step
@@ -323,6 +355,12 @@ def _member_test(sigma: Container[int]):
         return lambda v: v < sigma.stop  # every value the kernel tests is at least 1
     if not isinstance(sigma, (ResidueSet, PuncturedResidueSet)):
         raise TypeError(f"sigma must be range(1, hi), a (punctured) residue set or per-lane tops, not {sigma!r}")
+    return _residue_test(sigma)
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _residue_test(sigma: ResidueSet | PuncturedResidueSet):
+    """``_member_test`` of a (punctured) residue set, built once per set."""
     m, table = sigma.modulus, np.zeros(sigma.modulus, dtype=bool)
     table[list(sigma.classes.residues)] = True
     if sigma.removed:
@@ -332,9 +370,12 @@ def _member_test(sigma: Container[int]):
 
 
 def _residues(v: np.ndarray, m: int) -> np.ndarray:
-    """v mod m (m >= 1) as int64, for int64 v or exact ints in an object array, taken as
-    v - (v // m) * m: numpy vectorises ``//`` by a scalar but not ``%``.  Where
-    the int64 product wraps, the difference wraps back to the exact residue."""
+    """v mod m (m >= 1) as int64, for int64 v or exact ints in an object array.
+    int64 v takes v - (v // m) * m: numpy vectorises ``//`` by a scalar but not
+    ``%``, and where the product wraps, the difference wraps back to the exact
+    residue.  Exact ints take ``%``, one object-level pass where that takes three."""
+    if v.dtype == object:
+        return (v % m).astype(np.int64)
     q = v // m
     q *= m
     return np.subtract(v, q, out=q).astype(np.int64, copy=False)
@@ -348,26 +389,18 @@ def _int_array(values: list[int]) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-def _shape(gcmap: GCMap) -> tuple[int, int] | None:
-    """``_odd_even_shape``, or None where it raises."""
-    try:
-        return _odd_even_shape(gcmap)
-    except KeyError:
-        return None
-
-
-def _int64_step(gcmap: GCMap, rows: list, A: np.ndarray, B: np.ndarray, C: np.ndarray, guard: int, shape=None):
+def _int64_step(gcmap: GCMap, rows: list, A: np.ndarray, B: np.ndarray, C: np.ndarray, guard: int, shape):
     """One int64 step of values up to ``guard``: by the branch tables, or by
     parity on n -> a*n + b (odd), n/2 (even) with an exact odd row, 2a <= guard
     and over 128 lanes (on fewer, the tables' fewer numpy calls cost less).
-    ``shape`` is the map's (a, b), read off it when not given."""
+    ``shape`` is the map's (a, b), or None."""
     m = np.int64(gcmap.modulus)
 
     def table(v):
         r = v % m
         return (A[r] * v + B[r]) // C[r]
 
-    a, b = shape or _shape(gcmap) or (None, None)
+    a, b = shape or (None, None)
     if a is None or rows[1] is None or 2 * a > guard:
         return table
 
@@ -396,25 +429,23 @@ def return_times(gcmap: GCMap, sigma, xs, fuel):
     of per-lane tops: lane i returns to ``range(1, tops[i])``, and xs[i] need
     not lie in it.  fuel is an int or, like the tops, an int64 array of
     per-lane fuel, and every lane counts its own steps.  The int64 frontier
-    carries the lanes that have not returned.  On per-lane tops, where
-    ``_odd_even_shape`` gives (a, b), an odd lane takes the fused step
-    (a*v + b)/2 and counts 2 steps: a lane left after a step is at or above
-    its top, so a*v + b cannot return (the first step is fused too where
-    every start is).  It is stepped in place, a lane that returns or runs
-    out of fuel is retired in place (value 0 and top 0: the step keeps 0
-    and 0 < 0 never holds), and the frontier is compacted once a quarter of
-    it is retired.  Windows, residue sets and other maps take the single
-    step ``_int64_step`` picks and are compacted at every return.  A lane
-    the tables cannot step (past the guard of ``_step_tables`` at step 0, or
-    with a step past it or into a class without an exact row) leaves with its
+    carries the lanes that have not returned, stepped as the map's ``_plan``
+    says.  On per-lane tops of a ``fused`` plan an odd lane takes (a*v + b)/2
+    and counts 2 steps: a lane left after a step is at or above its top, so
+    a*v + b cannot return (the first step is fused too where every start
+    is).  It is stepped in place, a lane that returns or runs out of fuel is
+    retired in place (value 0 and top 0: the step keeps 0 and 0 < 0 never
+    holds), and the frontier is compacted once a quarter of it is retired.
+    Other calls take the plan's single step and are compacted at every
+    return.  A lane the tables cannot step (past the guard at step 0, or with
+    a step past it or into a class without an exact row) leaves with its
     value and step count from before that step and finishes, in lane order,
-    on exact ints in ``_exact_return``, which raises where ``return_time``
-    raises; on windows it jumps k steps at a time through one table at the
-    highest top.  ``value`` is an object array if a return does not fit
-    int64.  Before any step, a start below 1 raises DomainError, and so does
-    a start outside a window or residue sigma, as ``return_time`` raises it;
-    a sigma of another kind raises TypeError, and per-lane fuel of another
-    length ValueError.
+    in ``_exact_return``, which raises where ``return_time`` raises and on
+    windows takes the plan's jump.  ``value`` is an object array if a return
+    does not fit int64.  Before any step, a start below 1 raises DomainError,
+    and so does a start outside a window or residue sigma, as ``return_time``
+    raises it; a sigma of another kind raises TypeError, and per-lane fuel of
+    another length ValueError.
     """
     xs = np.asarray(xs, dtype=np.int64)
     per_lane = isinstance(sigma, np.ndarray)
@@ -434,10 +465,9 @@ def return_times(gcmap: GCMap, sigma, xs, fuel):
     else:
         fuel = max_fuel = least = min(fuel, 2**63 - 1)  # no scan lasts that many steps
         undecided = np.full(len(xs), fuel < 1)
-    rows, A, B, C, guard = _step_tables(gcmap)
-    shape = _shape(gcmap)
-    step_of = _int64_step(gcmap, rows, A, B, C, guard, shape)
-    lazy = per_lane and shape is not None and rows[1] is not None  # fused steps, lazy compaction
+    plan = _plan(gcmap)
+    guard, shape, step_of = plan.guard, plan.shape, plan.step
+    lazy = per_lane and plan.fused  # fused steps, lazy compaction
     returned = []  # (lanes, values, k + c) of each iteration's returns
     left = []  # (lanes, values, k + c) of the lanes that left the frontier, from before that step
     # the frontier: each lane, its value, its top and c = max_fuel - fuel + (its
@@ -527,16 +557,11 @@ def return_times(gcmap: GCMap, sigma, xs, fuel):
             steps += fuel[done] - max_fuel
         value[done], tau[done] = v, steps
     if left:
-        hi = int(sigma.max()) if per_lane else sigma.stop if isinstance(sigma, range) else None
-        depth = _jump_depth(gcmap.modulus)
         exits = []  # (lane, value, steps, fuel)
         for done, v, steps in left:
             f = fuel[done] if fuel_per_lane else np.full(len(done), fuel)
             exits += zip(done.tolist(), v.tolist(), (steps - max_fuel + f).tolist(), f.tolist())
-        # the table pays only if a lane can still jump; depth > 1 also keeps
-        # out depth 0, whose table never advances a lane
-        can_jump = hi is not None and depth > 1 and any(f - s >= depth for _, _, s, f in exits)
-        jump = (depth, _jump_table(rows, gcmap.modulus, hi, depth)) if can_jump else None
+        jump = plan.jump if per_lane or isinstance(sigma, range) else None
         exits.sort()  # in lane order, so the first lane to raise is the one return_time raises at
         window = (lambda lane: range(1, int(sigma[lane]))) if per_lane else (lambda lane: sigma)
         finished = [(lane, _exact_return(gcmap, window(lane), jump, v, s, f)) for lane, v, s, f in exits]

@@ -9,6 +9,7 @@ section, the minimal doubling exponent landing back in N2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -88,11 +89,12 @@ class Section:
     witnesses: WitnessTable
     n2_removed: frozenset[int] = frozenset()
 
-    @property
+    @functools.cached_property
     def sigma(self) -> ResidueSet | PuncturedResidueSet:
         return section_sets(self.n1, self.n2, self.n2_removed)[1]
 
 
+@functools.lru_cache(maxsize=64)
 def section_of(gcmap: GCMap) -> Section:
     """The first-return section of a map n -> a*n + b on odd n, n -> n/2 on even n.
 
@@ -104,7 +106,8 @@ def section_of(gcmap: GCMap) -> Section:
     gcd(t, a) = 1.  That holds for a = 3, 5 and every Mersenne a, and fails at
     a = 21, 39, 55, 57, ... and at the Wieferich primes 1093 and 3511.  The
     witnesses span o * (a + 1) residues; past 2^20 (qx1:10007) none is built.
-    Every other map raises KeyError naming why.
+    Every other map raises KeyError naming why.  Built once per map (the
+    last 64 are kept): equal maps share one.
     """
     a, b = _odd_even_shape(gcmap)
     powers = [1]
@@ -134,8 +137,9 @@ def section_of(gcmap: GCMap) -> Section:
 # --- preset references ---------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
 def preset_map(ref: str) -> GCMap:
-    """Resolve a preset name (collatz, identity, qx1:<q>, 3xd:<d>, mersenne:<k>)."""
+    """Resolve a preset name (collatz, identity, qx1:<q>, 3xd:<d>, mersenne:<k>), one map per name."""
     if ref == "collatz":
         return collatz()
     if ref == "identity":

@@ -416,63 +416,26 @@ class GCMap:
                 cover[r].append(br.index)
         overlaps = {r: ix for r, ix in cover.items() if len(ix) > 1}
         missing = [r for r, ix in cover.items() if not ix]
-        checks.append(
-            CheckResult(
-                "partition-disjoint",
-                not overlaps,
-                "" if not overlaps else f"residue {min(overlaps)} in branches {overlaps[min(overlaps)]}",
-            )
-        )
-        checks.append(
-            CheckResult(
-                "partition-covers",
-                not missing,
-                "" if not missing else f"residue {min(missing)} mod {self.modulus} uncovered",
-            )
-        )
+        why = f"residue {min(overlaps)} in branches {overlaps[min(overlaps)]}" if overlaps else ""
+        checks.append(CheckResult("partition-disjoint", not overlaps, why))
+        why = f"residue {min(missing)} mod {self.modulus} uncovered" if missing else ""
+        checks.append(CheckResult("partition-covers", not missing, why))
 
         for br in self.branches:
             L = math.lcm(self.modulus, br.c)
-            bad = [
-                r
-                for r in br.guard.at_modulus(L).residues
-                if (br.a * r + br.b) % br.c != 0
-            ]
-            checks.append(
-                CheckResult(
-                    f"divisibility-branch-{br.index}",
-                    not bad,
-                    "" if not bad else f"residue {min(bad)} mod {L}: {br.a}*n+{br.b} not divisible by {br.c}",
-                )
-            )
+            residues = br.guard.at_modulus(L).residues
+            bad = [r for r in residues if (br.a * r + br.b) % br.c != 0]
+            why = f"residue {min(bad)} mod {L}: {br.a}*n+{br.b} not divisible by {br.c}" if bad else ""
+            checks.append(CheckResult(f"divisibility-branch-{br.index}", not bad, why))
             if bad:
                 continue
-
-            bad_pos = []
-            for r in br.guard.at_modulus(L).residues:
-                n0 = r if r >= 1 else L  # smallest positive member of the class
-                if br.a >= 1:
-                    if (br.a * n0 + br.b) // br.c < 1:
-                        bad_pos.append(n0)
-                else:
-                    if br.b // br.c < 1:
-                        bad_pos.append(n0)
-            checks.append(
-                CheckResult(
-                    f"positivity-branch-{br.index}",
-                    not bad_pos,
-                    "" if not bad_pos else f"image of {min(bad_pos)} is below 1",
-                )
-            )
-
+            # the image of each class's smallest positive member, r or L (a constant branch's is b // c)
+            bad_pos = [r or L for r in residues if (br.a * (r or L) + br.b) // br.c < 1]
+            why = f"image of {min(bad_pos)} is below 1" if bad_pos else ""
+            checks.append(CheckResult(f"positivity-branch-{br.index}", not bad_pos, why))
             injective = br.a >= 1 or br.guard.is_empty()
-            checks.append(
-                CheckResult(
-                    f"injectivity-branch-{br.index}",
-                    injective,
-                    "" if injective else "constant branch is not injective on an infinite guard",
-                )
-            )
+            why = "" if injective else "constant branch is not injective on an infinite guard"
+            checks.append(CheckResult(f"injectivity-branch-{br.index}", injective, why))
 
         return CheckReport(tuple(checks))
 

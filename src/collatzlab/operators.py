@@ -728,9 +728,14 @@ class SpanClassEntry:
 class SpanClassReport(Report):
     entries: tuple[SpanClassEntry, ...]
 
+    @cached_property
+    def statuses(self) -> tuple[int, ...]:
+        """Each entry's status, in order, read once."""
+        return tuple(e.status for e in self.entries)
+
     @property
     def status(self) -> int:  # a report that checks no span is no evidence: inconclusive
-        return combine(e.status for e in self.entries) if self.entries else INCONCLUSIVE
+        return combine(self.statuses) if self.entries else INCONCLUSIVE
 
 
 def span_vs_class(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _INT64_MAX, _odd_even_shape, _step_tables, return_times
+from .dynamics import _INT64_MAX, _plan, return_times
 from .families import collatz
 from .gcmap import GCMap, Report, _check_positive, verdict
 
@@ -143,12 +143,11 @@ def verify_range(gcmap: GCMap, limit: int, step_cap: int = 10_000) -> RangeRepor
     """
     _check_positive(limit, "limit")
     _check_positive(step_cap, "step_cap")
-    try:
-        a, b = _odd_even_shape(gcmap)
-    except KeyError as exc:
-        raise ValueError(f"the range scan needs n -> a*n + b (odd), n/2 (even): {exc.args[0]}") from None
-    rows, *_, guard = _step_tables(gcmap)
-    if rows[1] is None or guard < 1:
+    plan = _plan(gcmap)
+    if plan.shape is None:
+        raise ValueError(f"the range scan needs n -> a*n + b (odd), n/2 (even): {plan.why}")
+    (a, b), guard = plan.shape, plan.guard
+    if plan.rows[1] is None or guard < 1:
         raise ValueError(f"{a}*n + {b} leaves int64 at n = 1: the range scan needs a + b <= 2^63 - 1")
     t0 = time.perf_counter()
     base_orbit = gcmap.orbit(1, step_cap)  # induction base: 1 comes back to 1

@@ -124,7 +124,7 @@ def test_exact_fallback_matches_vectorized():
 
 @pytest.mark.parametrize("ref, guard", [("qx1:5", None), ("mersenne:3", None), ("3xd:5", 10**6)])
 def test_jump_finish_matches_single_steps(monkeypatch, ref, guard):
-    # exact lanes jump k steps at a time through a table at the highest start;
+    # exact lanes jump k steps at a time through the map's table from their floor on;
     # one gcmap.apply step at a time must give the same report.  3xd:5 stays
     # far below int64, so a bound of 10^6 sends its lanes to the exact finish.
     if guard is not None:
@@ -141,7 +141,7 @@ def test_jump_finish_matches_single_steps(monkeypatch, ref, guard):
         rep = verify_range(preset_map(ref), 3000, 2000)
         reports.append((rep.verified, rep.inconclusive, rep.max_steps_to_drop))
     assert reports[0] == reports[1]
-    # one table of k > 1 steps serves every start the call finishes exactly
+    # the map's one table of k > 1 steps serves every start the call finishes exactly
     # (3000 starts fit one batch: the scan is one kernel call)
     tables = jumps[True]
     assert tables and tables[0][0] > 1 and all(table is tables[0] for table in tables)
@@ -155,17 +155,19 @@ def test_no_jump_table_without_an_exact_finish(monkeypatch):
 
 
 def test_one_jump_table_per_scan(monkeypatch):
-    # every start of the scan goes through the sieve into one kernel call, so
-    # the lanes that finish exactly share one table at the largest start
+    # the lanes that finish exactly share the map's one table, built by the
+    # first scan that needs it and read by every later one
     built, table = [], dynamics._jump_table
 
-    def spy(rows, m, hi, k):
-        built.append(hi)
-        return table(rows, m, hi, k)
+    def spy(rows, m, k):
+        built.append(k)
+        return table(rows, m, k)
 
     monkeypatch.setattr(dynamics, "_jump_table", spy)
-    rep = verify_range(preset_map("mersenne:3"), 2 * 10**4, 2000)
-    assert len(rep.inconclusive) == 6013 and len(built) == 1 and built[0] <= 2 * 10**4
+    dynamics._plan_for.cache_clear()
+    for _ in range(2):
+        rep = verify_range(preset_map("mersenne:3"), 2 * 10**4, 2000)
+        assert len(rep.inconclusive) == 6013 and built == [12]
 
 
 def test_kernel_gets_the_cap_less_each_offset(monkeypatch):

@@ -423,8 +423,8 @@ def test_jump_table_refuses_fewer_than_two_steps():
     rows = dynamics._step_tables(preset_map("collatz"))[0]
     for k in (0, 1):
         with pytest.raises(ValueError):
-            dynamics._jump_table(rows, 2, 100, k)
-    assert len(dynamics._jump_table(rows, 2, 100, 2)) == 4
+            dynamics._jump_table(rows, 2, k)
+    assert len(dynamics._jump_table(rows, 2, 2)) == 4
 
 
 @pytest.mark.parametrize("ref", ["qx1:5", "qx1:7", "mersenne:3", "3xd:5"])
@@ -453,13 +453,14 @@ def test_exact_lanes_match_scalar_on_other_maps(ref, low, monkeypatch):
     "ref, hi", [("qx1:5", 501), ("mersenne:10", 501), ("3n-1", 2), ("3n-1", 501), ("mod3", 2), ("mod3", 501)]
 )
 def test_jump_table_against_k_scalar_steps(ref, hi):
-    """Every entry: f^k(m^k q + r) = L q + c at its threshold q0, each iterate inside
-    the jump at least hi there, and some iterate below hi one q before it."""
+    """Every entry: f^k(m^k q + r) = L q + c, and from the plan's floor
+    max(hi, low)*scale on, every iterate of the jump at or above hi."""
     gcmap = JUMP_MAPS[ref]
     m = gcmap.modulus
-    k = dynamics._jump_depth(m)
-    table = dynamics._jump_table(dynamics._step_tables(gcmap)[0], m, hi, k)
-    assert len(table) == m**k
+    k, table, scale, low = dynamics._plan(gcmap).jump
+    assert k == dynamics._jump_depth(m) and len(table) == m**k
+    assert table == dynamics._jump_table(dynamics._step_tables(gcmap)[0], m, k)
+    floor = max(hi, low) * scale
 
     def iterates(n):
         out = [n]
@@ -467,29 +468,23 @@ def test_jump_table_against_k_scalar_steps(ref, hi):
             out.append(gcmap.apply(out[-1]))
         return out
 
-    jumps = 0
-    for r, (L, c, q0) in enumerate(table):
-        if q0 is None:
-            # no q keeps every iterate inside the jump at least hi
-            assert all(min(iterates(m**k * q + r)[1:k]) < hi for q in range(r == 0, 5))
-            continue
-        jumps += 1
-        for q in {max(q0, r == 0), max(q0, 0) + 10**30}:
+    for r, (L, c) in enumerate(table):
+        for q in {r == 0, 7, floor // m**k + 1, 10**30}:
             orbit = iterates(m**k * q + r)
-            assert orbit[k] == L * q + c and min(orbit[1:k]) >= hi
-        if q0 - 1 >= (r == 0):
-            assert min(iterates(m**k * (q0 - 1) + r)[1:k]) < hi
-    assert jumps
+            assert orbit[k] == L * q + c
+            if orbit[0] >= floor:
+                assert min(orbit[1:]) >= hi
 
 
 def test_a_lane_entering_the_window_right_after_a_jump(low_guard):
-    """Under the guard 3333, 1119 leaves the frontier at once (3*1119 + 1 = 3358); one
-    jump takes it through 12 steps at or above 1125 to 2126, and step 13 enters the
-    window at 1063.  Fuel 11 allows no jump, fuel 12 ends on the jump."""
+    """Under the guard 3333, 1119 leaves the frontier at once (3*1119 + 1 = 3358) and
+    goes through 12 steps at or above 1125 to 2126; step 13 enters the window at 1063.
+    It is below the plan's jump floor 1125 * 2^12, so it takes them one at a time."""
     collatz = preset_map("collatz")
     window = range(1, 1125)
-    L, c, q0 = dynamics._jump_table(dynamics._step_tables(collatz)[0], 2, 1125, K)[1119]
-    assert (c, 1119 // 2**K) == (2126, 0) and q0 is not None and q0 <= 0
+    k, table, scale, low = dynamics._plan(collatz).jump
+    L, c = table[1119]
+    assert (k, c, 1119 // 2**K) == (K, 2126, 0) and 1119 < max(1125, low) * scale
     for fuel, want in ((K - 1, (0, 0, True)), (K, (0, 0, True)), (K + 1, (1063, K + 1, False))):
         low_guard.exact.clear()
         value, tau, undecided = return_times(collatz, window, [1119], fuel)
@@ -599,7 +594,7 @@ def test_per_lane_windows_take_the_table_step_on_other_maps(fuel):
 @pytest.mark.parametrize("ref", ["collatz", "qx1:5", "3xd:5"])
 def test_per_lane_windows_past_the_guard(low_guard, ref, fuel):
     # under the guard (10^4 - 1) // a, the starts past it leave the frontier
-    # at step 0 and finish on exact ints, jumping through a table at max(tops)
+    # at step 0 and finish on exact ints, jumping from each lane's own floor
     gcmap = preset_map(ref)
     tops, xs = lanes_of(gcmap, 300)
     xs = [x + 5000 if i % 7 == 0 else x for i, x in enumerate(xs)]
@@ -624,7 +619,7 @@ def test_fast_step_is_exact_up_to_the_guard():
         gcmap = _map(2, ([1], a, b, 1), ([0], 1, 0, 2))
         rows, A, B, C, guard = dynamics._step_tables(gcmap)
         vs = [v for v in (1, 2, 3, 4, guard - 3, guard - 2, guard - 1, guard) if 1 <= v <= guard] * 40
-        got = dynamics._int64_step(gcmap, rows, A, B, C, guard)(np.array(vs, dtype=np.int64))
+        got = dynamics._int64_step(gcmap, rows, A, B, C, guard, (a, b))(np.array(vs, dtype=np.int64))
         assert got.tolist() == [a * v + b if v % 2 else v // 2 for v in vs]
 
 
@@ -638,7 +633,7 @@ def test_fast_step_only_where_no_partial_sum_wraps():
         rows, A, B, C, guard = dynamics._step_tables(gcmap)
         fast = 2 * a <= guard
         assert fast == ((2 * a - 1) * (guard // 2) + a + b <= 2**63 - 1)
-        step = dynamics._int64_step(gcmap, rows, 0 * A, 0 * B, C, guard)
+        step = dynamics._int64_step(gcmap, rows, 0 * A, 0 * B, C, guard, (a, b))
         assert step(np.ones(129, dtype=np.int64)).tolist() == [a + b if fast else 0] * 129
         assert step(np.ones(128, dtype=np.int64)).tolist() == [0] * 128
         assert fast == (a < 2**61)
@@ -660,7 +655,11 @@ def table_step(monkeypatch):
     def run(*args):
         with monkeypatch.context() as mp:
             mp.setattr(dynamics, "_odd_even_shape", refuse)
-            return return_times(*args)
+            dynamics._plan_for.cache_clear()  # so that the call builds its plan under the patch
+            try:
+                return return_times(*args)
+            finally:
+                dynamics._plan_for.cache_clear()
 
     run.said = said
     return run

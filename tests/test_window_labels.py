@@ -52,6 +52,14 @@ def test_floor_division_residues_of_negative_and_extreme_int64():
         assert _residues(np.array(values, dtype=np.int64), m).tolist() == [v % m for v in values]
 
 
+def test_residues_of_exact_ints_are_python_mod():
+    # an object array takes % itself: one pass over the exact ints
+    values = [-(2**90) - 7, -(2**64), -1, 0, 5, 2**63, 2**64 + 17, 3**80 + 2]
+    for m in (1, 2, 7, 50, 2**40 + 1, 2**62 + 3):
+        got = _residues(np.array(values, dtype=object), m)
+        assert got.dtype == np.int64 and got.tolist() == [v % m for v in values]
+
+
 # --- section windows ------------------------------------------------------------------
 
 
