@@ -33,11 +33,10 @@ from __future__ import annotations
 
 import math
 import random
-import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -917,88 +916,34 @@ class NormBoundReport(Report):
         return verdict(self.violations > 0 or self.max_ratio > self.k)
 
 
-#: the table size at which ``random.Random.sample`` tracks picks in a set, by sample size
-_SET_SIZE = [0] + [21 + (4 ** math.ceil(math.log(size * 3, 4)) if size > 5 else 0) for size in range(1, 13)]
+#: the most (pool size, trials) draws held at once
+_DRAWS = 16
 
 
-@cache
-def _twelve_pairs() -> re.Pattern:
-    """Twelve (p, q) draws on the top five bits t = w >> 27 of each word:
-    randrange(19) takes the first word with t < 19, then randrange(9) the
-    first with w >> 28 < 9, which is t < 18.  Compiled on first use, as it
-    takes milliseconds."""
-    return re.compile(rb"[\x13-\x1f]*([\x00-\x12])[\x12-\x1f]*([\x00-\x11])" * 12)
-
-
-def _seeded_draws(n: int, trials: int, block: int):
+@lru_cache(maxsize=_DRAWS)
+def _seeded_draws(n: int, trials: int):
     """The draws of ``random.Random(0)`` for ``trials`` vectors over a pool of n columns.
 
     Each trial draws ``size = 1 + randrange(min(12, n))``, then
     ``sample(range(n), size)``, then ``randrange(19) - 9 or 1`` and
-    ``1 + randrange(9)`` for each column.  ``_randbelow(bound)`` takes the
-    top ``bound.bit_length()`` bits of one 32-bit generator word at a time
-    and rejects them at or above the bound, so while every bound is below
-    2^32 the draws can be read off the word stream: ``getrandbits(32 * block)``
-    hands out ``block`` words at a time, word i in bits 32i to 32i + 31.
-    ``sample`` swaps picks out of a pool of the n indices when n is at most
-    ``_SET_SIZE[size]``, else draws below n again until the index is new;
-    the picks read the top ``n.bit_length()`` bits, and the sizes and pairs
-    the top five.  A trial that runs past the words fetched is parsed again
-    after the next block.  Returns the trial sizes and, flat in trial order,
-    each column's index, p and q.
+    ``1 + randrange(9)`` for each column.  They depend only on (n, trials), so
+    they are drawn once and held as read-only int64 arrays: the trial sizes
+    and, flat in trial order, each column's index, p and q.
     """
-    getrandbits, pairs_of = random.Random(0).getrandbits, _twelve_pairs().match
-    cap = min(12, n)
-    cap_shift, n_shift = 5 - cap.bit_length(), 32 - n.bit_length()
-    raw = b""
-    sizes, cols, pairs = [], [], []
-    i = 0  # the first word of the next trial
-    while len(sizes) < trials:
-        raw += getrandbits(32 * block).to_bytes(4 * block, "little")
-        w = np.frombuffer(raw, dtype="<u4").astype(np.uint32, copy=False)
-        words, top = memoryview(w >> n_shift), (w >> 27).astype(np.uint8).tobytes()
-        try:
-            while len(sizes) < trials:
-                j = i + 1
-                size = top[i] >> cap_shift
-                while size >= cap:
-                    size = top[j] >> cap_shift
-                    j += 1
-                size += 1
-                picks = []
-                if n <= _SET_SIZE[size]:
-                    pool = list(range(n))
-                    for m in range(n, n - size, -1):
-                        shift = n.bit_length() - m.bit_length()
-                        r = words[j] >> shift
-                        j += 1
-                        while r >= m:
-                            r = words[j] >> shift
-                            j += 1
-                        picks.append(pool[r])
-                        pool[r] = pool[m - 1]
-                else:
-                    for _ in range(size):
-                        r = words[j]
-                        j += 1
-                        while r >= n or r in picks:
-                            r = words[j]
-                            j += 1
-                        picks.append(r)
-                # the trial's pairs are the first `size` of the twelve
-                match = pairs_of(top, j)
-                if match is None:
-                    break
-                sizes.append(size)
-                cols += picks
-                pairs += match.groups()[: 2 * size]
-                i = match.end(2 * size)
-        except IndexError:
-            pass
-    t = np.frombuffer(b"".join(pairs), dtype=np.uint8).astype(np.int64)
-    p = t[0::2] - 9
-    p[p == 0] = 1
-    return sizes, cols, p, (t[1::2] >> 1) + 1
+    rng = random.Random(0)
+    randrange, cap = rng.randrange, min(12, n)
+    sizes, cols, p, q = [], [], [], []
+    for _ in range(trials):
+        size = 1 + randrange(cap)
+        sizes.append(size)
+        cols += rng.sample(range(n), size)
+        for _ in range(size):
+            p.append(randrange(19) - 9 or 1)
+            q.append(1 + randrange(9))
+    draws = tuple(np.array(a, dtype=np.int64) for a in (sizes, cols, p, q))
+    for a in draws:
+        a.flags.writeable = False
+    return draws
 
 
 def norm_bound_check(gcmap: GCMap, window: BasisWindow, trials: int) -> NormBoundReport:
@@ -1006,11 +951,10 @@ def norm_bound_check(gcmap: GCMap, window: BasisWindow, trials: int) -> NormBoun
 
     Vectors are supported on columns whose image stays inside the window, so
     the truncated action agrees with the infinite operator.  The draws are
-    those of ``randrange`` and ``sample`` on ``random.Random(0)``, read off
-    the generator's 32-bit words by ``_seeded_draws``; that holds while every
-    bound drawn below is under 2^32, so for any pool of columns that fits in
-    memory.  Each vector is scaled by the lcm of its denominators, which
-    leaves the ratio unchanged, and every trial is scored in one numpy pass:
+    those of ``randrange`` and ``sample`` on ``random.Random(0)``, made once
+    per pool size and trial count by ``_seeded_draws``.  Each vector is scaled
+    by the lcm of its denominators, which leaves the ratio unchanged, and
+    every trial is scored in one numpy pass:
     |x| <= 9 * 2520, so ||v||^2 <= 6.2e9 and ||T v||^2 <= 7.5e10 are exact in
     int64.  The largest ratio is kept as a pair (num, den) of Python ints,
     compared by cross-multiplication, and one Fraction is made at the end.
@@ -1022,15 +966,14 @@ def norm_bound_check(gcmap: GCMap, window: BasisWindow, trials: int) -> NormBoun
     image = at[at >= 0]  # the position of f(n) for each column n that can carry a vector, in label order
     if not len(image):
         raise ValueError("norm bound: no column of T stays in the window, so no vector can be drawn")
-    sizes, cols, p, q = _seeded_draws(len(image), trials, 36 * trials)
-    sizes = np.array(sizes, dtype=np.int64)
+    sizes, cols, p, q = _seeded_draws(len(image), trials)
     trial = np.repeat(np.arange(trials), sizes)
     starts = np.cumsum(sizes) - sizes
     x = p * (np.lcm.reduceat(q, starts)[trial] // q)  # the entries p/q of v, times their lcm
     norm = np.add.reduceat(x * x, starts)
     # (T v)_y sums x over the trial's columns that f takes to y: group by (trial, y)
     _check_bound(trials * len(labels), "norm bound")
-    key = trial * len(labels) + image[np.array(cols, dtype=np.int64)]
+    key = trial * len(labels) + image[cols]
     order = np.argsort(key, kind="stable")
     key = key[order]
     first = np.flatnonzero(np.diff(key, prepend=-1))

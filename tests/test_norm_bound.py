@@ -5,11 +5,12 @@ from __future__ import annotations
 import random
 import re
 
+import numpy as np
 import pytest
 from norm_bound_oracle import norm_bound_oracle
 
 from collatzlab import BasisWindow, collatz, norm_bound_check, preset_map
-from collatzlab.operators import _seeded_draws
+from collatzlab.operators import _DRAWS, _seeded_draws
 
 PRESETS = (
     "collatz", "identity", "qx1:5", "qx1:7", "mersenne:3", "mersenne:4", "mersenne:5",
@@ -29,41 +30,34 @@ def test_report_equals_the_oracle(ref):
             assert (got, str(got.max_ratio)) == (want, str(want.max_ratio)), (ref, hi, trials)
 
 
-def reference_draws(n, trials):
-    """The draws as ``randrange`` and ``sample`` make them on Random(0), one call per draw."""
-    rng = random.Random(0)
-    sizes, cols, p, q = [], [], [], []
-    for _ in range(trials):
-        size = 1 + rng.randrange(min(12, n))
-        sizes.append(size)
-        cols += rng.sample(range(n), size)
-        for _ in range(size):
-            p.append(rng.randrange(19) - 9 or 1)
-            q.append(1 + rng.randrange(9))
-    return sizes, cols, p, q
-
-
-@pytest.mark.parametrize("first", range(1, 301, 50))
-def test_parsed_draws_equal_randrange_and_sample(first):
-    # sample keeps a pool for n <= 21, for n in 22..85 only at sizes 6 and up,
-    # and a set above; blocks of 97 words (about three trials) make each call
-    # fetch many times, mostly in the middle of a trial
-    for n in range(first, first + 50):
-        for trials in (1, 37, 500) if n % 10 == 0 else (37,):
-            sizes, cols, p, q = _seeded_draws(n, trials, 97)
-            assert (sizes, cols, p.tolist(), q.tolist()) == reference_draws(n, trials), (n, trials)
-
-
-def test_norm_bound_makes_no_per_draw_call(monkeypatch):
-    gcmap, window = preset_map("collatz"), BasisWindow.range(1, 600)
-    want = norm_bound_oracle(gcmap, window, 200)
+def test_draws_are_made_once_per_pool_size(monkeypatch):
+    window = BasisWindow.range(1, 600)
+    collatz_, three = preset_map("collatz"), preset_map("3xd:3")  # another map with the same pool of 400 columns
+    want = [norm_bound_oracle(gcmap, window, 200) for gcmap in (collatz_, three)]
+    assert norm_bound_check(collatz_, window, 200) == want[0]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a per-draw call of random.Random")
+        raise AssertionError("a draw of random.Random on a cached pool size")
 
     monkeypatch.setattr(random.Random, "randrange", refuse)
     monkeypatch.setattr(random.Random, "sample", refuse)
-    assert norm_bound_check(gcmap, window, 200) == want
+    assert [norm_bound_check(gcmap, window, 200) for gcmap in (collatz_, three)] == want
+
+
+def test_cached_draws_are_read_only():
+    draws = _seeded_draws(400, 200)
+    kept = [a.copy() for a in draws]
+    norm_bound_check(preset_map("collatz"), BasisWindow.range(1, 600), 200)
+    for a, b in zip(draws, kept):
+        assert a.dtype == np.int64 and np.array_equal(a, b)
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
+
+
+def test_draw_cache_is_bounded():
+    for n in range(1, _DRAWS + 10):
+        _seeded_draws(n, 3)
+    assert _seeded_draws.cache_info().currsize <= _DRAWS
 
 
 def test_randrange_makes_the_draws_of_randint():
