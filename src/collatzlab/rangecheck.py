@@ -11,11 +11,16 @@ a time to limit.bit_length() - 3 bits, at most ``_SIEVE_BITS``: about 8
 starts per class.  The class r mod 2^d holds n = r + 2^d t at v + a^j t
 after its d halvings; at the first halving with a^j < 2^d every member from
 some t* on drops at once.  The members below t*, and those of the classes
-still open at that depth, go on in one ``dynamics.return_times`` call with
-the starts as per-lane window tops [1, n) and the steps the sieve left each,
-step_cap - s, as its per-lane fuel.  Every value the kernel starts from is at
-or above its top, so it takes the shortcut step (a*v + b)/2 on odd values
-throughout, counting each as 2 steps.
+still open at that depth, are the kernel's, less each n > (a + b)/2 with
+2n = b (mod a): that n is T(q) = (a*q + b)/2 for an odd start q < n, and
+drops whenever q does (Oliveira e Silva 2010).  The rest go on in one
+``dynamics.return_times`` call per ``_BATCH``, with the starts as per-lane
+window tops [1, n) and the steps the sieve left each, step_cap - s, as its
+per-lane fuel.  Every value the kernel starts from is at or above its top,
+so it takes the shortcut step (a*v + b)/2 on odd values throughout,
+counting each as 2 steps.  The skipped starts on a run of odd iterates
+T(q), T(T(q)), ... of an inconclusive q are then stepped themselves, from
+the start at the full cap, so the report lists every start that does not drop.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _INT64_MAX, _plan, return_times
+from .dynamics import _INT64_MAX, _plan, _residues, return_times
 from .families import collatz
 from .gcmap import GCMap, Report, _check_positive, verdict
 
@@ -112,12 +117,52 @@ def _sieve(a: int, b: int, guard: int, limit: int, step_cap: int):
     return sieved, (r, m, v, p, d + j, count)
 
 
+def _skip_successors(a, b, r, m, v, p, s, count):
+    """The kernel's classes less their members n > (a + b)/2 with 2n = b (mod a).
+
+    Such an n is T(q) = (a*q + b)/2 for the odd start q = (2n - b)/a, 3 <= q < n.
+    It is q's value two steps in, and q can drop below q only below n, so n
+    drops whenever q does, 2 steps sooner.  Member t of the class r mod m = 2^d
+    has that residue exactly where t = t* (mod a).  A class whose member t* is
+    in range and past (a + b)/2 is split into its subclasses r + m*i mod a*m,
+    one for each i < min(a, count) but t*.  Every other class with a member
+    stays whole, and so does a class where a*m or a*p would pass int64, and
+    every class where a^2 would (t* takes a product below it).  The work is
+    O(classes).
+    """
+    lim = _INT64_MAX // a
+    if a > lim:
+        return r, m, v, p, s, count
+    h = (a + b) >> 1  # T(1): 2n = b (mod a) exactly where n = h (mod a)
+    d = np.frexp(m)[1] - 1  # the sieve's depth: m = 2^d exactly
+    inv = np.array([pow(2, -e, a) for e in range(int(d.max(initial=0)) + 1)], dtype=np.int64)
+    first = _residues(_residues(h - r, a) * inv[d], a)  # t*
+    cut = (first < count) & (first > (h - r) // m) & (m <= lim) & (p <= lim)
+    k = np.where(cut, np.minimum(count, a) - 1, 0)  # the subclasses with a member, less t*'s
+    c = np.repeat(np.arange(len(k)), k)  # the class of each subclass
+    whole = np.flatnonzero(~cut & (count > 0))
+    rows = np.concatenate((whole, c))
+    out = [col.take(rows) for col in (r, m, v, p, s, count)]
+    r, m, v, p, s, count = (col[len(whole) :] for col in out)  # views of the subclasses
+    i = np.arange(len(c))
+    i -= (np.cumsum(k) - k)[c]
+    i += i >= first[c]  # subclass i < min(a, count), but t*
+    r += m * i
+    v += p * i
+    m *= a
+    p *= a
+    count -= i
+    count += a - 1
+    count //= a
+    return tuple(out)
+
+
 def _lanes(r, m, v, p, fuel, count):
     """(starts, values, fuel) of the kernel's members, _BATCH at a time:
     member t < count[i] of class i is start r + m*t at v + p*t with fuel[i]
     steps left.  Each column is built in place, its repeats freed as it goes."""
     ends = np.cumsum(count)
-    begin, total = ends - count, int(ends[-1])  # the lane of each class's member t = 0
+    begin, total = ends - count, int(count.sum())  # the lane of each class's member t = 0
     for lo in range(0, total, _BATCH):
         hi = min(lo + _BATCH, total)
         c = slice(*np.searchsorted(ends, [lo, hi - 1], side="right") + [0, 1])  # the classes in [lo, hi)
@@ -138,8 +183,10 @@ def verify_range(gcmap: GCMap, limit: int, step_cap: int = 10_000) -> RangeRepor
 
     Equivalent inductive form: the orbit of 1 comes back to 1, and every n in
     [2, limit] drops below its start, each within step_cap steps.  The sieve
-    leaves some starts to ``return_times``, one call per ``_BATCH`` of them.  A
-    map of another shape, or with a + b > 2^63 - 1, raises ValueError naming why.
+    leaves some starts to ``return_times``, one call per ``_BATCH`` of them, but
+    not those ``_skip_successors`` drops.  Those on a run of odd iterates
+    T(q), T(T(q)), ... of an inconclusive lane q are then stepped themselves.
+    A map of another shape, or with a + b > 2^63 - 1, raises ValueError naming why.
     """
     _check_positive(limit, "limit")
     _check_positive(step_cap, "step_cap")
@@ -153,16 +200,32 @@ def verify_range(gcmap: GCMap, limit: int, step_cap: int = 10_000) -> RangeRepor
     base_orbit = gcmap.orbit(1, step_cap)  # induction base: 1 comes back to 1
     inconclusive = [] if base_orbit.entered_cycle and base_orbit.outcome.entry_index == 0 else [1]
 
-    (_, _, _, drop), (r, m, v, p, s, count) = _sieve(a, b, guard, limit, step_cap)
+    (_, _, _, drop), kernel = _sieve(a, b, guard, limit, step_cap)
     max_steps = int(drop.max(initial=0))
+    r, m, v, p, s, count = _skip_successors(a, b, *kernel)
+    del drop, kernel  # the sieve's columns, freed before the lanes are built
     for starts, vals, fuel in _lanes(r, m, v, p, step_cap - s, count):
         # each lane gets the steps the sieve left it
         _, tau, undecided = return_times(gcmap, starts, vals, fuel)
         inconclusive += starts[undecided].tolist()
         tau += step_cap - fuel  # the sieve's steps and the kernel's
         max_steps = max(max_steps, int(tau[~undecided].max(initial=0)))
+    # a skipped n = T(q) drops where q does, so one that does not lies on the run
+    # of odd iterates T(q), T(T(q)), ... of an inconclusive lane q: each such
+    # start in range is stepped itself at the full cap, in one more call
+    top, chained = (2 * limit - b) // a, set()  # T(q) <= limit for q <= top
+    for q in inconclusive:
+        while q & 1 and 1 < q <= top:
+            q = (a * q + b) >> 1
+            chained.add(q)
+    skipped = sorted(chained.difference(inconclusive))
+    for lo in range(0, len(skipped), _BATCH):
+        starts = np.array(skipped[lo : lo + _BATCH], dtype=np.int64)
+        _, tau, undecided = return_times(gcmap, starts, starts, step_cap)
+        inconclusive += starts[undecided].tolist()
+        max_steps = max(max_steps, int(tau[~undecided].max(initial=0)))
     seconds = time.perf_counter() - t0
-    return RangeReport(limit, not inconclusive, tuple(sorted(set(inconclusive))), seconds, max_steps)
+    return RangeReport(limit, not inconclusive, tuple(sorted(inconclusive)), seconds, max_steps)
 
 
 def verify_range_collatz(limit: int, step_cap: int = 10_000) -> RangeReport:

@@ -23,13 +23,14 @@ from collatzlab import (
 )
 from collatzlab.dynamics import _step_tables, return_times
 from collatzlab.families import _odd_even
-from collatzlab.rangecheck import _sieve
+from collatzlab.rangecheck import _sieve, _skip_successors
 
 # the guard of 3v + 1 under the real int64 bound: the largest v it steps
 COLLATZ_GUARD = (2**63 - 2) // 3
 
-# the maps of the differential, as (a, b) of n -> a*n + b (odd), n/2 (even)
-MAPS = [(3, 1), (3, 5), (3, 7), (5, 1), (7, 1), (31, 1), (127, 1)]
+# the maps of the differential, as (a, b) of n -> a*n + b (odd), n/2 (even); under
+# 3x+9, 3 has 2n = b (mod a) but no odd predecessor, (2*3 - 9)/3 = -1, and never drops
+MAPS = [(3, 1), (3, 5), (3, 7), (5, 1), (7, 1), (31, 1), (127, 1), (3, 9)]
 
 
 def _drop_step(gcmap, n, v, step, step_cap):
@@ -170,25 +171,53 @@ def test_one_jump_table_per_scan(monkeypatch):
         assert len(rep.inconclusive) == 6013 and built == [12]
 
 
-def test_kernel_gets_the_cap_less_each_offset(monkeypatch):
-    # each lane of the kernel gets the steps the sieve left it, step_cap - s
-    # for a lane its class took s steps, so no lane is stepped past the cap
+def spy_kernel(monkeypatch) -> list:
+    """Log each ``return_times`` call of the range scan as (tops, starts, fuel, tau, undecided)."""
     calls, kernel = [], rangecheck.return_times
 
     def spy(gcmap, tops, xs, fuel):
         out = kernel(gcmap, tops, xs, fuel)
-        calls.append((tops, fuel, *(col.copy() for col in out[1:])))
+        fuel = fuel.copy() if isinstance(fuel, np.ndarray) else fuel
+        calls.append((tops.copy(), xs.copy(), fuel, *(col.copy() for col in out[1:])))
         return out
 
     monkeypatch.setattr(rangecheck, "return_times", spy)
+    return calls
+
+
+def test_kernel_gets_the_cap_less_each_offset(monkeypatch):
+    # each lane of the kernel gets the steps the sieve left it, step_cap - s
+    # for a lane its class took s steps, so no lane is stepped past the cap;
+    # the sieve's starts n = 2 (mod 3) are no lanes (n = 2 itself is sieved),
+    # and one more call steps some of them from n at the full cap
+    calls = spy_kernel(monkeypatch)
     rep = verify_range_collatz(10**5, 200)
-    r, m, v, p, s, count = _sieve(3, 1, COLLATZ_GUARD, 10**5, 200)[1]
-    [(tops, fuel, tau, undecided)] = calls
-    assert tops.tolist() == [n for r, m, c in zip(r.tolist(), m.tolist(), count.tolist()) for n in range(r, r + m * c, m)]
-    assert fuel.tolist() == np.repeat(200 - s, count).tolist()
+    r, m, v, p, s, count = (col.tolist() for col in _sieve(3, 1, COLLATZ_GUARD, 10**5, 200)[1])
+    offset = {n: 200 - s for r, m, s, c in zip(r, m, s, count) for n in range(r, r + m * c, m)}
+    (tops, xs, fuel, tau, undecided), (after, after_xs, after_fuel, _, _) = calls
+    assert sorted(tops.tolist()) == [n for n in sorted(offset) if n % 3 != 2]
+    assert fuel.tolist() == [offset[n] for n in tops.tolist()]
     assert len(set(fuel.tolist())) > 1  # the offsets differ
     assert (tau[~undecided] <= fuel[~undecided]).all() and rep.max_steps_to_drop <= 200
     assert (rep.inconclusive, rep.max_steps_to_drop) == drop_scan(10**5, 200)
+    assert after_fuel == 200 and after.tolist() == after_xs.tolist() and len(after)
+    for q in after.tolist():  # each on a run of odd iterates T(q'), T(T(q')), ... of an inconclusive q'
+        assert q % 3 == 2
+        while (q := (2 * q - 1) // 3) not in rep.inconclusive:
+            assert q % 3 == 2 and q > 2  # q = T(q') for the odd q' = (2q - 1)/3
+    # every start of the sieve that is no lane drops, or is stepped after its q
+    for n in set(offset) - set(tops.tolist()) - set(after.tolist()):
+        assert (2 * n - 1) // 3 not in rep.inconclusive and n not in rep.inconclusive
+
+
+def test_the_kernel_steps_no_start_with_an_odd_predecessor(monkeypatch):
+    # collatz at 2*10^6: of the 57,171 starts the 18-bit sieve leaves open, the
+    # kernel steps only the 38,125 with n != 2 (mod 3), and nothing after them
+    calls = spy_kernel(monkeypatch)
+    rep = verify_range_collatz(2 * 10**6)
+    [(tops, xs, fuel, tau, undecided)] = calls
+    assert len(tops) == 38_125 and not (tops % 3 == 2).any()
+    assert rep.verified and rep.max_steps_to_drop == 365  # as when every start was stepped
 
 
 def test_a_modulus_too_wide_to_jump_finishes_one_step_at_a_time(monkeypatch):
@@ -356,6 +385,50 @@ def test_sieve_table_of_every_map_is_exact(a, b):
     sieved, (r, m, v, p, s, count) = check_sieve(a, b, _step_tables(_odd_even(a, b))[4], 10**6, 60)
     stopped = (p >= m) & (m < 1 << 17)
     assert stopped.any() == (a >= 31)
+
+
+def check_split(a, b, guard, limit, step_cap):
+    """``_skip_successors`` on ``_sieve``'s kernel classes against exact ints.  Its
+    classes hold each kernel start once, but no n > (a + b)/2 with 2n = b (mod a)
+    unless n's class stays whole: its least such member is at most (a + b)/2, or
+    a*m or a*p would pass int64.  Each class's members t = 0 and 1, in range or
+    not, are at v + p*t after s steps.  Returns the classes."""
+    h, lim = (a + b) // 2, (2**63 - 1) // a
+    kernel = _sieve(a, b, guard, limit, step_cap)[1]
+    want = {}
+    for r, m, v, p, s, count in zip(*(col.tolist() for col in kernel)):
+        members = range(r, r + m * count, m)
+        whole = m > lim or p > lim or min((n for n in members if (2 * n - b) % a == 0), default=h + 1) <= h
+        want.update((n, s) for n in members if whole or n <= h or (2 * n - b) % a)
+    split = _skip_successors(a, b, *kernel)
+    got = {}
+    for r, m, v, p, s, count in zip(*(col.tolist() for col in split)):
+        for t in (0, 1):
+            assert _orbit(a, b, r + m * t, s)[s] == v + p * t, (r, m, t)
+        for n in range(r, r + m * count, m):
+            assert n not in got
+            got[n] = s
+    assert got == want
+    return split
+
+
+@pytest.mark.parametrize("a, b", MAPS)
+@pytest.mark.parametrize("step_cap", [7, 10_000])
+def test_split_drops_each_start_with_an_odd_predecessor(a, b, step_cap):
+    guard = _step_tables(_odd_even(a, b))[4]
+    kernel, split = _sieve(a, b, guard, 10**5, step_cap)[1], check_split(a, b, guard, 10**5, step_cap)
+    assert split[5].sum() < kernel[5].sum()  # some lanes are gone
+
+
+def test_split_keeps_a_class_whole_where_int64_would_wrap():
+    # 31x+1 at 4*10^4: ten kernel classes have 31*p past int64 and stay whole
+    guard = _step_tables(qx1(31))[4]
+    (*_, p, _, _) = _sieve(31, 1, guard, 40_000, 60)[1]
+    assert np.count_nonzero(p > (2**63 - 1) // 31) == 10
+    check_split(31, 1, guard, 40_000, 60)
+    # under a lowered guard too: the bound of a wrap is int64's, not the guard's
+    for a, guard in [(3, 100), (3, 10**4), (127, 10**4)]:
+        check_split(a, 1, guard, 3000, 60)
 
 
 def test_sieve_does_not_advance_where_int64_would_wrap():
