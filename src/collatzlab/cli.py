@@ -226,15 +226,14 @@ def _suite_span(gcmap: GCMap, args) -> tuple[dict, int]:
     starts = range(1, min(1000, args.window) + 1)
     rep = span_vs_class(gcmap, window, args.fuel, depth=args.depth, starts=starts)
     status = rep.status
-    bad = [e.start for e, s in zip(rep.entries, rep.statuses) if s == VIOLATION]
     payload = {
-        "starts": len(rep.entries),
+        "starts": len(rep.start),
         "ok": status == PASS,
-        "failures": bad[:20],
-        "boundaryAffected": sum(1 for e in rep.entries if e.boundary_members),
+        "failures": rep.start[rep.statuses == VIOLATION][:20].tolist(),
+        "boundaryAffected": int((rep.boundary_members > 0).sum()),
     }
     if args.depth is not None:
-        payload["depthCapped"] = sum(1 for e in rep.entries if e.depth_capped)
+        payload["depthCapped"] = int(rep.depth_capped.sum())
     return payload, status
 
 
@@ -358,6 +357,11 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else INPUT_ERROR
     except (DomainError, ValueError) as exc:
         return _fail_input(str(exc))
+    except (OverflowError, MemoryError) as exc:  # a size too large to hold is bad input, not a violation
+        given = {o: getattr(args, o, None) for o in ("window", "fuel", "depth")}
+        sizes = " ".join(f"--{o} {v}" for o, v in given.items() if v is not None)
+        room = "memory" if isinstance(exc, MemoryError) else "int64"
+        return _fail_input(f"a request of {sizes} does not fit in {room}: {exc or type(exc).__name__}")
 
 
 if __name__ == "__main__":

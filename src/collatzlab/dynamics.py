@@ -8,9 +8,10 @@ Every first return on arrays (the classes of a window, P on a section, and
 the range scan's drop of each start below itself) goes through one kernel,
 :func:`return_times`, which steps int64 frontiers and agrees lane by lane
 with the scalar :func:`return_time`, its oracle.  A lane int64 cannot step
-leaves the frontier alone and finishes on exact ints.  There is no scalar
-fork: sigma is a window, a (punctured) residue set or per-lane tops, and a
-sigma of any other kind raises TypeError.
+leaves the frontier alone, and the last few lanes of a window leave together;
+each finishes on exact ints.  There is no scalar fork: sigma is a window, a
+(punctured) residue set or per-lane tops, and a sigma of any other kind
+raises TypeError.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ from .gcmap import (
 )
 
 _INT64_MAX = 2**63 - 1
+#: a window's frontier down to this many live lanes finishes them in ``_exact_return``:
+#: an int64 step costs a few numpy calls however narrow the frontier is
+_NARROW = 64
 
 # --- orbit equivalence ------------------------------------------------------
 
@@ -279,7 +283,7 @@ def _jump_table(rows: list, m: int, k: int) -> list:
 class _Plan:
     """What the kernel reads off one map, built once (``_plan``): ``_step_tables``'
     rows and guard; ``_odd_even_shape``'s (a, b), or None and ``why``; the int64
-    ``step`` on the tables; whether per-lane tops take the ``fused`` odd step; the ``jump``."""
+    ``step`` on the tables; whether odd steps are ``fused``; the ``reach`` and ``jump`` on windows."""
 
     def __init__(self, gcmap: GCMap) -> None:
         self.modulus = gcmap.modulus
@@ -292,8 +296,8 @@ class _Plan:
         self.fused = self.shape is not None and self.rows[1] is not None
 
     @functools.cached_property
-    def jump(self):
-        """``(k, table, scale, low)`` for ``_exact_return`` on windows, built on first use.
+    def reach(self):
+        """``(k, scale, low)`` of ``_exact_return``'s k-step jump on windows.
 
         With every row (a, b, c) exact and a >= 1, f(n) >= n/rho, rho the largest of c
         (b >= 0) and 2c (b < 0, for n >= low, the largest 2|b|, or 1).  From v >=
@@ -305,7 +309,12 @@ class _Plan:
             return None
         rho = max(2 * c if b < 0 else c for _, b, c in rows)
         low = max((-2 * b for _, b, _ in rows if b < 0), default=1)
-        return k, _jump_table(rows, self.modulus, k), rho**k, low
+        return k, rho**k, low
+
+    @functools.cached_property
+    def jump(self):  # (k, table, scale, low), built on an exact lane's first jump; None without a reach
+        k, scale, low = self.reach or (0, 0, 0)
+        return self.reach and (k, _jump_table(self.rows, self.modulus, k), scale, low)
 
 
 #: the most plans, and residue tests, held at once
@@ -322,26 +331,31 @@ def _plan(gcmap: GCMap) -> _Plan:
     return _plan_for(gcmap, _INT64_MAX)
 
 
-def _exact_return(gcmap: GCMap, sigma: Container[int], jump, v: int, step: int, fuel: int):
-    """Finish one lane on exact ints from the value v reached after ``step``
-    steps: ``(value, tau)`` of its return to sigma, or None when fuel runs out.
-    With ``_Plan.jump`` (k, table, scale, low) on a window ``range(1, top)`` it
-    takes k steps at once, with no member test, while v >= max(top, low)*scale
-    and the jump ends within fuel; else one ``gcmap.apply`` step, testing sigma
-    as ``return_time`` does, so it raises what that raises."""
-    apply, last, floor = gcmap.apply, -1, 0  # last -1: no jump
-    if jump is not None:
-        k, table, scale, low = jump
-        last, floor, size = fuel - k, max(sigma.stop, low) * scale, len(table)
+def _exact_return(gcmap: GCMap, sigma: Container[int], plan, v: int, step: int, fuel: int):
+    """Finish one lane on exact ints from the value v reached after ``step`` steps:
+    ``(value, tau)`` of its return to sigma, or None when fuel runs out.  Without a
+    plan each step is a ``gcmap.apply``, raising what ``return_time`` raises.  A plan
+    with a ``reach`` comes with a window ``range(1, top)``: a step takes v's row, a
+    ``fused`` odd v >= top takes (a*v + b)/2 as 2 steps (a*v + b > v cannot return),
+    and from max(top, low)*scale on it jumps k steps by the table while they fit in fuel."""
+    rows, m, last, floor, odd, apply = (None,), 1, -1, 0, 0, gcmap.apply  # (None,): every step applies
+    if plan is not None:
+        (k, scale, low), rows, m, top, table = plan.reach, plan.rows, plan.modulus, sigma.stop, None
+        last, floor, size, odd, (a, b) = fuel - k, max(top, low) * scale, m**k, plan.fused, plan.shape or (0, 0)
         # a shift and a mask split a long v several times faster than divmod
         shift = size.bit_length() - 1 if size & (size - 1) == 0 else None
     while step < fuel:
         if step <= last and v >= floor:
+            table = table or plan.jump[1]
             q, r = divmod(v, size) if shift is None else (v >> shift, v & (size - 1))
             L, c = table[r]
             v, step = L * q + c, step + k
             continue
-        v, step = apply(v), step + 1
+        if v & odd and v >= top and step < fuel - 1:
+            v, step = (a * v + b) >> 1, step + 2
+        else:
+            row = rows[v % m]
+            v, step = apply(v) if row is None else (row[0] * v + row[1]) // row[2], step + 1
         if v in sigma:
             return v, step
     return None
@@ -379,14 +393,6 @@ def _residues(v: np.ndarray, m: int) -> np.ndarray:
     q = v // m
     q *= m
     return np.subtract(v, q, out=q).astype(np.int64, copy=False)
-
-
-def _int_array(values: list[int]) -> np.ndarray:
-    """int64 when every value fits, else exact Python ints in an object array."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
 
 
 def _int64_step(gcmap: GCMap, rows: list, A: np.ndarray, B: np.ndarray, C: np.ndarray, guard: int, shape):
@@ -439,13 +445,15 @@ def return_times(gcmap: GCMap, sigma, xs, fuel):
     Other calls take the plan's single step and are compacted at every
     return.  A lane the tables cannot step (past the guard at step 0, or with
     a step past it or into a class without an exact row) leaves with its
-    value and step count from before that step and finishes, in lane order,
-    in ``_exact_return``, which raises where ``return_time`` raises and on
-    windows takes the plan's jump.  ``value`` is an object array if a return
-    does not fit int64.  Before any step, a start below 1 raises DomainError,
-    and so does a start outside a window or residue sigma, as ``return_time``
-    raises it; a sigma of another kind raises TypeError, and per-lane fuel of
-    another length ValueError.
+    value and step count from before that step; on a window or per-lane tops,
+    once at most ``_NARROW`` lanes are live after an iteration, each leaves
+    with its value and step count as they stand.  Each finishes, in lane
+    order, in ``_exact_return``, which raises where ``return_time`` raises and
+    on windows steps by the plan's rows and jump.  ``value`` is an object
+    array if a return does not fit int64.  Before any step, a start below 1
+    raises DomainError, and so does a start outside a window or residue
+    sigma, as ``return_time`` raises it; a sigma of another kind raises
+    TypeError, and per-lane fuel of another length ValueError.
     """
     xs = np.asarray(xs, dtype=np.int64)
     per_lane = isinstance(sigma, np.ndarray)
@@ -467,6 +475,7 @@ def return_times(gcmap: GCMap, sigma, xs, fuel):
         undecided = np.full(len(xs), fuel < 1)
     plan = _plan(gcmap)
     guard, shape, step_of = plan.guard, plan.shape, plan.step
+    narrow = per_lane or isinstance(sigma, range)  # windows: their frontiers may narrow to the exact finish
     lazy = per_lane and plan.fused  # fused steps, lazy compaction
     returned = []  # (lanes, values, k + c) of each iteration's returns
     left = []  # (lanes, values, k + c) of the lanes that left the frontier, from before that step
@@ -550,6 +559,10 @@ def return_times(gcmap: GCMap, sigma, xs, fuel):
             done = hit.nonzero()[0]
         if len(done):
             retire(hit, done)
+        if narrow and 0 < len(vals) - dead <= _NARROW:  # the live lanes leave as they stand
+            i = (c >= 0).nonzero()[0] if dead else np.arange(len(vals))
+            left.append((lanes[i], vals[i], k if c is None else c[i] + k))
+            break
         fused = lazy
     value, tau = np.zeros(len(xs), dtype=np.int64), np.zeros(len(xs), dtype=np.int64)
     for done, v, steps in returned:
@@ -561,15 +574,15 @@ def return_times(gcmap: GCMap, sigma, xs, fuel):
         for done, v, steps in left:
             f = fuel[done] if fuel_per_lane else np.full(len(done), fuel)
             exits += zip(done.tolist(), v.tolist(), (steps - max_fuel + f).tolist(), f.tolist())
-        jump = plan.jump if per_lane or isinstance(sigma, range) else None
+        exact = plan if narrow and plan.reach else None  # windows step by the plan's rows and jump
         exits.sort()  # in lane order, so the first lane to raise is the one return_time raises at
         window = (lambda lane: range(1, int(sigma[lane]))) if per_lane else (lambda lane: sigma)
-        finished = [(lane, _exact_return(gcmap, window(lane), jump, v, s, f)) for lane, v, s, f in exits]
+        finished = [(lane, _exact_return(gcmap, window(lane), exact, v, s, f)) for lane, v, s, f in exits]
         undecided[[lane for lane, ret in finished if ret is None]] = True
         back = [(lane, *ret) for lane, ret in finished if ret is not None]
         if back:
             done, v, t = (list(col) for col in zip(*back))
-            v = _int_array(v)
+            v = np.array(v, dtype=np.int64 if max(v) < 2**63 else object)  # returns are at least 1
             value = value.astype(v.dtype, copy=False)
             value[done], tau[done] = v, t
     return value, tau, undecided

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
@@ -45,7 +45,7 @@ from .conditions import SeparatingResult, WitnessTable, halving_witnesses
 from .conditions import residue_image_exceptions, separating_condition
 from .dynamics import ClassesReport, _member_test, _partition, return_time, return_times
 from .gcmap import INCONCLUSIVE, DomainError, GCMap, Inconclusive, PuncturedResidueSet, Report
-from .gcmap import ResidueSet, _check_positive, combine, section_sets, verdict
+from .gcmap import PASS, VIOLATION, ResidueSet, _check_positive, combine, section_sets, verdict
 
 
 @dataclass(frozen=True)
@@ -723,18 +723,31 @@ class SpanClassEntry:
         return verdict(not (self.span_subset_of_class and self.span_equals_certified))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpanClassReport(Report):
-    entries: tuple[SpanClassEntry, ...]
+    """``span_vs_class``'s entries as an array per field of ``SpanClassEntry``, over
+    the starts in order; the statuses are read from them, and ``entries`` built when read."""
+
+    start: np.ndarray
+    span_size: np.ndarray
+    class_size: np.ndarray
+    span_subset_of_class: np.ndarray
+    span_equals_certified: np.ndarray
+    boundary_members: np.ndarray
+    depth_capped: np.ndarray
 
     @cached_property
-    def statuses(self) -> tuple[int, ...]:
-        """Each entry's status, in order, read once."""
-        return tuple(e.status for e in self.entries)
+    def entries(self) -> tuple[SpanClassEntry, ...]:
+        return tuple(map(SpanClassEntry, *(getattr(self, f.name).tolist() for f in fields(SpanClassEntry))))
+
+    @cached_property
+    def statuses(self) -> np.ndarray:  # each start's SpanClassEntry.status, in order
+        held = self.span_subset_of_class & self.span_equals_certified
+        return np.where(self.depth_capped, INCONCLUSIVE, np.where(held, PASS, VIOLATION))
 
     @property
     def status(self) -> int:  # a report that checks no span is no evidence: inconclusive
-        return combine(self.statuses) if self.entries else INCONCLUSIVE
+        return combine(self.statuses.tolist()) if len(self.start) else INCONCLUSIVE
 
 
 def span_vs_class(
@@ -787,7 +800,7 @@ def span_vs_class(
     whole = np.bincount(full.minima)[full_rep]
     capped = in_cert & (size < cert) & (depth is not None)
     rows = (size, whole, in_full, in_cert & (size == cert), whole - cert, capped)
-    return SpanClassReport(tuple(map(SpanClassEntry, starts, *(row[of].tolist() for row in rows))))
+    return SpanClassReport(at + 1, *(row[of] for row in rows))
 
 
 # --- finitistic cores of the commutant lemmas -----------------------------------------

@@ -130,11 +130,11 @@ def test_jump_finish_matches_single_steps(monkeypatch, ref, guard):
     # far below int64, so a bound of 10^6 sends its lanes to the exact finish.
     if guard is not None:
         monkeypatch.setattr(dynamics, "_INT64_MAX", guard)
-    exact, jumps = dynamics._exact_return, {True: [], False: []}
+    exact, plans = dynamics._exact_return, {True: [], False: []}
 
-    def finish(gcmap, sigma, jump, v, step, fuel):
-        jumps[use_jump].append(jump)
-        return exact(gcmap, sigma, jump if use_jump else None, v, step, fuel)
+    def finish(gcmap, sigma, plan, v, step, fuel):
+        plans[use_jump].append(plan)
+        return exact(gcmap, sigma, plan if use_jump else None, v, step, fuel)
 
     monkeypatch.setattr(dynamics, "_exact_return", finish)
     reports = []
@@ -144,7 +144,7 @@ def test_jump_finish_matches_single_steps(monkeypatch, ref, guard):
     assert reports[0] == reports[1]
     # the map's one table of k > 1 steps serves every start the call finishes exactly
     # (3000 starts fit one batch: the scan is one kernel call)
-    tables = jumps[True]
+    tables = [plan.jump for plan in plans[True]]
     assert tables and tables[0][0] > 1 and all(table is tables[0] for table in tables)
 
 
@@ -292,6 +292,7 @@ def test_compacting_kernel_matches_python_scan(monkeypatch, past, step_cap):
     # sends every lane that climbs past it to the exact finish
     monkeypatch.setattr(rangecheck, "_BATCH", 7)
     lower_guard(monkeypatch, past)
+    monkeypatch.setattr(dynamics, "_NARROW", 0)  # so that only the guard sends lanes to the exact finish
     exact_calls = log_exact_finish(monkeypatch)
     rep = verify_range_collatz(3000, step_cap=step_cap)
     inconclusive, max_steps = drop_scan(3000, step_cap)
@@ -313,6 +314,7 @@ def test_sieved_scan_matches_python_scan(monkeypatch, sieve_bits, past, step_cap
     monkeypatch.setattr(rangecheck, "_SIEVE_BITS", sieve_bits)
     monkeypatch.setattr(rangecheck, "_BATCH", 7)
     lower_guard(monkeypatch, past)
+    monkeypatch.setattr(dynamics, "_NARROW", 0)  # so that only the guard sends lanes to the exact finish
     exact_calls = log_exact_finish(monkeypatch)
     rep = verify_range_collatz(3000, step_cap=step_cap)
     inconclusive, max_steps = drop_scan(3000, step_cap)

@@ -299,7 +299,8 @@ def test_guard_reruns_the_call_exactly(low_guard, fuel):
 
 @pytest.mark.parametrize("interior_only", [False, True])
 @pytest.mark.parametrize("fuel", FUELS)
-def test_guard_in_classes(low_guard, fuel, interior_only):
+def test_guard_in_classes(low_guard, fuel, interior_only, monkeypatch):
+    monkeypatch.setattr(dynamics, "_NARROW", 0)  # so that only the guard sends lanes to the exact finish
     gcmap = preset_map("collatz")
     assert_same_classes(gcmap, 3000, fuel, interior_only)
     # 3x+1 takes the window past the guard (10^4 - 1) // 3 at the first step:

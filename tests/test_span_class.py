@@ -3,6 +3,7 @@ at windows 1 to 3000 and depths None to 3, and the verdict of a depth-capped spa
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -19,7 +20,8 @@ from collatzlab import (
     span_vs_class,
 )
 from collatzlab.cli import INCONCLUSIVE, INPUT_ERROR, PASS, VIOLATION, main
-from collatzlab import dynamics, operators
+from collatzlab.gcmap import combine
+from collatzlab import cli, dynamics, operators
 from collatzlab.dynamics import ClassesReport
 from collatzlab.operators import SpanClassEntry, SpanClassReport
 from test_return_kernel import scalar_classes
@@ -69,6 +71,12 @@ def per_start_oracle(gcmap, hi, fuel, depths):
                 )
             entries.append(SpanClassEntry(s, *done[key]))
         yield depth, tuple(entries)
+
+
+def report_of(entries) -> SpanClassReport:
+    """The report whose columns are the fields of these entries, in order."""
+    names = [f.name for f in dataclasses.fields(SpanClassEntry)]
+    return SpanClassReport(*(np.array([getattr(e, name) for e in entries]) for name in names))
 
 
 # the divergent maps at small fuel only: the scalar reruns of their lanes grow big ints
@@ -135,7 +143,7 @@ def test_span_status_precedence():
     assert entry(True, False, True).status == INCONCLUSIVE
     assert entry(True, False, False).status == VIOLATION
     assert entry(False, False, False).status == VIOLATION  # left its class
-    report = SpanClassReport((entry(True, False, True), entry(False, False, False)))
+    report = report_of((entry(True, False, True), entry(False, False, False)))
     assert report.status == VIOLATION
 
 
@@ -240,3 +248,94 @@ def test_one_window_image_gives_both_certified_classes_and_graph(monkeypatch, re
     old = (full, certified, (t._col, t._row))  # T's graph: an edge per entry
     monkeypatch.setattr(operators, "_window_classes", lambda *_: old)
     assert span_vs_class(gcmap, window, fuel, depth).entries == got
+
+
+# --- the span suite reads its counts off the report's arrays ------------------------------
+
+
+def suite_of(entries, depth) -> dict:
+    """The span suite's payload, read off the entries one by one."""
+    statuses = [e.status for e in entries]
+    status = combine(statuses) if entries else INCONCLUSIVE
+    body = {
+        "exitCode": status,
+        "starts": len(entries),
+        "ok": status == PASS,
+        "failures": [e.start for e, s in zip(entries, statuses) if s == VIOLATION][:20],
+        "boundaryAffected": sum(1 for e in entries if e.boundary_members),
+    }
+    if depth is not None:
+        body["depthCapped"] = sum(1 for e in entries if e.depth_capped)
+    return body
+
+
+def span_suite(capsys, ref, hi, fuel, depth) -> dict:
+    argv = ["verify", ref, "--suite", "span", "--window", str(hi), "--fuel", str(fuel)]
+    code = main(argv + ([] if depth is None else ["--depth", str(depth)]))
+    body = json.loads(capsys.readouterr().out)
+    assert code == body["exitCode"]
+    return {key: body[key] for key in ("exitCode", "starts", "ok", "failures", "boundaryAffected", "depthCapped")
+            if key in body}
+
+
+@pytest.mark.parametrize("hi", [1, 2, 7, 64, 300])
+@pytest.mark.parametrize("ref", list(ORACLE_FUEL))
+def test_span_suite_and_statuses_match_the_per_entry_forms(capsys, ref, hi):
+    gcmap, fuel = preset_map(ref), ORACLE_FUEL[ref]
+    for depth, want in per_start_oracle(gcmap, hi, fuel, (None, 0, 1, 3)):
+        rep = span_vs_class(gcmap, BasisWindow.range(1, hi), fuel, depth)
+        assert rep.entries == want
+        assert rep.statuses.tolist() == [e.status for e in want]
+        assert rep.status == suite_of(want, depth)["exitCode"]
+        assert span_suite(capsys, ref, hi, fuel, depth) == suite_of(want, depth)
+
+
+@pytest.mark.parametrize("depth", [None, 3])
+@pytest.mark.parametrize("rep_of, full_too", [(lambda n: n, True), (lambda n: 2 - n % 2, False)])
+def test_span_suite_lists_the_first_20_failures(monkeypatch, capsys, rep_of, full_too, depth):
+    # classes that the spans leave: most of the 200 starts fail, some capped spans stay inconclusive
+    _replace_classes(monkeypatch, rep_of, full_too)
+    rep = span_vs_class(collatz(), BasisWindow.range(1, 200), 10**4, depth)
+    want = suite_of(rep.entries, depth)
+    assert len([e for e in rep.entries if e.status == VIOLATION]) > 20 and want["exitCode"] == VIOLATION
+    assert rep.statuses.tolist() == [e.status for e in rep.entries]
+    assert span_suite(capsys, "collatz", 200, 10**4, depth) == want
+
+
+def test_a_report_of_no_starts_builds_no_entries():
+    rep = span_vs_class(collatz(), BasisWindow.range(1, 100), 100, starts=[])
+    assert rep.entries == () and rep.statuses.tolist() == [] and rep.status == INCONCLUSIVE
+
+
+# --- sizes that do not fit are input errors, not violations --------------------------------
+
+
+@pytest.mark.parametrize("argv", [["verify", "collatz", "--suite", "span"], ["verify", "collatz", "--suite", "relations"]])
+def test_a_window_past_int64_exits_3(capsys, argv):
+    # 10^20 fails before any allocation: no length of a window goes past int64
+    code = main(argv + ["--window", str(10**20)])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == INPUT_ERROR
+    assert error.startswith(f"a request of --window {10**20} --fuel 10000 does not fit in int64: ")
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["classes", "collatz", "--window", "100"], "classes"),
+        (["verify", "collatz", "--suite", "span", "--window", "100"], "span_vs_class"),
+        (["verify", "collatz", "--suite", "relations", "--window", "100"], "verify_branch_relations"),
+    ],
+)
+def test_a_request_past_memory_exits_3(monkeypatch, capsys, argv, name):
+    # the request's own call raises it at once, so nothing large is ever allocated
+    def no_room(*args, **kwargs):
+        raise MemoryError(no_room.message)
+
+    no_room.message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type int64"
+
+    monkeypatch.setattr(cli, name, no_room)
+    code = main(argv)
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == INPUT_ERROR
+    assert error == f"a request of --window 100 --fuel 10000 does not fit in memory: {no_room.message}"
