@@ -9,7 +9,10 @@ afterwards, and ``bench/run.py --trace 0`` runs there ``--pairs`` times per
 side, the side that goes first alternating from pair to pair.  For each
 end-to-end metric of ``BENCHMARK.json`` it prints each side's median and
 quartiles and the number of pairs HEAD won, by the metric's direction; a tie
-counts for neither side.  Exits 0 when every run finished, 1 when a run
+counts for neither side.  Two rows more are read off each run's notes: the
+wall ``verdict_s`` before scaling (the pairs HEAD won too) and the speed
+probe's median, which scales it; a run without those lines is left out of
+that row.  Exits 0 when every run finished, 1 when a run
 failed or graded a verdict wrong, and 3 on a bad argument, an unknown
 revision or workload, or when ``bench/`` or ``BENCHMARK.json`` differ
 between the two revisions, since the pairs would then not measure the same
@@ -21,6 +24,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import subprocess
 import sys
 import tarfile
@@ -30,6 +34,15 @@ from pathlib import Path
 import numpy as np
 
 INPUT_ERROR = 3
+
+
+# rows read off a run's notes, with the pattern that reads each; better None: no side wins
+NOTES = [
+    {"name": "wall verdict_s", "unit": "s", "better": "lower",
+     "pattern": re.compile(r"^wall \(unscaled\):.* verdict_s=(\S+)", re.M)},
+    {"name": "speed probe", "unit": "ms", "better": None,
+     "pattern": re.compile(r"^speed probe: median (\S+) ms", re.M)},
+]
 
 
 class UsageError(Exception):
@@ -75,12 +88,21 @@ def run_once(tree: Path, spec: dict, args) -> dict:
     lines = done.stdout.strip().splitlines()
     if done.returncode or not lines:
         return {"correct": False, "metrics": {}, "error": done.stderr.strip()[-500:]}
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    result["metrics"].update(notes_of(done.stdout))
+    return result
+
+
+def notes_of(stdout: str) -> dict:
+    """The ``NOTES`` rows that a run's output holds, as metrics."""
+    found = {n["name"]: n["pattern"].search(stdout) for n in NOTES}
+    return {name: {"value": float(m.group(1))} for name, m in found.items() if m}
 
 
 def summarize(end_to_end: list[dict], base: list[dict], head: list[dict]) -> list[dict]:
     """Per end-to-end metric that both sides report: each side's quartiles
-    (q1, median, q3) and the pairs HEAD won by the metric's direction."""
+    (q1, median, q3) and the pairs HEAD won by the metric's direction (None
+    where the metric has none)."""
     rows = []
     for m in end_to_end:
         name = m["name"]
@@ -89,12 +111,12 @@ def summarize(end_to_end: list[dict], base: list[dict], head: list[dict]) -> lis
         if not pairs:
             continue
         b, h = np.array(pairs, dtype=float).T
-        won = h < b if m["better"] == "lower" else h > b
+        won = None if m["better"] is None else (h < b if m["better"] == "lower" else h > b)
         rows.append({
             "name": name, "unit": m["unit"], "better": m["better"], "pairs": len(pairs),
             "base": np.percentile(b, [25, 50, 75]).tolist(),
             "head": np.percentile(h, [25, 50, 75]).tolist(),
-            "head_won": int(won.sum()),
+            "head_won": None if won is None else int(won.sum()),
         })
     return rows
 
@@ -103,7 +125,8 @@ def format_rows(rows: list[dict]) -> str:
     out = [f"{'metric':<16} {'better':<7} {'base median [q1, q3]':<42} {'head median [q1, q3]':<42} head won"]
     for r in rows:
         sides = [f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}] {r['unit']}" for q in (r["base"], r["head"])]
-        out.append(f"{r['name']:<16} {r['better']:<7} {sides[0]:<42} {sides[1]:<42} {r['head_won']} of {r['pairs']}")
+        won = "-" if r["head_won"] is None else r["head_won"]
+        out.append(f"{r['name']:<16} {r['better'] or '-':<7} {sides[0]:<42} {sides[1]:<42} {won} of {r['pairs']}")
     return "\n".join(out)
 
 
@@ -139,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
                 runs[side].append(run_once(trees[side], spec, args))
                 print(f"pair {i + 1} {side}: correct={runs[side][-1]['correct']}", file=sys.stderr)
     print(f"{args.workload}: base {base[:12]}, head {head[:12]}, {args.pairs} pairs of {args.seconds:g} s")
-    print(format_rows(summarize(spec["end_to_end"], runs["base"], runs["head"])))
+    print(format_rows(summarize(spec["end_to_end"] + NOTES, runs["base"], runs["head"])))
     failed = [r.get("error", "a verdict graded wrong") for rs in runs.values() for r in rs if not r["correct"]]
     for err in failed[:3]:
         print(f"failed run: {err}", file=sys.stderr)

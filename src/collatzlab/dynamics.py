@@ -149,29 +149,45 @@ def _partition(value: np.ndarray, flagged: np.ndarray) -> ClassesReport:
 def _component_minima(parent: np.ndarray) -> np.ndarray:
     """The least node of each node's component in the graph i -- parent[i] on 0..n-1.
 
-    Pointer jumping with a running minimum: after k rounds ``low[i]`` is the
-    least of the first 2^k nodes on the path from i and ``jump[i]`` is the
-    2^k-th, so ``low[jump[i]]`` is a node of i's component.  Each round reads
-    that label first, and the rounds stop once it agrees across every edge,
-    at the latest when 2^k >= n and
-    ``jump[i]`` lies on the cycle that ends the path (``low[jump[i]]`` is then
-    the least node of that cycle).  The label is then constant on each
-    component, and each label lies in its own, so the least node carrying a
-    label is its component's minimum: one scatter.
+    Each component holds one cycle, and ``_onto_cycles`` maps every node
+    onto its own.  A cycle's head is its least node (``_ring_minima``'s on a
+    ring, itself on a self-loop), so ``head[jump[i]]`` is a label per
+    component that lies in it, and the least node carrying a label is its
+    component's minimum: one scatter.
     """
-    n = len(parent)
-    nodes = np.arange(n, dtype=np.int64)
-    low, jump = nodes, parent
-    for _ in range(max(n - 1, 0).bit_length()):
-        label = low[jump]
-        if (label[parent] == label).all():
-            break
-        low, jump = np.minimum(low, label), jump[jump]
-    else:
-        label = low[jump]
-    least = np.full(n, n, dtype=np.int64)
+    nodes = np.arange(len(parent), dtype=np.int64)
+    jump, cyclic = _onto_cycles(parent)
+    ring = np.flatnonzero(cyclic & (parent != nodes))
+    head = nodes.copy()
+    head[ring] = _ring_minima(parent, ring)
+    label = head[jump]
+    least = np.full(len(parent), len(parent), dtype=np.int64)
     np.minimum.at(least, label, nodes)
     return least[label]
+
+
+def _onto_cycles(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(jump, cyclic): jump = parent^(2^k) maps every node onto a cycle, and
+    cyclic marks the nodes on cycles.  Pointer jumping (Wyllie 1979) stopped
+    by its image: each round counts the image of jump, which only shrinks.
+    Once a round leaves it unchanged, the jump before maps it onto itself, a
+    permutation of a finite set, so it holds exactly the nodes on cycles."""
+    jump, size = parent, len(parent)
+    while True:
+        cyclic = np.zeros(len(parent), dtype=bool)
+        cyclic[jump] = True
+        if (count := np.count_nonzero(cyclic)) == size:
+            return jump, cyclic
+        jump, size = jump[jump], count
+
+
+def _ring_minima(parent: np.ndarray, ring: np.ndarray) -> np.ndarray:
+    """The least node of each one's cycle, for the sorted nodes on cycles of length >= 2:
+    pointer jumping with a running minimum on positions in ring, ceil(log2 len(ring)) rounds."""
+    low, step = ring, np.searchsorted(ring, parent[ring])
+    for _ in range(max(len(ring) - 1, 0).bit_length()):
+        low, step = np.minimum(low, low[step]), step[step]
+    return low
 
 
 # --- first-return maps --------------------------------------------------------
@@ -620,10 +636,12 @@ def check_reduction_sufficient(
     """Hypothesis of the sufficiency direction: every orbit meets the section.
 
     Checks orb(x; f) intersects sigma within fuel for every x <= window; a
-    window or fuel below 1 raises DomainError.
+    window or fuel below 1 raises DomainError, and one past int64 OverflowError.
     """
     _check_positive(window, "window")
     _check_positive(fuel, "fuel")
+    if window > _INT64_MAX:
+        raise OverflowError(f"window {window} would leave int64")
     if isinstance(sigma, ResidueSet) and sigma.is_empty():
         return ReductionReport(window, tuple(range(1, window + 1)), (), "empty section")
     inconclusive: list[int] = []

@@ -43,7 +43,7 @@ import numpy as np
 
 from .conditions import SeparatingResult, WitnessTable, halving_witnesses
 from .conditions import residue_image_exceptions, separating_condition
-from .dynamics import ClassesReport, _member_test, _partition, return_time, return_times
+from .dynamics import ClassesReport, _component_minima, _member_test, _partition, return_time, return_times
 from .gcmap import INCONCLUSIVE, DomainError, GCMap, Inconclusive, PuncturedResidueSet, Report
 from .gcmap import PASS, VIOLATION, ResidueSet, _check_positive, combine, section_sets, verdict
 
@@ -637,12 +637,24 @@ def _window_classes(gcmap: GCMap, hi: int, fuel: int):
     the certified ones (those of fuel 1) and the edges of T's index graph
     there, from one first-return call.  n returns at step 1 exactly when
     f(n) <= hi, and then n joins f(n) in the certified classes and
-    n - 1 -- f(n) - 1 is an edge.  Only these outlive the kernel's arrays."""
+    n - 1 -- f(n) - 1 is an edge.  Only these outlive the kernel's arrays.
+    A certified class holds one n with tau(n) != 1 at most, its self-loop,
+    so the edges n -- value(n) that the full classes add (tau(n) > 1) form a
+    functional graph on the certified classes, indexed by their minima in
+    order: the least label of a full class is its component's least one."""
     _check_positive(fuel, "fuel")
     labels = np.arange(1, hi + 1, dtype=np.int64)
     value, tau, flagged = return_times(gcmap, range(1, hi + 1), labels, fuel)
     inside = np.flatnonzero(tau == 1)
-    return _partition(value, flagged), _partition(value, tau != 1), (inside, value[inside] - 1)
+    certified = _partition(value, tau != 1)
+    rep = certified.minima
+    least = labels[rep == labels]
+    at = np.empty(hi + 1, dtype=np.int64)
+    at[least] = joined = np.arange(len(least))
+    out = tau > 1  # a flagged n has tau 0
+    joined[at[rep[out]]] = at[rep[value[out] - 1]]
+    full = ClassesReport(hi, least[_component_minima(joined)][at[rep]], flagged)
+    return full, certified, (inside, value[inside] - 1)
 
 
 def _check_depth(depth: int | None) -> None:

@@ -56,6 +56,44 @@ def test_summary_skips_pairs_where_a_side_lacks_the_metric():
     assert (row["pairs"], row["head_won"]) == (2, 1)
 
 
+RUN_OUTPUT = """environment: {}
+workload=span-class seed=1 profile=default trace=0
+passes=1100 requests=1100 items/pass=200
+speed probe: median 2.3456 ms over 1101 samples, reference 2.5 ms, scale 0.9382
+wall (unscaled): setup_s=0.51 verdict_s=0.0224 request_p50_ms=22.4 request_p90_ms=25.1
+verdict_s                                    0.0210158 s
+"""
+
+
+def test_notes_read_wall_verdict_and_probe():
+    assert bench_pairs.notes_of(RUN_OUTPUT) == {
+        "wall verdict_s": {"value": 0.0224}, "speed probe": {"value": 2.3456},
+    }
+    # the scaled verdict_s line and the other wall values are not read
+    probe_only = "\n".join(line for line in RUN_OUTPUT.splitlines() if not line.startswith("wall"))
+    assert bench_pairs.notes_of(probe_only) == {"speed probe": {"value": 2.3456}}
+    assert bench_pairs.notes_of("some metric lines\n{}") == {}
+
+
+def test_summary_of_the_note_rows():
+    def with_notes(wall, probe):
+        return [{"correct": True, "metrics": bench_pairs.notes_of(
+            f"speed probe: median {p} ms over 9 samples\nwall (unscaled): setup_s=1 verdict_s={w} x=2"
+        )} for w, p in zip(wall, probe)]
+
+    base = with_notes([0.03, 0.02, 0.025], [2.5, 2.4, 2.6])
+    head = with_notes([0.02, 0.021, 0.03], [2.2, 2.3, 2.4])
+    head[1]["metrics"].pop("wall verdict_s")  # a run whose output lacked the line
+    rows = {r["name"]: r for r in bench_pairs.summarize(END_TO_END + bench_pairs.NOTES, base, head)}
+    assert set(rows) == {"wall verdict_s", "speed probe"}
+    wall, probe = rows["wall verdict_s"], rows["speed probe"]
+    assert (wall["pairs"], wall["head_won"]) == (2, 1)  # pair 2 left out, pair 3 lost
+    assert wall["base"][1] == pytest.approx(0.0275) and wall["head"][1] == pytest.approx(0.025)
+    assert (probe["pairs"], probe["head_won"], probe["base"][1], probe["head"][1]) == (3, None, 2.5, 2.3)
+    text = bench_pairs.format_rows([wall, probe])
+    assert "1 of 2" in text and "- of 3" in text and "2.3 [2.25, 2.35] ms" in text
+
+
 # --- the script on a scratch repository --------------------------------------------------
 
 STUB = """import json, pathlib, sys
@@ -115,6 +153,7 @@ def test_a_stub_benchmark_runs_in_alternating_pairs(repo):
     done = pairs(repo, "--workload", "w", "--pairs", "3", "--seconds", "2", rev["base"], rev["head"])
     assert done.returncode == 0, done.stderr
     assert "verdict_s" in done.stdout and "3 of 3" in done.stdout
+    assert "wall verdict_s" not in done.stdout  # the stub prints no notes: its rows are left out
     order = [line.split()[2].rstrip(":") for line in done.stderr.splitlines() if line.startswith("pair ")]
     assert order == ["base", "head", "head", "base", "base", "head"]
     assert not list((repo.parent / "tmp").iterdir())  # the extracted trees are gone

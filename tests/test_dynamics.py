@@ -24,7 +24,7 @@ from collatzlab import (
 )
 import collatzlab.dynamics as dynamics
 from collatzlab.dynamics import SectionReturn
-from collatzlab.gcmap import INCONCLUSIVE, ResidueSet
+from collatzlab.gcmap import INCONCLUSIVE, GCMap, ResidueSet
 
 
 # --- equivalence -------------------------------------------------------------
@@ -192,6 +192,16 @@ def test_reduction_necessary_mersenne():
 def test_reduction_sufficient_empty_section_fails():
     rep = check_reduction_sufficient(collatz(), ResidueSet.empty(6), 10, 100)
     assert not rep.passed
+
+
+@pytest.mark.parametrize("window", [2**63, 10**20])
+@pytest.mark.parametrize("sigma", [preset_section("collatz").sigma, ResidueSet.empty(6)], ids=["odd", "empty"])
+def test_reduction_sufficient_refuses_a_window_past_int64(monkeypatch, sigma, window):
+    # before its first start: the scalar loop would not end, and the empty
+    # section would list every start
+    monkeypatch.setattr(GCMap, "apply", lambda *_: pytest.fail("a map step was taken"))
+    with pytest.raises(OverflowError, match=f"window {window} would leave int64"):
+        check_reduction_sufficient(collatz(), sigma, window, 100)
 
 
 @pytest.mark.parametrize("window, fuel", [(0, 100), (-5, 100), (10, 0)])

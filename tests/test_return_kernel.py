@@ -170,26 +170,101 @@ SKIP_ONE = GCMap(1, (AffineBranch(1, ResidueSet.full(), 1, 2, 1),))
 @pytest.mark.parametrize("gcmap", [SUCCESSOR, SKIP_ONE], ids=["n+1", "n+2"])
 @pytest.mark.parametrize("window", [1, 2, 3, 129, 1000, 5000])
 def test_classes_of_a_long_path(gcmap, window):
-    # a path of 1000 labels needs all 10 rounds: the rounds stop only once the
-    # label agrees across every edge, never after a set number of rounds
+    # a path of 1000 labels takes 10 doublings before every jump lands on the
+    # self-loop at its end: the rounds stop only once the image of the jump
+    # stops shrinking, never after a set number of rounds
     for fuel in (1, 3):
         assert_same_classes(gcmap, window, fuel, False)
 
 
-def test_component_minima_against_union_find():
-    """Paths, shuffled paths, stars and random graphs i -- parent[i]."""
+def relabelled(parent: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """The graph i -- parent[i] with each node i renamed perm[i]."""
+    out = np.empty_like(parent)
+    out[perm] = perm[parent]
+    return out
+
+
+def rings(lengths) -> np.ndarray:
+    """A permutation of consecutive rings of the given lengths."""
+    ends = np.cumsum(lengths)
+    succ = np.arange(1, ends[-1] + 1)
+    succ[ends - 1] = ends - lengths
+    return succ
+
+
+def component_graphs() -> list[np.ndarray]:
+    """Paths, shuffled paths, stars, random graphs, permutations, self-loops,
+    a long path into a ring, and no node at all, as parent arrays."""
     rng = np.random.default_rng(0)
     graphs = [np.minimum(np.arange(n) + 1, n - 1) for n in (1, 2, 3, 1000)]
-    perm = rng.permutation(1000)
-    graphs.append(perm[np.minimum(np.argsort(perm) + 1, 999)])  # a path through shuffled labels
+    graphs.append(relabelled(graphs[-1], rng.permutation(1000)))  # a path through shuffled labels
     graphs.append(np.zeros(1000, dtype=np.int64))  # a star
     graphs += [rng.integers(0, n, n) for n in (10, 1000, 5000)]
-    for parent in graphs:
-        uf = UnionFind(len(parent) - 1)
-        for i, p in enumerate(parent.tolist()):
-            uf.union(i, p)
-        want = [uf.find(i) for i in range(len(parent))]
-        assert dynamics._component_minima(parent).tolist() == want
+    for perm in (rings(np.arange(1, 51)), rings(np.array([1000]))):  # every node on a cycle
+        graphs += [perm, relabelled(perm, rng.permutation(len(perm)))]
+    graphs.append(np.arange(1000))  # all self-loops
+    path_into_ring = np.r_[np.arange(1, 1000), 993]  # 993 path nodes, then the ring 993..999
+    graphs += [path_into_ring, relabelled(path_into_ring, rng.permutation(1000))]
+    graphs.append(np.zeros(0, dtype=np.int64))
+    return graphs
+
+
+def union_find_minima(parent: np.ndarray) -> list[int]:
+    uf = UnionFind(len(parent) - 1)
+    for i, p in enumerate(parent.tolist()):
+        uf.union(i, p)
+    return [uf.find(i) for i in range(len(parent))]
+
+
+def test_component_minima_against_union_find():
+    for parent in component_graphs():
+        assert dynamics._component_minima(parent).tolist() == union_find_minima(parent)
+        # parent^(2^13) >= parent^n maps every node onto its cycle, and onto every cycle node
+        far = functools.reduce(lambda j, _: j[j], range(13), parent)
+        jump, cyclic = dynamics._onto_cycles(parent)
+        assert np.flatnonzero(cyclic).tolist() == np.unique(far).tolist()
+        assert cyclic[jump].all()
+
+
+def stopped_early(rounds: int):
+    """``_onto_cycles``'s rounds, copied, but stopped ``rounds`` rounds early: with
+    the jump from ``rounds`` doublings before the one it stops on (parent at most)."""
+
+    def early(parent):
+        jumps, size = [parent], len(parent)
+        while True:
+            cyclic = np.zeros(len(parent), dtype=bool)
+            cyclic[jumps[-1]] = True
+            if (count := np.count_nonzero(cyclic)) == size:
+                return jumps[max(len(jumps) - 1 - rounds, 0)], cyclic
+            jumps.append(jumps[-1][jumps[-1]])
+            size = count
+
+    return early
+
+
+def test_the_copied_rounds_are_the_real_ones():
+    for parent in component_graphs():
+        for got, want in zip(stopped_early(0)(parent), dynamics._onto_cycles(parent)):
+            assert np.array_equal(got, want)
+
+
+def test_the_stop_rule_spends_one_round_confirming(monkeypatch):
+    # the rule fires on the first round whose image is no smaller than the one
+    # before, so the jump from before the last doubling lands on the cycles too
+    monkeypatch.setattr(dynamics, "_onto_cycles", stopped_early(1))
+    for parent in component_graphs():
+        assert dynamics._component_minima(parent).tolist() == union_find_minima(parent)
+
+
+@pytest.mark.parametrize("mutant", ["stops a round before the image is the cycles", "ring nodes head themselves"])
+def test_component_minima_mutants_fail(monkeypatch, mutant):
+    if mutant.startswith("stops"):
+        monkeypatch.setattr(dynamics, "_onto_cycles", stopped_early(2))
+    else:
+        monkeypatch.setattr(dynamics, "_ring_minima", lambda parent, ring: ring)
+    graphs = component_graphs()
+    assert any(dynamics._component_minima(p).tolist() != union_find_minima(p) for p in graphs)
 
 
 # --- hypothesis maps -----------------------------------------------------------------------

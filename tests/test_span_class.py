@@ -23,6 +23,7 @@ from collatzlab.cli import INCONCLUSIVE, INPUT_ERROR, PASS, VIOLATION, main
 from collatzlab.gcmap import combine
 from collatzlab import cli, dynamics, operators
 from collatzlab.dynamics import ClassesReport
+from collatzlab.gcmap import GCMap
 from collatzlab.operators import SpanClassEntry, SpanClassReport
 from test_return_kernel import scalar_classes
 
@@ -154,14 +155,14 @@ def _replace_classes(monkeypatch, rep_of, full_too: bool):
         minima = np.array([rep_of(n) for n in range(1, rep.window + 1)], dtype=np.int64)
         return ClassesReport(rep.window, minima, rep.flagged_mask)
 
-    # span_vs_class builds both partitions with _partition: the full one first
-    partition, made = operators._partition, []
+    # span_vs_class takes both partitions from _window_classes
+    window_classes = operators._window_classes
 
     def replaced(*args):
-        made.append(partition(*args))
-        return fake(made[-1]) if full_too or len(made) % 2 == 0 else made[-1]
+        full, certified, edges = window_classes(*args)
+        return fake(full) if full_too else full, fake(certified), edges
 
-    monkeypatch.setattr(operators, "_partition", replaced)
+    monkeypatch.setattr(operators, "_window_classes", replaced)
 
 
 @pytest.mark.parametrize("depth", [None, 3])
@@ -200,6 +201,25 @@ def test_start_outside_the_window_is_a_domain_error(start):
         span_vs_class(collatz(), window, 100, starts=[start])
     with pytest.raises(DomainError, match=f"start {start} not in window"):
         reachable_span([build_T(collatz(), window)], start, None)
+
+
+CONVERGENT = ("collatz", "identity", "3xd:1", "3xd:3", "3xd:5", "3xd:9")
+DIVERGENT = ("qx1:5", "mersenne:3", "mersenne:4", "mersenne:5")  # orbits grow: small fuel only
+
+
+@pytest.mark.parametrize("hi", [1, 2, 500, 3000])
+@pytest.mark.parametrize("ref", CONVERGENT + DIVERGENT)
+def test_full_classes_contracted_from_the_certified_ones(ref, hi):
+    """``_window_classes`` contracts its full partition from its certified one:
+    both equal the direct partitions of ``classes`` at fuel and at fuel 1."""
+    gcmap = preset_map(ref)
+    certified = dynamics.classes(gcmap, hi, 1)
+    for fuel in (1, 40 if ref in DIVERGENT else 10**4):
+        full, cert, _ = operators._window_classes(gcmap, hi, fuel)
+        for got, want in ((full, dynamics.classes(gcmap, hi, fuel)), (cert, certified)):
+            assert got.window == want.window == hi
+            assert got.minima.tolist() == want.minima.tolist()
+            assert got.flagged_mask.tolist() == want.flagged_mask.tolist()
 
 
 def _verify_span(capsys, *extra):
@@ -310,9 +330,10 @@ def test_a_report_of_no_starts_builds_no_entries():
 # --- sizes that do not fit are input errors, not violations --------------------------------
 
 
-@pytest.mark.parametrize("argv", [["verify", "collatz", "--suite", "span"], ["verify", "collatz", "--suite", "relations"]])
-def test_a_window_past_int64_exits_3(capsys, argv):
-    # 10^20 fails before any allocation: no length of a window goes past int64
+@pytest.mark.parametrize("argv", [["verify", "collatz", "--suite", s] for s in ("span", "relations", "section")])
+def test_a_window_past_int64_exits_3(monkeypatch, capsys, argv):
+    # 10^20 fails before any allocation or map step: no length of a window goes past int64
+    monkeypatch.setattr(GCMap, "apply", lambda *_: pytest.fail("a map step was taken"))
     code = main(argv + ["--window", str(10**20)])
     error = json.loads(capsys.readouterr().out)["error"]
     assert code == INPUT_ERROR
