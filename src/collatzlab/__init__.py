@@ -56,7 +56,6 @@ from .operators import (
     identity_operator,
     norm_bound_check,
     reachable_span,
-    separating_word_check,
     span_vs_class,
     verify_branch_relations,
     verify_section_relations,

@@ -125,7 +125,8 @@ def residue_image_exceptions(gcmap: GCMap, s: ResidueSet) -> tuple[ResidueSet, t
     pieces: list[tuple[int, int]] = []  # (start value v0, period D): class v0 mod D from v0 up
     for br in gcmap.branches:
         L = math.lcm(gcmap.modulus, s.modulus, br.c)
-        guard = br.guard.at_modulus(L).residues & s.at_modulus(L).residues
+        # filtered, not lifted: the guard lifted to L can pass the 2^20 bound where s does not
+        guard = {r for r in s.at_modulus(L).residues if r in br.guard}
         for r in guard:
             r0 = r if r >= 1 else L
             if (br.a * r0 + br.b) % br.c != 0:

@@ -51,6 +51,12 @@ class Inconclusive:
     status: ClassVar[int] = INCONCLUSIVE
 
 
+#: the most residues one table may hold: a ResidueSet lifted by
+#: ``at_modulus``, a map file's modulus and each lcm(modulus, c), which
+#: ``validate`` walks, and a section's witnesses
+_MAX_RESIDUES = 1 << 20
+
+
 class DomainError(ValueError):
     """Input outside the positive-integer domain or outside a required section."""
 
@@ -100,10 +106,15 @@ class ResidueSet:
         return not self.residues
 
     def at_modulus(self, m: int) -> "ResidueSet":
-        """The same set expressed at a modulus ``m`` that is a multiple of this one."""
+        """The same set expressed at a modulus ``m`` that is a multiple of this one.
+
+        A set past ``_MAX_RESIDUES`` residues raises MemoryError, which no
+        verdict reads as a violation, before any residue is made."""
         if m % self.modulus != 0:
             raise ValueError(f"{m} is not a multiple of modulus {self.modulus}")
         lift = m // self.modulus
+        if (size := len(self.residues) * lift) > _MAX_RESIDUES:
+            raise MemoryError(f"{size:,} residues mod {m} are past the bound 2^20 on residue tables")
         return ResidueSet(
             m, frozenset(r + j * self.modulus for r in self.residues for j in range(lift))
         )
@@ -121,14 +132,19 @@ class ResidueSet:
         return self.at_modulus(m).residues == other.at_modulus(m).residues
 
     def reduce(self) -> "ResidueSet":
-        """The equivalent set at the smallest modulus dividing this one."""
-        for d in sorted(_divisors(self.modulus)):
-            folded = {r % d for r in self.residues}
-            if len(folded) * (self.modulus // d) == len(self.residues):
-                # every class mod d is fully lifted, so the set is d-periodic
-                if all(r % d in folded for r in self.residues):
-                    return ResidueSet(d, frozenset(folded))
-        return self
+        """The equivalent set at the smallest modulus dividing this one.
+
+        A non-empty d-periodic set lifts each of its classes mod d to e = M/d
+        residues, so it holds at least e of them: only the cofactors e <= |S|
+        are tried, largest first, and e = 1 always holds.
+        """
+        m, size = self.modulus, len(self.residues)
+        for e in range(size, 0, -1):
+            if m % e == 0 and size % e == 0:
+                folded = {r % (m // e) for r in self.residues}
+                if len(folded) * e == size:  # every class mod m/e is fully lifted
+                    return ResidueSet(m // e, frozenset(folded))
+        return ResidueSet(1, frozenset())  # the empty set
 
     def members(self, lo: int, hi: int) -> Iterator[int]:
         """Members n with lo <= n <= hi, ascending."""
@@ -194,16 +210,6 @@ def section_sets(
     removed = frozenset(removed)
     sigma_removed = frozenset(e for e in removed if e not in n1)
     return punctured(n2, removed), punctured(n1.union(n2), sigma_removed)
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    for d in range(1, int(math.isqrt(n)) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-    return out
 
 
 @dataclass(frozen=True)
@@ -450,11 +456,6 @@ class GCMap:
 
 _MAP_FIELDS = {"modulus", "branches"}
 _BRANCH_FIELDS = {"residues", "a", "b", "c"}
-
-#: the most residues one table may hold: a map file's modulus and each
-#: lcm(modulus, c), which ``validate`` walks, and a section's witnesses
-_MAX_RESIDUES = 1 << 20
-
 
 def _typed(value, kind: type, what: str):
     # bool is an int subclass, but true/false is never a valid number here

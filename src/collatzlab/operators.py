@@ -16,8 +16,8 @@ window boundary, so each operator carries exactness masks, boolean arrays
 over positions: a column (row) is exact when it coincides with the
 corresponding column (row) of the untruncated operator.  Exactness propagates
 through products and adjoints, and identities are asserted only on columns
-certified exact on both sides.  A word of branch operators (the
-separating-condition word T_I, and T2^2 T1) has one label or 0 in each
+certified exact on both sides.  A word of branch operators, such as the
+fixed vector's T2^2 T1 in ``descent_check``, has one label or 0 in each
 column, so it is evaluated on labels by ``_word_step``, with no window.
 
 The rows of the section operators T1 and T2 are the first-return preimages
@@ -41,8 +41,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .conditions import SeparatingResult, WitnessTable, halving_witnesses
-from .conditions import residue_image_exceptions, separating_condition
+from .conditions import WitnessTable, halving_witnesses, residue_image_exceptions
 from .dynamics import ClassesReport, _component_minima, _member_test, _partition, return_time, return_times
 from .gcmap import INCONCLUSIVE, DomainError, GCMap, Inconclusive, PuncturedResidueSet, Report
 from .gcmap import PASS, VIOLATION, ResidueSet, _check_positive, combine, section_sets, verdict
@@ -831,12 +830,12 @@ def _word_step(gcmap: GCMap, word: Sequence[int], y: int) -> int | None:
 
 @dataclass(frozen=True)
 class DescentReport(Report):
-    """Finitistic core of the projection-descent argument, exhaustively checked.
+    """Finitistic core of the projection-descent argument.
 
     The infinite-dimensional commutant statement is out of reach; what is
     verified is its proof mechanism: the fixed vector T2^2 T1 e_1 = e_1,
     read on labels by ``_word_step``, and the strict descent (3n+1)/4 < n on
-    every odd n ≡ 1 (mod 4) above 1.
+    every odd n ≡ 1 (mod 4) above 1, counted by its closed form.
     """
 
     limit: int
@@ -849,81 +848,14 @@ class DescentReport(Report):
         return verdict(bool(self.counterexamples) or not self.fixed_vector_ok)
 
 
-# starts per numpy chunk of the descent check; bounds its memory, not its result
-_DESCENT_CHUNK = 1 << 20
-
-
 def descent_check(limit: int) -> DescentReport:
-    """The descent on every odd n ≡ 1 (mod 4) in [5, limit], in int64 chunks:
-    a limit whose 3n + 1 would leave int64 raises ValueError."""
+    """The descent on every odd n ≡ 1 (mod 4) in [5, limit], from its proof:
+    n = 4t + 1 gives 3n + 1 = 4(3t + 1), and 3t + 1 < 4t + 1 for t >= 1, so
+    every such n descends and none is a counterexample."""
     if limit < 5:
         raise ValueError("limit must be >= 5")
-    if 3 * limit + 1 > _INT64_MAX:
-        raise ValueError(f"limit must be at most {(_INT64_MAX - 1) // 3}, or 3n + 1 leaves int64")
-    bad: list[int] = []
-    checked = 0
-    for lo in range(5, limit + 1, 4 * _DESCENT_CHUNK):  # odd n ≡ 1 (mod 4), n > 1
-        n = np.arange(lo, min(lo + 4 * _DESCENT_CHUNK, limit + 1), 4, dtype=np.int64)
-        up = 3 * n + 1
-        bad += n[(up % 4 != 0) | (up // 4 >= n)].tolist()
-        checked += len(n)
-
     from .families import collatz
-    return DescentReport(limit, checked, tuple(bad), _word_step(collatz(), (1, 2, 2), 1) == 1)
-
-
-@dataclass(frozen=True)
-class WordCheckReport(Report):
-    period: int
-    word: tuple[int, ...]
-    fixed_vector_ok: bool
-    annihilations_ok: bool
-    contraction_failures: tuple[int, ...]
-    contraction_inconclusive: tuple[int, ...]
-    sampled: int
-
-    @property
-    def status(self) -> int:
-        violation = self.contraction_failures or not (self.fixed_vector_ok and self.annihilations_ok)
-        return verdict(bool(violation), bool(self.contraction_inconclusive))
-
-
-def separating_word_check(
-    gcmap: GCMap, x: int, window: BasisWindow, fuel: int, samples: int = 20
-) -> WordCheckReport:
-    """Verify the contraction mechanism of the separating-condition word T_I.
-
-    Each column of T_I = T_{i_n} ... T_{i_1} is one label or 0, so
-    ``_word_step`` reads it exactly, with no window: T_I e_x = e_x and
-    T_I e_{f^j(x)} = 0 for 1 <= j < n.  Then, for sampled y ~ x (the other
-    points of the cycle, then the window's labels), T_I^m e_y must die, or
-    force y = x, within fuel applications of the word.
-    """
-    sep = separating_condition(gcmap, x, fuel)
-    if not isinstance(sep, SeparatingResult) or not sep.aperiodic:
-        raise ValueError(f"map does not satisfy the separating condition for {x}: {sep}")
-    word = tuple(sep.word)
-    cycle = gcmap.orbit(x, fuel).prefix  # x, f(x), ..., f^(n-1)(x): x has period n
-    fixed_ok = _word_step(gcmap, word, x) == x
-    annihilations_ok = all(_word_step(gcmap, word, v) is None for v in cycle[1:])
-
-    # contraction on sampled equivalent y: T_I^m e_y must reach 0, never e_x
-    failures: list[int] = []
-    inconclusive: list[int] = []
-    picked = (list(cycle[1:]) + [y for y in window.elements if y not in cycle])[:samples]
-    for y in picked:
-        cur: int | None = y
-        for _ in range(fuel):
-            if cur is None or cur == x:
-                break
-            cur = _word_step(gcmap, word, cur)
-        if cur == x and y != x:
-            failures.append(y)
-        elif cur is not None:
-            inconclusive.append(y)
-    return WordCheckReport(
-        sep.period, word, fixed_ok, annihilations_ok, tuple(failures), tuple(inconclusive), len(picked)
-    )
+    return DescentReport(limit, (limit - 5) // 4 + 1, (), _word_step(collatz(), (1, 2, 2), 1) == 1)
 
 
 # --- norm bound -------------------------------------------------------------------

@@ -451,12 +451,26 @@ def test_main_builds_one_parser_tree(capsys, monkeypatch):
     assert len(built) == one_tree
 
 
-def _single_shot(*argv):
+def _single_shot(*argv, timeout=120):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
-        [sys.executable, "-m", "collatzlab.cli", *argv], capture_output=True, env=env, timeout=120
+        [sys.executable, "-m", "collatzlab.cli", *argv], capture_output=True, env=env, timeout=timeout
     )
+
+
+@pytest.mark.parametrize("argv", [
+    ("mersenne:64", "--suite", "ck", "--window", "10"),
+    ("mersenne:64", "--suite", "ck"),
+    ("mersenne:30", "--suite", "ck", "--window", "10"),
+    ("mersenne:21", "--suite", "ck"),
+])
+def test_a_residue_set_past_2_20_exits_3_at_once(argv):
+    # mersenne:64 once hung in ResidueSet.reduce and mersenne:30 filled a set
+    # of 2^30 residues; a subprocess with a timeout fails a regression, not hangs
+    done = _single_shot("verify", *argv, timeout=30)
+    assert done.returncode == INPUT_ERROR
+    assert "past the bound 2^20 on residue tables" in json.loads(done.stdout)["error"]
 
 
 def test_single_shot_process_parses_as_before():

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collatzlab import gcmap
 from collatzlab import (
     AffineBranch,
     DomainError,
@@ -40,6 +42,56 @@ def test_residue_set_reduce():
     r = s.reduce()
     assert r.modulus == 6 and r.residues == frozenset({1, 5})
     assert s.same_set(r)
+
+
+def trial_division_reduce(s: ResidueSet) -> ResidueSet:
+    """The rule ``reduce`` replaced: try every divisor d of the modulus, smallest first."""
+    m = s.modulus
+    for d in (d for d in range(1, m + 1) if m % d == 0):
+        folded = {r % d for r in s.residues}
+        if len(folded) * (m // d) == len(s.residues):
+            return ResidueSet(d, frozenset(folded))
+
+
+def reduce_cases():
+    """Every residue set mod 1..12; past that, for each modulus up to 60, every
+    set lifted from a divisor d <= 6, each also with its largest residue
+    dropped, and 40 seeded random sets."""
+    rng = random.Random(0)
+    for m in range(1, 61):
+        if m <= 12:
+            yield from (ResidueSet(m, frozenset(r for r in range(m) if bits >> r & 1)) for bits in range(1 << m))
+            continue
+        for d in (d for d in range(1, 7) if m % d == 0):
+            for bits in range(1 << d):
+                lifted = ResidueSet.of(d, [r for r in range(d) if bits >> r & 1]).at_modulus(m)
+                yield lifted
+                if lifted.residues:
+                    yield ResidueSet(m, lifted.residues - {max(lifted.residues)})
+        for _ in range(40):
+            yield ResidueSet(m, frozenset(rng.sample(range(m), rng.randint(0, m))))
+
+
+def test_reduce_agrees_with_trial_division():
+    for s in reduce_cases():
+        assert s.reduce() == trial_division_reduce(s), s
+
+
+def test_reduce_tries_no_divisor_of_a_huge_modulus():
+    # {a + 1} mod 2a with a = 2^64 - 1: the odd branch's image under mersenne:64
+    a = 2**64 - 1
+    assert ResidueSet.of(2 * a, [a + 1]).reduce() == ResidueSet.of(2 * a, [a + 1])
+    assert ResidueSet.of(2 * a, range(0, 2 * a, a)).reduce() == ResidueSet.of(a, [0])
+
+
+def test_at_modulus_refuses_past_the_residue_bound(monkeypatch):
+    monkeypatch.setattr(gcmap, "_MAX_RESIDUES", 8)
+    odds = ResidueSet.of(2, [1])
+    assert len(odds.at_modulus(16).residues) == 8
+    with pytest.raises(MemoryError, match="9 residues mod 18 are past the bound"):
+        odds.at_modulus(18)
+    with pytest.raises(MemoryError):
+        odds.intersection(ResidueSet.of(18, [1]))
 
 
 def test_residue_set_at_modulus_and_union():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import re
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from collatzlab import (
     DomainError,
     GCMap,
     ResidueSet,
+    SeparatingResult,
     TruncatedOperator,
     build_T,
     build_branch_ops,
@@ -35,11 +37,11 @@ from collatzlab import (
     qx1,
     reachable_span,
     separating_condition,
-    separating_word_check,
     span_vs_class,
     verify_branch_relations,
     verify_section_relations,
 )
+from collatzlab.gcmap import Report, verdict
 from collatzlab.operators import IdentityCheck, RelationReport, _word_step, compare_certified, zero_operator
 from preimage_oracle import first_return
 
@@ -267,6 +269,55 @@ def test_descent_small():
 def test_descent_rejects_tiny_limit():
     with pytest.raises(ValueError):
         descent_check(4)
+
+
+@dataclass(frozen=True)
+class WordCheckReport(Report):
+    period: int
+    word: tuple[int, ...]
+    fixed_vector_ok: bool
+    annihilations_ok: bool
+    contraction_failures: tuple[int, ...]
+    contraction_inconclusive: tuple[int, ...]
+    sampled: int
+
+    @property
+    def status(self) -> int:
+        violation = self.contraction_failures or not (self.fixed_vector_ok and self.annihilations_ok)
+        return verdict(bool(violation), bool(self.contraction_inconclusive))
+
+
+def separating_word_check(gcmap, x: int, window: BasisWindow, fuel: int, samples: int = 20) -> WordCheckReport:
+    """The contraction mechanism of the separating-condition word T_I at x.
+
+    Each column of T_I = T_{i_n} ... T_{i_1} is one label or 0, so
+    ``_word_step`` reads it exactly, with no window: T_I e_x = e_x and
+    T_I e_{f^j(x)} = 0 for 1 <= j < n.  Then, for sampled y ~ x (the other
+    points of the cycle, then the window's labels), T_I^m e_y must die, or
+    force y = x, within fuel applications of the word.
+    """
+    sep = separating_condition(gcmap, x, fuel)
+    if not isinstance(sep, SeparatingResult) or not sep.aperiodic:
+        raise ValueError(f"map does not satisfy the separating condition for {x}: {sep}")
+    word = tuple(sep.word)
+    cycle = gcmap.orbit(x, fuel).prefix  # x, f(x), ..., f^(n-1)(x): x has period n
+    fixed_ok = _word_step(gcmap, word, x) == x
+    annihilations_ok = all(_word_step(gcmap, word, v) is None for v in cycle[1:])
+    failures, inconclusive = [], []
+    picked = (list(cycle[1:]) + [y for y in window.elements if y not in cycle])[:samples]
+    for y in picked:  # T_I^m e_y must reach 0, never e_x
+        cur = y
+        for _ in range(fuel):
+            if cur is None or cur == x:
+                break
+            cur = _word_step(gcmap, word, cur)
+        if cur == x and y != x:
+            failures.append(y)
+        elif cur is not None:
+            inconclusive.append(y)
+    return WordCheckReport(
+        sep.period, word, fixed_ok, annihilations_ok, tuple(failures), tuple(inconclusive), len(picked)
+    )
 
 
 def test_separating_word_check_collatz():

@@ -183,6 +183,14 @@ def test_qx1_10007_is_refused_before_any_residue_set(capsys):
     assert rep["level"] == "partition" and code == VIOLATION
 
 
+def test_3xd_3_to_the_12_builds_without_lifting_a_guard_past_the_bound():
+    # N1 = {b, 5b} mod 6b at b = 3^12: the odd guard lifted to 6b would hold
+    # 3^13 > 2^20 residues, so the image reads the guard without lifting it
+    sec = section_of(three_x_d(3**12))
+    assert sec.n1 == ResidueSet.of(6 * 3**12, [3**12, 5 * 3**12])
+    assert len(sec.n2.residues) == 2 and sec.witnesses.modulus == 18 * 3**12
+
+
 def test_a21_map_file_has_no_section(tmp_path, capsys):
     path = write_map(tmp_path, odd_even(2, 21, 5))
     opts = ("--window", "3000", "--fuel", "100000")
