@@ -15,7 +15,7 @@ import numpy as np
 
 from .dynamics import _member_test, _residues, return_times
 from .gcmap import INCONCLUSIVE, PASS, VIOLATION, Inconclusive, Report, verdict
-from .gcmap import GCMap, ResidueSet, _check_positive, section_sets
+from .gcmap import _MAX_RESIDUES, GCMap, ResidueSet, _check_positive, section_sets
 
 
 def itinerary(gcmap: GCMap, x: int, length: int) -> tuple[int, ...]:
@@ -118,7 +118,8 @@ def residue_image_exceptions(gcmap: GCMap, s: ResidueSet) -> tuple[ResidueSet, t
     starting at the smallest positive class member r0.  When the progression
     starts above its own period, the positive class members below the start
     are exceptions; those not produced by another branch are returned as the
-    punctures of the image.
+    punctures of the image.  A piece from v0 with period D has (v0 - 1)//D;
+    past ``_MAX_RESIDUES`` of them it raises MemoryError before any is listed.
     """
     if s.is_empty():
         raise ValueError("residue_image of an empty set")
@@ -139,6 +140,8 @@ def residue_image_exceptions(gcmap: GCMap, s: ResidueSet) -> tuple[ResidueSet, t
             D = br.a * L // br.c
             pieces.append((v0, D))
 
+    if (size := sum(max((v0 - 1) // D, 0) for v0, D in pieces)) > _MAX_RESIDUES:
+        raise MemoryError(f"{size:,} exceptions of the image are past the bound 2^20 on residue tables")
     G = math.lcm(*(D for _, D in pieces))
     residues: set[int] = set()
     exceptions: set[int] = set()

@@ -449,8 +449,7 @@ def return_times(gcmap: GCMap, sigma, xs, fuel):
 
     sigma is a window ``range(1, hi)``, a (punctured) residue set, or an array
     of per-lane tops: lane i returns to ``range(1, tops[i])``, and xs[i] need
-    not lie in it.  fuel is an int or, like the tops, an int64 array of
-    per-lane fuel, and every lane counts its own steps.  The int64 frontier
+    not lie in it.  fuel is one int for every lane.  The int64 frontier
     carries the lanes that have not returned, stepped as the map's ``_plan``
     says.  On per-lane tops of a ``fused`` plan an odd lane takes (a*v + b)/2
     and counts 2 steps: a lane left after a step is at or above its top, so
@@ -469,7 +468,7 @@ def return_times(gcmap: GCMap, sigma, xs, fuel):
     array if a return does not fit int64.  Before any step, a start below 1
     raises DomainError, and so does a start outside a window or residue
     sigma, as ``return_time`` raises it; a sigma of another kind raises
-    TypeError, and per-lane fuel of another length ValueError.
+    TypeError.
     """
     xs = np.asarray(xs, dtype=np.int64)
     per_lane = isinstance(sigma, np.ndarray)
@@ -479,29 +478,20 @@ def return_times(gcmap: GCMap, sigma, xs, fuel):
     if not per_lane and len(xs) and (xs.min() < 1 or not member(xs).all()):
         # return_time raises at the first such start: it is outside sigma, or apply refuses it
         return_time(gcmap, sigma, next(x for x in xs.tolist() if x < 1 or x not in sigma), 1)
-    fuel_per_lane = isinstance(fuel, np.ndarray)
-    if fuel_per_lane:
-        fuel = fuel.astype(np.int64, copy=False)
-        if fuel.shape != xs.shape:
-            raise ValueError(f"{len(fuel)} fuels for {len(xs)} lanes")
-        max_fuel, least = int(fuel.max(initial=0)), int(fuel.min(initial=0))
-        undecided = fuel < 1
-    else:
-        fuel = max_fuel = least = min(fuel, 2**63 - 1)  # no scan lasts that many steps
-        undecided = np.full(len(xs), fuel < 1)
+    fuel = min(fuel, 2**63 - 1)  # no scan lasts that many steps
+    undecided = np.full(len(xs), fuel < 1)
     plan = _plan(gcmap)
     guard, shape, step_of = plan.guard, plan.shape, plan.step
     narrow = per_lane or isinstance(sigma, range)  # windows: their frontiers may narrow to the exact finish
     lazy = per_lane and plan.fused  # fused steps, lazy compaction
     returned = []  # (lanes, values, k + c) of each iteration's returns
     left = []  # (lanes, values, k + c) of the lanes that left the frontier, from before that step
-    # the frontier: each lane, its value, its top and c = max_fuel - fuel + (its
-    # fused odd steps) or None for 0, so that after k iterations a lane has
-    # taken k + c - (max_fuel - fuel) steps
+    # the frontier: each lane, its value, its top and c = its fused odd steps, or
+    # None for 0, so that after k iterations a lane has taken k + c steps
     lanes, vals = np.arange(len(xs)), xs
-    c = max_fuel - fuel if fuel_per_lane else np.zeros(len(xs), dtype=np.int64) if lazy else None
+    c = np.zeros(len(xs), dtype=np.int64) if lazy else None
     at = np.array(sigma, dtype=np.int64) if per_lane else None
-    k = dead = 0  # iterations, and lanes retired in place since the last compaction
+    k = dead = c_bound = 0  # iterations, lanes retired in place since the last compaction, a bound on c
     if lazy:  # the buffers of the in-place step and test, cut to the frontier's length
         a, b = shape
         a1, half = np.int64(a - 1), np.int64((a + b) >> 1)
@@ -510,10 +500,8 @@ def return_times(gcmap: GCMap, sigma, xs, fuel):
     def keep(i):  # the frontier at positions i; column by column, so each old one is freed first
         nonlocal lanes, vals, c, at, dead
         lanes, vals, dead = lanes.take(i), vals.take(i), 0
-        if c is not None:
-            c = c.take(i)
-        if at is not None:
-            at = at.take(i)
+        c = None if c is None else c.take(i)
+        at = None if at is None else at.take(i)
 
     def retire(gone, i):  # the lanes where gone holds, at positions i, leave the frontier
         nonlocal dead
@@ -529,14 +517,12 @@ def return_times(gcmap: GCMap, sigma, xs, fuel):
     bound = int(xs.max(initial=0))  # a bound on the frontier's values
     if bound > guard:
         i = np.flatnonzero(xs > guard)
-        left.append((i, xs[i], 0 if c is None else c[i]))
-    if bound > guard or least < 1:
-        keep(np.flatnonzero((xs <= guard) & ~undecided))
-    c_bound = max_fuel - least  # a bound on the frontier's c
+        left.append((i, xs[i], 0))
+        keep(np.flatnonzero(xs <= guard))
     fused = lazy and bool((xs >= sigma).all())
     if fused:
         vals = vals.copy()  # stepped in place from here on
-    while len(vals) > dead and k < max_fuel:
+    while len(vals) > dead and k < fuel:
         k += 1
         if fused:
             # v -> h + (v & 1)*((a - 1)*h + (a + b)/2), h = v >> 1
@@ -564,12 +550,12 @@ def return_times(gcmap: GCMap, sigma, xs, fuel):
         done = hit.nonzero()[0]
         if len(done):
             returned.append((lanes.take(done), vals.take(done), k if c is None else c.take(done) + k))
-        if k == max_fuel:  # every lane left is at its fuel or, by a fused odd step, past it
+        if k == fuel:  # every lane left is at its fuel or, by a fused odd step, past it
             undecided[lanes[~hit & (c >= 0) if dead else ~hit]] = True
             break
         # the lanes at their fuel, once one can be (a lane past it took a fused odd step, which cannot return)
-        if c_bound >= max_fuel - k and (c_bound := int(c.max(initial=-1))) >= max_fuel - k:
-            spent = c >= max_fuel - k
+        if c_bound >= fuel - k and (c_bound := int(c.max(initial=-1))) >= fuel - k:
+            spent = c >= fuel - k
             undecided[lanes[spent & ~hit]] = True
             hit = spent | hit
             done = hit.nonzero()[0]
@@ -582,18 +568,15 @@ def return_times(gcmap: GCMap, sigma, xs, fuel):
         fused = lazy
     value, tau = np.zeros(len(xs), dtype=np.int64), np.zeros(len(xs), dtype=np.int64)
     for done, v, steps in returned:
-        if fuel_per_lane:
-            steps += fuel[done] - max_fuel
         value[done], tau[done] = v, steps
     if left:
-        exits = []  # (lane, value, steps, fuel)
-        for done, v, steps in left:
-            f = fuel[done] if fuel_per_lane else np.full(len(done), fuel)
-            exits += zip(done.tolist(), v.tolist(), (steps - max_fuel + f).tolist(), f.tolist())
+        # (lane, value, steps) in lane order, so the first lane to raise is the one return_time raises at
+        exits = sorted(
+            e for i, v, s in left for e in zip(i.tolist(), v.tolist(), np.broadcast_to(s, i.shape).tolist())
+        )
         exact = plan if narrow and plan.reach else None  # windows step by the plan's rows and jump
-        exits.sort()  # in lane order, so the first lane to raise is the one return_time raises at
         window = (lambda lane: range(1, int(sigma[lane]))) if per_lane else (lambda lane: sigma)
-        finished = [(lane, _exact_return(gcmap, window(lane), exact, v, s, f)) for lane, v, s, f in exits]
+        finished = [(lane, _exact_return(gcmap, window(lane), exact, v, s, fuel)) for lane, v, s in exits]
         undecided[[lane for lane, ret in finished if ret is None]] = True
         back = [(lane, *ret) for lane, ret in finished if ret is not None]
         if back:

@@ -53,7 +53,8 @@ class Inconclusive:
 
 #: the most residues one table may hold: a ResidueSet lifted by
 #: ``at_modulus``, a map file's modulus and each lcm(modulus, c), which
-#: ``validate`` walks, and a section's witnesses
+#: ``validate`` walks, a section's witnesses, and the exceptions that
+#: ``residue_image_exceptions`` lists
 _MAX_RESIDUES = 1 << 20
 
 

@@ -12,15 +12,16 @@ starts per class.  The class r mod 2^d holds n = r + 2^d t at v + a^j t
 after its d halvings; at the first halving with a^j < 2^d every member from
 some t* on drops at once.  The members below t*, and those of the classes
 still open at that depth, are the kernel's, less each n > (a + b)/2 with
-2n = b (mod a): that n is T(q) = (a*q + b)/2 for an odd start q < n, and
-drops whenever q does (Oliveira e Silva 2010).  The rest go on in one
-``dynamics.return_times`` call per ``_BATCH``, with the starts as per-lane
-window tops [1, n) and the steps the sieve left each, step_cap - s, as its
-per-lane fuel.  Every value the kernel starts from is at or above its top,
-so it takes the shortcut step (a*v + b)/2 on odd values throughout,
-counting each as 2 steps.  The skipped starts on a run of odd iterates
-T(q), T(T(q)), ... of an inconclusive q are then stepped themselves, from
-the start at the full cap, so the report lists every start that does not drop.
+2n = b (mod a), which drops whenever the odd start q = (2n - b)/a < n does
+(Oliveira e Silva 2010).  ``_lanes`` reads them off the classes by lane
+index into one ``dynamics.return_times`` call per ``_BATCH`` at fuel
+step_cap, each start its lane's window top [1, n).  Every value the kernel
+starts from is at or above its top, so it takes the shortcut step
+(a*v + b)/2 on odd values throughout, counting each as 2 steps.  A lane
+whose s sieve and kernel steps pass step_cap is undecided, as at fuel
+step_cap - s.  The skipped starts on a run of odd iterates T(q), T(T(q)),
+... of an inconclusive q are then stepped from the start at the full cap,
+so the report lists every start that does not drop.
 """
 
 from __future__ import annotations
@@ -117,50 +118,29 @@ def _sieve(a: int, b: int, guard: int, limit: int, step_cap: int):
     return sieved, (r, m, v, p, d + j, count)
 
 
-def _skip_successors(a, b, r, m, v, p, s, count):
-    """The kernel's classes less their members n > (a + b)/2 with 2n = b (mod a).
+def _lanes(a, b, r, m, v, p, s, count):
+    """(starts, values, steps) of the kernel's members, _BATCH at a time: member
+    t < count[i] of class i is start r + m*t at v + p*t after s[i] steps.
 
-    Such an n is T(q) = (a*q + b)/2 for the odd start q = (2n - b)/a, 3 <= q < n.
-    It is q's value two steps in, and q can drop below q only below n, so n
-    drops whenever q does, 2 steps sooner.  Member t of the class r mod m = 2^d
-    has that residue exactly where t = t* (mod a).  A class whose member t* is
-    in range and past (a + b)/2 is split into its subclasses r + m*i mod a*m,
-    one for each i < min(a, count) but t*.  Every other class with a member
-    stays whole, and so does a class where a*m or a*p would pass int64, and
-    every class where a^2 would (t* takes a product below it).  The work is
-    O(classes).
+    Left out is each n > (a + b)/2 with 2n = b (mod a): n = T(q) = (a*q + b)/2
+    for the odd start q = (2n - b)/a, 3 <= q < n, two steps into q's orbit, and
+    q can drop below q only below n, so n drops whenever q does.  In the class
+    r mod m = 2^d those n are the members t = t* (mod a), t* < a, and a class
+    is cut where its member t* is in range and past (a + b)/2: its l-th lane is
+    member t = l + (l + a - 1 - t*)//(a - 1).  Every other class keeps each
+    member, and so does every class where a^2 would pass int64 (t* takes a
+    product below it).  Each column is built in place, its repeats freed as it goes.
     """
-    lim = _INT64_MAX // a
-    if a > lim:
-        return r, m, v, p, s, count
     h = (a + b) >> 1  # T(1): 2n = b (mod a) exactly where n = h (mod a)
-    d = np.frexp(m)[1] - 1  # the sieve's depth: m = 2^d exactly
-    inv = np.array([pow(2, -e, a) for e in range(int(d.max(initial=0)) + 1)], dtype=np.int64)
-    first = _residues(_residues(h - r, a) * inv[d], a)  # t*
-    cut = (first < count) & (first > (h - r) // m) & (m <= lim) & (p <= lim)
-    k = np.where(cut, np.minimum(count, a) - 1, 0)  # the subclasses with a member, less t*'s
-    c = np.repeat(np.arange(len(k)), k)  # the class of each subclass
-    whole = np.flatnonzero(~cut & (count > 0))
-    rows = np.concatenate((whole, c))
-    out = [col.take(rows) for col in (r, m, v, p, s, count)]
-    r, m, v, p, s, count = (col[len(whole) :] for col in out)  # views of the subclasses
-    i = np.arange(len(c))
-    i -= (np.cumsum(k) - k)[c]
-    i += i >= first[c]  # subclass i < min(a, count), but t*
-    r += m * i
-    v += p * i
-    m *= a
-    p *= a
-    count -= i
-    count += a - 1
-    count //= a
-    return tuple(out)
-
-
-def _lanes(r, m, v, p, fuel, count):
-    """(starts, values, fuel) of the kernel's members, _BATCH at a time:
-    member t < count[i] of class i is start r + m*t at v + p*t with fuel[i]
-    steps left.  Each column is built in place, its repeats freed as it goes."""
+    skip = np.full(len(r), _INT64_MAX)  # t* - (a - 1) in a cut class; past every lane in the others
+    if a <= _INT64_MAX // a:
+        d = np.frexp(m)[1] - 1  # the sieve's depth: m = 2^d exactly
+        inv = np.array([pow(2, -e, a) for e in range(int(d.max(initial=0)) + 1)], dtype=np.int64)
+        first = _residues(_residues(h - r, a) * inv[d], a)  # t*
+        cut = (first < count) & (first > (h - r) // m)
+        skip[cut] = first[cut] - (a - 1)
+        count = count - cut * ((count - 1 - first) // a + 1)  # less the members t* + a*i in range
+        del d, first, cut  # freed before the lanes are built
     ends = np.cumsum(count)
     begin, total = ends - count, int(count.sum())  # the lane of each class's member t = 0
     for lo in range(0, total, _BATCH):
@@ -168,28 +148,36 @@ def _lanes(r, m, v, p, fuel, count):
         c = slice(*np.searchsorted(ends, [lo, hi - 1], side="right") + [0, 1])  # the classes in [lo, hi)
         k = np.minimum(ends[c], hi) - np.maximum(begin[c], lo)  # their lanes in [lo, hi)
         t = np.arange(lo, hi)
-        t -= np.repeat(begin[c], k)
+        t -= np.repeat(begin[c], k)  # l, the lane within its class
+        gap = np.repeat(skip[c], k)  # max(l + a - 1 - t*, 0)//(a - 1): the members skipped up to it
+        np.subtract(t, gap, out=gap)
+        np.maximum(gap, 0, out=gap)
+        gap //= a - 1
+        t += gap
+        del gap
         starts, vals = np.repeat(m[c], k), np.repeat(p[c], k)
         starts *= t
         starts += np.repeat(r[c], k)
         vals *= t
         del t
         vals += np.repeat(v[c], k)
-        yield starts, vals, np.repeat(fuel[c], k)
+        yield starts, vals, np.repeat(s[c], k)
 
 
 def verify_range(gcmap: GCMap, limit: int, step_cap: int = 10_000) -> RangeReport:
     """Check that every 1 <= n <= limit reaches 1 under n -> a*n + b (odd), n/2 (even).
 
     Equivalent inductive form: the orbit of 1 comes back to 1, and every n in
-    [2, limit] drops below its start, each within step_cap steps.  The sieve
-    leaves some starts to ``return_times``, one call per ``_BATCH`` of them, but
-    not those ``_skip_successors`` drops.  Those on a run of odd iterates
-    T(q), T(T(q)), ... of an inconclusive lane q are then stepped themselves.
-    A map of another shape, or with a + b > 2^63 - 1, raises ValueError naming why.
+    [2, limit] drops below its start, each within step_cap steps.  Each
+    ``_BATCH`` of ``_lanes`` is one ``return_times`` call at fuel step_cap,
+    and a lane whose sieve and kernel steps pass step_cap is undecided.  A
+    limit or step_cap below 1 or past 2^63 - 1 (before the sieve), or a map
+    of another shape or with a + b > 2^63 - 1, raises ValueError naming why.
     """
-    _check_positive(limit, "limit")
-    _check_positive(step_cap, "step_cap")
+    for value, what in ((limit, "limit"), (step_cap, "step_cap")):
+        _check_positive(value, what)
+        if value > _INT64_MAX:
+            raise ValueError(f"{what} must be at most 2^63 - 1, got {value}")
     plan = _plan(gcmap)
     if plan.shape is None:
         raise ValueError(f"the range scan needs n -> a*n + b (odd), n/2 (even): {plan.why}")
@@ -202,13 +190,13 @@ def verify_range(gcmap: GCMap, limit: int, step_cap: int = 10_000) -> RangeRepor
 
     (_, _, _, drop), kernel = _sieve(a, b, guard, limit, step_cap)
     max_steps = int(drop.max(initial=0))
-    r, m, v, p, s, count = _skip_successors(a, b, *kernel)
-    del drop, kernel  # the sieve's columns, freed before the lanes are built
-    for starts, vals, fuel in _lanes(r, m, v, p, step_cap - s, count):
-        # each lane gets the steps the sieve left it
-        _, tau, undecided = return_times(gcmap, starts, vals, fuel)
+    lanes = _lanes(a, b, *kernel)
+    del drop, kernel  # the sieve's columns, freed as the lanes are built
+    for starts, vals, s in lanes:
+        _, tau, undecided = return_times(gcmap, starts, vals, step_cap)
+        tau += s  # the sieve's steps and the kernel's
+        undecided |= tau > step_cap  # a drop past the cap is none
         inconclusive += starts[undecided].tolist()
-        tau += step_cap - fuel  # the sieve's steps and the kernel's
         max_steps = max(max_steps, int(tau[~undecided].max(initial=0)))
     # a skipped n = T(q) drops where q does, so one that does not lies on the run
     # of odd iterates T(q), T(T(q)), ... of an inconclusive lane q: each such

@@ -464,12 +464,17 @@ def _single_shot(*argv, timeout=120):
     ("mersenne:64", "--suite", "ck"),
     ("mersenne:30", "--suite", "ck", "--window", "10"),
     ("mersenne:21", "--suite", "ck"),
+    ("3xd:100000001", "--suite", "ck", "--window", "10"),
+    ("3xd:100000001", "--suite", "section", "--window", "10"),
+    ("3xd:100000001", "--suite", "relations", "--window", "10"),
+    ("3xd:10000001", "--suite", "ck", "--window", "10"),
 ])
 def test_a_residue_set_past_2_20_exits_3_at_once(argv):
-    # mersenne:64 once hung in ResidueSet.reduce and mersenne:30 filled a set
-    # of 2^30 residues; a subprocess with a timeout fails a regression, not hangs
+    # mersenne:64 once hung in ResidueSet.reduce, mersenne:30 filled a set of
+    # 2^30 residues, and 3xd:100000001 listed and tested 11,111,111 exceptions
+    # of its image; a subprocess with a timeout fails a regression, not hangs
     done = _single_shot("verify", *argv, timeout=30)
-    assert done.returncode == INPUT_ERROR
+    assert done.returncode == INPUT_ERROR and b"Traceback" not in done.stderr
     assert "past the bound 2^20 on residue tables" in json.loads(done.stdout)["error"]
 
 

@@ -110,7 +110,7 @@ LANE_MAPS = ("qx1:5", "qx1:7", "mersenne:3", "3xd:5", "3n-1", "mod3")
 def test_threshold_finish_on_per_lane_tops_and_fuel(ref, monkeypatch):
     """Under a guard of 10^4 every start leaves the int64 frontier at step 0; the
     starts at or past their lane's floor jump at once, the others step to it.
-    Per-lane fuel k - 1, k and k + 1 puts the last jump on each side of the fuel."""
+    Fuel k - 1, k and k + 1 puts the last jump on each side of the fuel."""
     gcmap = JUMP_MAPS[ref]
     monkeypatch.setattr(dynamics, "_INT64_MAX", 10**4)
     k, _, scale, low = dynamics._plan(gcmap).jump
@@ -124,13 +124,11 @@ def test_threshold_finish_on_per_lane_tops_and_fuel(ref, monkeypatch):
     rng = random.Random(ref)
     tops = [rng.randrange(1, 60) for _ in range(150)]
     xs = [max(t, low) * scale + rng.randrange(-3, 5 * k) if i % 3 else 10**4 + i for i, t in enumerate(tops)]
-    for fuels in ([k - 1, k, k + 1], [2 * k + 1, k, 3]):
-        fuel = np.array([fuels[i % 3] for i in range(len(xs))], dtype=np.int64)
+    for fuel in (k - 1, k, k + 1, 2 * k + 1, 3):
         entered.clear()
         value, tau, undecided = return_times(gcmap, np.array(tops, dtype=np.int64), xs, fuel)
         got = list(zip(value.tolist(), tau.tolist(), undecided.tolist()))
-        want = [below_tops(gcmap, [t], [x], f)[0] for t, x, f in zip(tops, xs, fuel.tolist())]
-        assert got == want
+        assert got == below_tops(gcmap, tops, xs, fuel)
         assert len(entered) == len(xs) and {s for _, s in entered} == {0}
         assert any(past for past, _ in entered) and not all(past for past, _ in entered)
 

@@ -18,10 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collatzlab import classes, dynamics, return_time
+from collatzlab import classes, dynamics
 from collatzlab.cli import PASS, main
 from collatzlab.families import _odd_even, collatz, preset_map, preset_section
-from collatzlab.gcmap import Inconclusive
 from test_return_kernel import (
     ODD_EVEN,
     PRESETS,
@@ -56,20 +55,8 @@ def handed(monkeypatch) -> list[int]:
     return steps
 
 
-def scalar_per_lane_fuel(gcmap, sigma, xs, fuel) -> list[tuple[int, int, bool]]:
-    want = []
-    for x, f in zip(xs, fuel):
-        r = return_time(gcmap, sigma, x, f)
-        want.append((0, 0, True) if isinstance(r, Inconclusive) else (r.value, r.tau, False))
-    return want
-
-
 def lanes(out) -> list[tuple[int, int, bool]]:
     return list(zip(*(col.tolist() for col in out)))
-
-
-def mixed_fuel(n: int, fuels=(0, 1, 2, 13, 60)) -> np.ndarray:
-    return np.array([fuels[i % len(fuels)] for i in range(n)], dtype=np.int64)
 
 
 @pytest.mark.parametrize("fuel", [1, 2, 13, 200])
@@ -83,14 +70,6 @@ def test_windows_on_presets(width, handed, ref, fuel):
 
 
 @pytest.mark.parametrize("ref", PRESETS)
-def test_windows_with_per_lane_fuel_on_presets(width, ref):
-    gcmap, xs = preset_map(ref), list(WINDOW)
-    fuel = mixed_fuel(len(xs))
-    got = lanes(dynamics.return_times(gcmap, WINDOW, xs, fuel))
-    assert got == scalar_per_lane_fuel(gcmap, WINDOW, xs, fuel.tolist())
-
-
-@pytest.mark.parametrize("ref", PRESETS)
 def test_per_lane_tops_on_presets(width, handed, ref):
     gcmap = preset_map(ref)
     tops, xs = lanes_of(gcmap, 100)
@@ -99,9 +78,6 @@ def test_per_lane_tops_on_presets(width, handed, ref):
         assert_per_lane(gcmap, tops, xs, fuel)
         if width == EVERY and fuel > 2:  # a fused first step counts 2
             assert handed and set(handed) <= {1, 2}
-    fuel = mixed_fuel(len(xs))
-    got = lanes(dynamics.return_times(gcmap, np.array(tops, dtype=np.int64), xs, fuel))
-    assert got == [below_tops(gcmap, [t], [x], f)[0] for t, x, f in zip(tops, xs, fuel.tolist())]
 
 
 @pytest.mark.parametrize("a, b", ODD_EVEN)
@@ -111,9 +87,6 @@ def test_fused_per_lane_tops_on_the_odd_even_maps(width, a, b):
     starts = list(range(1, 401))
     for fuel in (1, 2, 3, 60):
         assert_per_lane(gcmap, starts, starts, fuel)
-    fuel = mixed_fuel(len(starts), (0, 1, 2, 3, 4, 60))
-    got = lanes(dynamics.return_times(gcmap, np.array(starts, dtype=np.int64), starts, fuel))
-    assert got == [below_tops(gcmap, [t], [t], f)[0] for t, f in zip(starts, fuel.tolist())]
 
 
 @given(expanding_map_and_fuel(), st.sampled_from([1, 2, 100, 200]))
@@ -122,19 +95,13 @@ def test_random_maps_at_every_width(mf, window):
     gcmap, fuel = mf
     sigma, xs = range(1, window + 1), list(range(1, window + 1))
     tops = [max(1, x // 2) for x in xs]
-    lane_fuel = mixed_fuel(len(xs), (0, 1, fuel))
-    want = [
-        cached_lanes(gcmap, sigma, tuple(xs), fuel),
-        below_tops(gcmap, tops, xs, fuel),
-        scalar_per_lane_fuel(gcmap, sigma, xs, lane_fuel.tolist()),
-    ]
+    want = [cached_lanes(gcmap, sigma, tuple(xs), fuel), below_tops(gcmap, tops, xs, fuel)]
     for width in WIDTHS:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dynamics, "_NARROW", width)
             got = [
                 lanes(dynamics.return_times(gcmap, sigma, xs, fuel)),
                 lanes(dynamics.return_times(gcmap, np.array(tops, dtype=np.int64), xs, fuel)),
-                lanes(dynamics.return_times(gcmap, sigma, xs, lane_fuel)),
             ]
         assert got == want, width
 

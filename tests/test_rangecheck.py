@@ -23,7 +23,7 @@ from collatzlab import (
 )
 from collatzlab.dynamics import _step_tables, return_times
 from collatzlab.families import _odd_even
-from collatzlab.rangecheck import _sieve, _skip_successors
+from collatzlab.rangecheck import _lanes, _sieve
 
 # the guard of 3v + 1 under the real int64 bound: the largest v it steps
 COLLATZ_GUARD = (2**63 - 2) // 3
@@ -177,7 +177,6 @@ def spy_kernel(monkeypatch) -> list:
 
     def spy(gcmap, tops, xs, fuel):
         out = kernel(gcmap, tops, xs, fuel)
-        fuel = fuel.copy() if isinstance(fuel, np.ndarray) else fuel
         calls.append((tops.copy(), xs.copy(), fuel, *(col.copy() for col in out[1:])))
         return out
 
@@ -186,21 +185,23 @@ def spy_kernel(monkeypatch) -> list:
 
 
 def test_kernel_gets_the_cap_less_each_offset(monkeypatch):
-    # each lane of the kernel gets the steps the sieve left it, step_cap - s
-    # for a lane its class took s steps, so no lane is stepped past the cap;
-    # the sieve's starts n = 2 (mod 3) are no lanes (n = 2 itself is sieved),
-    # and one more call steps some of them from n at the full cap
+    # the kernel steps every lane at the full cap, and a lane its class took s
+    # steps to is undecided where its drop comes after step_cap - s; the
+    # sieve's starts n = 2 (mod 3) are no lanes (n = 2 itself is sieved), and
+    # one more call steps some of them from n at the full cap
     calls = spy_kernel(monkeypatch)
     rep = verify_range_collatz(10**5, 200)
     r, m, v, p, s, count = (col.tolist() for col in _sieve(3, 1, COLLATZ_GUARD, 10**5, 200)[1])
-    offset = {n: 200 - s for r, m, s, c in zip(r, m, s, count) for n in range(r, r + m * c, m)}
+    offset = {n: s for r, m, s, c in zip(r, m, s, count) for n in range(r, r + m * c, m)}
     (tops, xs, fuel, tau, undecided), (after, after_xs, after_fuel, _, _) = calls
+    assert fuel == after_fuel == 200
     assert sorted(tops.tolist()) == [n for n in sorted(offset) if n % 3 != 2]
-    assert fuel.tolist() == [offset[n] for n in tops.tolist()]
-    assert len(set(fuel.tolist())) > 1  # the offsets differ
-    assert (tau[~undecided] <= fuel[~undecided]).all() and rep.max_steps_to_drop <= 200
+    steps = np.array([offset[n] for n in tops.tolist()])
+    assert len(set(steps.tolist())) > 1  # the offsets differ
+    past = tops[~undecided & (tau > 200 - steps)]  # drops within the kernel's fuel, after the cap
+    assert len(past) == 5 and set(past.tolist()) <= set(rep.inconclusive)
     assert (rep.inconclusive, rep.max_steps_to_drop) == drop_scan(10**5, 200)
-    assert after_fuel == 200 and after.tolist() == after_xs.tolist() and len(after)
+    assert after.tolist() == after_xs.tolist() and len(after)
     for q in after.tolist():  # each on a run of odd iterates T(q'), T(T(q')), ... of an inconclusive q'
         assert q % 3 == 2
         while (q := (2 * q - 1) // 3) not in rep.inconclusive:
@@ -389,48 +390,62 @@ def test_sieve_table_of_every_map_is_exact(a, b):
     assert stopped.any() == (a >= 31)
 
 
-def check_split(a, b, guard, limit, step_cap):
-    """``_skip_successors`` on ``_sieve``'s kernel classes against exact ints.  Its
-    classes hold each kernel start once, but no n > (a + b)/2 with 2n = b (mod a)
-    unless n's class stays whole: its least such member is at most (a + b)/2, or
-    a*m or a*p would pass int64.  Each class's members t = 0 and 1, in range or
-    not, are at v + p*t after s steps.  Returns the classes."""
-    h, lim = (a + b) // 2, (2**63 - 1) // a
+def check_lanes(monkeypatch, a, b, guard, limit, step_cap):
+    """``_lanes`` on ``_sieve``'s kernel classes, in batches of 1000, against exact
+    ints.  Each kernel start comes out once, at its exact value after its
+    class's s steps, but for the n > (a + b)/2 with 2n = b (mod a) in cut
+    classes: those whose first such member t* < a is in range and past
+    (a + b)/2.  Returns the classes and the starts left out."""
+    monkeypatch.setattr(rangecheck, "_BATCH", 1000)
+    h = (a + b) // 2
     kernel = _sieve(a, b, guard, limit, step_cap)[1]
-    want = {}
+    want, out = [], set()
     for r, m, v, p, s, count in zip(*(col.tolist() for col in kernel)):
-        members = range(r, r + m * count, m)
-        whole = m > lim or p > lim or min((n for n in members if (2 * n - b) % a == 0), default=h + 1) <= h
-        want.update((n, s) for n in members if whole or n <= h or (2 * n - b) % a)
-    split = _skip_successors(a, b, *kernel)
-    got = {}
-    for r, m, v, p, s, count in zip(*(col.tolist() for col in split)):
-        for t in (0, 1):
-            assert _orbit(a, b, r + m * t, s)[s] == v + p * t, (r, m, t)
+        first = next(t for t in range(a) if (2 * (r + m * t) - b) % a == 0)
+        cut = first < count and r + m * first > h
         for n in range(r, r + m * count, m):
-            assert n not in got
-            got[n] = s
-    assert got == want
-    return split
+            if cut and (2 * n - b) % a == 0:
+                out.add(n)
+            else:
+                want.append((n, _orbit(a, b, n, s)[s], s))
+    got = []
+    for starts, vals, steps in _lanes(a, b, *kernel):
+        assert len(starts) <= 1000
+        got += zip(starts.tolist(), vals.tolist(), steps.tolist())
+    assert sorted(got) == sorted(want) and len({n for n, _, _ in got}) == len(got)
+    assert all(n > h and (2 * n - b) % a == 0 for n in out)
+    return kernel, out
 
 
 @pytest.mark.parametrize("a, b", MAPS)
 @pytest.mark.parametrize("step_cap", [7, 10_000])
-def test_split_drops_each_start_with_an_odd_predecessor(a, b, step_cap):
-    guard = _step_tables(_odd_even(a, b))[4]
-    kernel, split = _sieve(a, b, guard, 10**5, step_cap)[1], check_split(a, b, guard, 10**5, step_cap)
-    assert split[5].sum() < kernel[5].sum()  # some lanes are gone
+def test_split_drops_each_start_with_an_odd_predecessor(monkeypatch, a, b, step_cap):
+    # the kernel's classes split into the lanes and the starts left out
+    kernel, out = check_lanes(monkeypatch, a, b, _step_tables(_odd_even(a, b))[4], 10**5, step_cap)
+    assert out  # some lanes are gone
 
 
-def test_split_keeps_a_class_whole_where_int64_would_wrap():
-    # 31x+1 at 4*10^4: ten kernel classes have 31*p past int64 and stay whole
+@pytest.mark.parametrize("a, b", MAPS)
+def test_lanes_at_three_thousand_under_every_guard(monkeypatch, a, b):
+    # under the map's own guard, and under lowered ones that stop classes early;
+    # 3x+9 and 3x+7 keep the classes of 3 and 5 whole: each such member is at
+    # most (a + b)/2, and never drops
+    for guard in (_step_tables(_odd_even(a, b))[4], 100, 10**4):
+        check_lanes(monkeypatch, a, b, guard, 3000, 60)
+
+
+def test_lanes_cut_the_classes_where_int64_would_have_wrapped(monkeypatch):
+    # 31x+1 at 4*10^4: ten kernel classes have 31*p past int64, once a bound on
+    # the split; the three of them with a member 2n = 1 (mod 31) in range lose it
     guard = _step_tables(qx1(31))[4]
-    (*_, p, _, _) = _sieve(31, 1, guard, 40_000, 60)[1]
-    assert np.count_nonzero(p > (2**63 - 1) // 31) == 10
-    check_split(31, 1, guard, 40_000, 60)
-    # under a lowered guard too: the bound of a wrap is int64's, not the guard's
-    for a, guard in [(3, 100), (3, 10**4), (127, 10**4)]:
-        check_split(a, 1, guard, 3000, 60)
+    (r, m, v, p, s, count), out = check_lanes(monkeypatch, 31, 1, guard, 40_000, 60)
+    wide = np.flatnonzero(p > (2**63 - 1) // 31)
+    assert len(wide) == 10
+    lost = [n for n in out if any((n - r[i]) % m[i] == 0 and n < r[i] + m[i] * count[i] for i in wide)]
+    assert len(lost) == 3
+    rep = verify_range(qx1(31), 40_000, 60)
+    assert rep.inconclusive == base_inconclusive(60, 31) + drop_scan(40_000, 60, 31, 1)[0]
+    assert (len(rep.inconclusive), sum(rep.inconclusive), rep.max_steps_to_drop) == (18_545, 370_897_889, 42)
 
 
 def test_sieve_does_not_advance_where_int64_would_wrap():
@@ -511,11 +526,11 @@ def test_lowered_guard_on_every_map(monkeypatch, a, b, sieve_bits):
 # --- the fused odd step, lane by lane -----------------------------------------------
 
 
-def first_returns(a, b, tops, xs, fuels):
+def first_returns(a, b, tops, xs, fuel):
     """(value, tau, undecided) of each lane under n -> a*n + b (odd), n/2 (even):
     the first of its fuel steps that takes xs[i] into [1, tops[i])."""
     want = []
-    for top, v, fuel in zip(tops, xs, fuels):
+    for top, v in zip(tops, xs):
         for step in range(1, fuel + 1):
             v = a * v + b if v & 1 else v >> 1
             if 1 <= v < top:
@@ -526,47 +541,23 @@ def first_returns(a, b, tops, xs, fuels):
     return want
 
 
-def fuels_at_the_return(a, b, tops, xs, cap):
-    """Per-lane fuels: each lane's return step (or the cap) less one, that step,
-    and a step that ends between the two halves of a fused odd step, with
-    a*v + b taken and its halving not (an odd value from step 2 on, before the
-    return), then the three by turns."""
-    short, at, split = [], [], []
-    for (value, tau, undecided), top, v in zip(first_returns(a, b, tops, xs, [cap] * len(xs)), tops, xs):
-        drop = cap if undecided else tau
-        middle = drop
-        for step in range(drop - 1):
-            if step >= 2 and v & 1:
-                middle = step + 1
-                break
-            v = a * v + b if v & 1 else v >> 1
-        short.append(drop - 1)
-        at.append(drop)
-        split.append(middle)
-    turns = [(short, at, split)[i % 3][i] for i in range(len(xs))]
-    return [np.array(f, dtype=np.int64) for f in (short, at, split, turns)]
-
-
 def assert_lanes(a, b, sigma, xs, fuel):
     value, tau, undecided = return_times(_odd_even(a, b), sigma, xs, fuel)
     tops = sigma.tolist() if isinstance(sigma, np.ndarray) else [sigma.stop] * len(xs)
-    fuels = fuel.tolist() if isinstance(fuel, np.ndarray) else [fuel] * len(xs)
-    assert list(zip(value.tolist(), tau.tolist(), undecided.tolist())) == first_returns(a, b, tops, xs, fuels)
+    assert list(zip(value.tolist(), tau.tolist(), undecided.tolist())) == first_returns(a, b, tops, xs, fuel)
 
 
 @pytest.mark.parametrize("a, b", MAPS)
 def test_fused_steps_lane_by_lane(a, b):
     """Per-lane tops take fused odd steps, from the first step when every start
     is at or above its top (as in the range scan) and from the second when
-    one is below; windows take single steps.  Each at the fuel of every lane
-    and at per-lane fuel around each lane's return."""
+    one is below; windows take single steps."""
     cap = 200 if a == 3 else 60
     starts = list(range(2, 400))
     below = starts[::-1]  # half of these start below their top
     cases = [(np.array(starts), starts), (np.array(starts), below), (range(1, 400), list(range(1, 400)))]
     for sigma, xs in cases:
-        tops = sigma.tolist() if isinstance(sigma, np.ndarray) else [sigma.stop] * len(xs)
-        for fuel in [1, 2, cap, *fuels_at_the_return(a, b, tops, xs, cap)]:
+        for fuel in [1, 2, cap]:
             assert_lanes(a, b, sigma, xs, fuel)
 
 
@@ -584,26 +575,18 @@ def test_a_fused_step_past_the_fuel_is_no_return():
     # below 7 at step 11; fuel 8 ends inside the fused step 13 -> 40 -> 20 of
     # steps 8 and 9, and a fused step that counted 1 would reach 5 by step 7
     for fuel, want in ((11, (5, 11, False)), (10, (0, 0, True)), (9, (0, 0, True)), (8, (0, 0, True))):
-        value, tau, undecided = return_times(collatz(), np.array([7]), [7], np.array([fuel]))
+        value, tau, undecided = return_times(collatz(), np.array([7]), [7], fuel)
         assert (value[0], tau[0], undecided[0]) == want
 
 
 def test_retired_lanes_stay_returned():
     # lanes that return early are retired in place while the rest run on to
-    # their fuel: none may turn undecided, whether the fuel ends at different
-    # steps or at one step for all, where 8 -> 4 is retired at step 1 and
+    # the fuel: none may turn undecided, where 8 -> 4 is retired at step 1 and
     # twenty halvings of 2^50, with an empty window [1, 1), run to the end
     starts = list(range(2, 4000))
-    for fuel in fuels_at_the_return(3, 1, starts, starts, 300):
-        assert_lanes(3, 1, np.array(starts), starts, fuel)
+    assert_lanes(3, 1, np.array(starts), starts, 300)
     xs, tops = [2**50] * 20 + [8], np.array([1] * 20 + [8])
-    for fuel in (20, np.full(len(xs), 20)):
-        assert_lanes(3, 1, tops, xs, fuel)
-
-
-def test_per_lane_fuel_of_another_length_is_a_value_error():
-    with pytest.raises(ValueError):
-        return_times(collatz(), np.array([5, 6]), [5, 6], np.array([10]))
+    assert_lanes(3, 1, tops, xs, 20)
 
 
 def test_127x_plus_1_lists_every_start_that_does_not_drop(monkeypatch):

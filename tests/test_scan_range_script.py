@@ -48,6 +48,8 @@ def test_an_inconclusive_scan_exits_2():
         (("--limit", "10", "--step-cap", "0"), b"step_cap must be a positive integer"),
         (("--limit", "abc"), b"invalid int value: 'abc'"),
         (("--threads", "2"), b"unrecognized arguments"),
+        (("--limit", str(10**20)), b"limit must be at most 2^63 - 1"),
+        (("--limit", "10", "--step-cap", str(10**20)), b"step_cap must be at most 2^63 - 1"),
     ],
 )
 def test_bad_input_exits_3_with_one_message(argv, why):
